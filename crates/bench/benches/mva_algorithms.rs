@@ -1,7 +1,14 @@
 //! Solver benchmarks: the MVA family on paper-scale (12-station, 3-tier,
 //! 16-core) networks, all driven through the `ClosedSolver` trait.
+//!
+//! The `mvasd` group (Algorithm 3: the carried VINS recursion, the
+//! JPetStore quasi-static phase and a deep saturating sweep) is also
+//! written to `results/BENCH_mvasd.json` (schema `mvasd-bench/1`,
+//! documented in `EXPERIMENTS.md`), which `mvasd-doctor` holds against its
+//! baseline.
 
-use mvasd_bench::timing::{Bench, Plan};
+use mvasd_bench::output::{results_dir, write_text};
+use mvasd_bench::timing::{bench_json, Bench, Plan};
 use mvasd_core::profile::{DemandAxis, DemandSamples, InterpolationKind, ServiceDemandProfile};
 use mvasd_core::solver::{MvasdSingleServerSolver, MvasdSolver};
 use mvasd_queueing::mva::{
@@ -76,8 +83,8 @@ fn main() {
         jp.solve(210).unwrap()
     });
     // A deep saturating sweep with per-step demand changes: every
-    // post-switch population rebuilds the carried convolution workspace in
-    // O(K·n) (the pre-workspace path re-solved from scratch at O(K·n²)).
+    // post-switch population rebuilds the carried convolution workspace,
+    // O(K·C·n) with geometric-tail rate-table cells.
     let sat_samples = DemandSamples {
         station_names: vec!["db-cpu16".into(), "disk".into()],
         server_counts: vec![16, 1],
@@ -92,8 +99,8 @@ fn main() {
     )
     .unwrap();
     let sat = MvasdSolver::new(sat_profile);
-    // Seconds per call even with the carried workspace (the interpolated
-    // demands force an O(K·n) rebuild every step), so sample it sparsely.
+    // The interpolated demands force a rebuild every step (~1400 of
+    // them), so sample it sparsely.
     g.measure(
         "saturating_quasi_static_1500",
         Plan {
@@ -104,6 +111,9 @@ fn main() {
         || sat.solve(1500).unwrap(),
     );
     println!("{}", g.report());
+    let path = write_text(&results_dir(), "BENCH_mvasd.json", &bench_json(&[&g]))
+        .expect("results directory is writable");
+    println!("wrote {}", path.display());
 
     // Streaming early exit: an SLA query against the same model answers as
     // soon as the response-time ceiling is crossed, instead of sweeping the

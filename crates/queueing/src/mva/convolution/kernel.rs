@@ -32,6 +32,10 @@
 //!    NaN poison always reaches the accumulator. `exp(−∞ − m) = 0`, so
 //!    `−∞` entries inside kept blocks need no branch either.
 //!
+//! [`head_tail_cell`] is the short sibling for rate-table stations past
+//! their saturation index: a fixed `C`-term window plus one carried
+//! geometric-tail term, scalar, with the same pruning cut.
+//!
 //! ## Equivalence contract (property-tested against [`scalar_reference`])
 //!
 //! * All-`−∞` rows: bit-exact (`−∞`), and NaN anywhere yields NaN.
@@ -199,6 +203,45 @@ pub fn conv_cell(a: &[f64], b: &[f64], n: usize, scratch: &mut CellScratch) -> f
             rest += (x - m).exp();
         }
         acc += ((a0 + a1) + (a2 + a3)) + rest;
+    }
+    m + acc.ln()
+}
+
+/// A rate-table cell past its head: the `width`-term window
+/// `Σ_{j<width} exp(ln_f(j) + ln_a(n−j))` plus one carried geometric-tail
+/// term `exp(ln_tail)`, in log domain (`n ≥ width − 1`). The maximum spans
+/// the tail too, so once a station saturates and the tail dominates, every
+/// head term more than [`CUT`] nats below it is skipped without an `exp`
+/// call (the same error budget as [`conv_cell`]'s block pruning). `−∞`-safe
+/// and NaN-poison-preserving.
+// lint: no-alloc
+#[inline]
+pub fn head_tail_cell(ln_f: &[f64], ln_a: &[f64], n: usize, width: usize, ln_tail: f64) -> f64 {
+    let mut m = ln_tail;
+    let mut poisoned = ln_tail.is_nan();
+    for j in 0..width {
+        let t = ln_f[j] + ln_a[n - j];
+        poisoned |= t.is_nan();
+        if t > m {
+            m = t;
+        }
+    }
+    if poisoned {
+        return f64::NAN;
+    }
+    if m == f64::NEG_INFINITY {
+        return f64::NEG_INFINITY;
+    }
+    let cut = m + CUT;
+    let mut acc = 0.0;
+    if ln_tail >= cut {
+        acc += (ln_tail - m).exp();
+    }
+    for j in 0..width {
+        let t = ln_f[j] + ln_a[n - j];
+        if t >= cut {
+            acc += (t - m).exp();
+        }
     }
     m + acc.ln()
 }
@@ -431,6 +474,38 @@ mod tests {
                 assert_within_ulps(&a, &b, n, 2.0, "peaked");
             }
         }
+    }
+
+    /// Head plus carried tail is the full cell split at `width`: it must
+    /// match the oracle over the whole row to 2 ulp, prune nothing that
+    /// matters, and keep the −∞ and NaN semantics of the full cell.
+    #[test]
+    fn head_tail_cell_matches_the_full_cell() {
+        for (n, width, slope) in [(40usize, 1usize, 0.3f64), (200, 16, 0.05), (300, 64, 1.5)] {
+            let f: Vec<f64> = (0..=n)
+                .map(|j| -(j as f64) * slope - (j.min(width) as f64).ln_1p())
+                .collect();
+            let a: Vec<f64> = (0..=n).map(|j| -(j as f64) * 0.2 * slope).collect();
+            let tail: Vec<f64> = (width..=n).map(|j| f[j] + a[n - j]).collect();
+            let peak = tail.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let ln_tail = peak + tail.iter().map(|t| (t - peak).exp()).sum::<f64>().ln();
+            let split = head_tail_cell(&f, &a, n, width, ln_tail);
+            let full = scalar_reference(&f, &a, n);
+            let tol = 2.0 * dominant_scale(full, true_max(&f, &a, n)) * f64::EPSILON;
+            assert!(
+                (split - full).abs() <= tol,
+                "n={n} width={width}: {split} vs {full}"
+            );
+        }
+        let ninf = vec![f64::NEG_INFINITY; 8];
+        assert_eq!(
+            head_tail_cell(&ninf, &ninf, 7, 4, f64::NEG_INFINITY),
+            f64::NEG_INFINITY
+        );
+        let mut poisoned = ninf.clone();
+        poisoned[2] = f64::NAN;
+        assert!(head_tail_cell(&poisoned, &ninf, 7, 4, 0.0).is_nan());
+        assert!(head_tail_cell(&ninf, &ninf, 7, 4, f64::NAN).is_nan());
     }
 
     #[test]

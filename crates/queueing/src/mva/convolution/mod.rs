@@ -26,16 +26,20 @@
 //! Q_k(n)  = Σ_j j · p_k(j|n)
 //! ```
 //!
-//! `G₍₋ₖ₎` (the network without station `k`) is produced for every station
-//! from prefix/suffix partial convolutions.
+//! `G₍₋ₖ₎` (the network without station `k`) is produced from prefix/suffix
+//! partial convolutions, only for the stations whose queue or marginals
+//! need it.
 //!
 //! Every production path — batch [`solve`], the streaming [`ConvIter`],
 //! and the per-population `solve_at` of the quasi-static MVASD phase —
 //! runs on the incremental [`ConvWorkspace`] in [`workspace`]: carried
 //! log-domain columns extended one cell per population, flat pre-allocated
-//! buffers, and O(1) telescoped updates for single-server stages. The
-//! pre-workspace from-scratch evaluation survives in [`scratch`] as the
-//! independent reference (propcheck oracle and benchmark baseline).
+//! buffers, O(1) telescoped updates for single-server stages and O(C)
+//! head-plus-geometric-tail cells for `C`-server and custom-rate stages.
+//! Per population that is `O(K·C)` work plus one O(n) complement cell per
+//! heavy station but the last. The pre-workspace from-scratch evaluation
+//! survives in [`scratch`] as the independent reference (propcheck oracle
+//! and benchmark baseline).
 
 pub mod kernel;
 pub(crate) mod scratch;
@@ -249,11 +253,17 @@ mod tests {
 
     #[test]
     fn machine_repair_exact_all_populations() {
-        // Single c-server station + think time: closed form available.
-        for (c, d, z) in [(1usize, 0.25f64, 1.0f64), (4, 0.25, 1.0), (16, 0.16, 1.0)] {
+        // Single c-server station + think time: closed form available. The
+        // 16-core station runs its carried geometric tail for ~1400
+        // populations of the paper's deepest sweep.
+        for (c, d, z, n_max) in [
+            (1usize, 0.25f64, 1.0f64, 1500usize),
+            (4, 0.25, 1.0, 400),
+            (16, 0.16, 1.0, 1500),
+        ] {
             let stations = vec![st("s", d, RateFunction::MultiServer(c))];
-            let sol = solve(&stations, z, 400, &[c]).unwrap();
-            for n in 1..=400usize {
+            let sol = solve(&stations, z, n_max, &[c]).unwrap();
+            for n in 1..=n_max {
                 let (xe, qe) = mvasd_numerics::erlang::machine_repair(n, c, d, z).unwrap();
                 let x = sol.x[n - 1];
                 assert!(close(x, xe, 1e-9 * xe.max(1.0)), "c={c} n={n}: {x} vs {xe}");

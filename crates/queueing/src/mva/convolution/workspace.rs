@@ -1,46 +1,70 @@
 //! The incremental convolution workspace: Buzen's algorithm with carried
-//! state, O(total·n) log-sum-exp work per population step, and zero heap
-//! allocation per step once warm.
+//! state, zero heap allocation per step once warm, and no O(n) cell on the
+//! prefix or suffix chains.
 //!
 //! [`ConvWorkspace`] owns every array the recursion touches as a flat,
-//! stride-indexed buffer ([`Grid`]): per-stage log factor columns, the
-//! ascending prefix chain `prefix[i] = f_0 ⊛ … ⊛ f_{i−1}`, the descending
-//! suffix chain `suffix[i] = f_i ⊛ … ⊛ f_{total−1}`, the per-station
-//! complements `G₍₋ₖ₎ = prefix[k] ⊛ suffix[k+1]`, and the O(1)-state queue
-//! accumulators for light single-server stations. One [`advance`] appends
-//! exactly one cell to each live column; nothing already written is ever
-//! mutated, which is what makes the incremental, snapshot/resume, and
+//! stride-indexed buffer ([`Grid`]). The network runs as a chain of
+//! **stages** whose order is re-derived whenever the demands change:
+//!
+//! 1. stage 0, one merged infinite-server stage `Poisson(Z + Σ D)` over the
+//!    think time and every delay station that tracks no marginals (Poisson
+//!    columns convolve into a Poisson column);
+//! 2. the light stations, which never need `G₍₋ₖ₎`;
+//! 3. the `H` heavy stations: rate-table stations and every station that
+//!    tracks marginals.
+//!
+//! The ascending prefix chain `prefix[i] = f_0 ⊛ … ⊛ f_{i−1}` ends in `G`.
+//! The descending suffix chain `suffix[i] = f_i ⊛ … ⊛ f_{total−1}` exists
+//! only inside the heavy group, where it feeds the complements
+//! `G₍₋ₖ₎ = prefix[k] ⊛ suffix[k+1]`. The last heavy stage needs no
+//! complement cell: its `G₍₋ₖ₎` is `prefix[total−1]`. Light single-server
+//! stations carry O(1)-state queue accumulators instead. One [`advance`]
+//! appends exactly one cell to each live column; nothing already written is
+//! ever mutated, which is what makes the incremental, snapshot/resume, and
 //! rebuild paths **bit-for-bit identical** — they all execute the same
 //! per-cell code in the same order.
 //!
 //! Per-stage work is specialized by [`StageKind`]:
 //!
 //! * `Zero` — zero demand: the factor column is the convolution identity,
-//!   so prefix/suffix cells are plain copies.
+//!   so chain cells are plain copies.
 //! * `Geo` — single-server-like (`f(j) = D^j`): the convolution with a
 //!   geometric column telescopes, `(A ⊛ f)(n) = A(n) ⊕ (ln D + (A ⊛ f)(n−1))`
-//!   (`⊕` = log-sum-exp), one O(1) update instead of an O(n) sweep. A light
-//!   single-server station additionally skips `G₍₋ₖ₎` entirely: its queue
-//!   satisfies `h(n) = D·(G(n−1) + h(n−1))`, `Q(n) = h(n)/G(n)`, carried as
-//!   one log-domain scalar per population.
-//! * `Exp` — infinite-server (`f(j) = D^j/j!`): full cell, with `ln j`
-//!   read from a table computed once per capacity growth.
-//! * `Table` — multi-server / custom rate: full cell, with `ln α(j)`
-//!   precomputed per station so rebuilds never call `ln()` in the loop.
+//!   (`⊕` = log-sum-exp), one O(1) update. A light single-server station
+//!   also skips `G₍₋ₖ₎`: its queue satisfies `h(n) = D·(G(n−1) + h(n−1))`,
+//!   `Q(n) = h(n)/G(n)`, carried as one log-domain scalar per population.
+//! * `Exp` — infinite-server (`f(j) = D^j/j!`), with `ln j` read from a
+//!   table. As stage 0 it convolves with the identity, so its prefix cell is
+//!   its factor cell; a delay station that tracks marginals keeps a full
+//!   O(n) cell.
+//! * `Table` — multi-server / custom rate, `f(j) = D^j / ∏ α(i)`, with
+//!   `ln α(j)` precomputed per station. From the saturation index `C` on
+//!   (`C` servers, or the custom table length, past which the rate clamps)
+//!   the factor is geometric: `f(j) = f(C)·ρ^{j−C}` with `ρ = D/α(C)`. So
+//!   the tail sum `T(m) = Σ_{j≥C} f(j)·A(m−j)` carries as
+//!   `T(m) = f(C)·A(m−C) + ρ·T(m−1)`, and a cell past `C` is a `C`-wide
+//!   head plus one tail term ([`kernel::head_tail_cell`]): O(C), not O(m).
+//!   Below `C` the cell is the full O(m) convolution.
 //!
-//! Suffix and `G₍₋ₖ₎` maintenance is skipped wholesale when no station
-//! needs the heavy marginal path. Log-sum-exp cells run on the batched
-//! [`super::kernel`]: a reversed-stride add, blocked 4-lane maxima, and a
-//! pruned exp-accumulate pass that skips blocks more than 46 nats below
-//! the peak (the workspace carries the kernel's [`kernel::CellScratch`]
-//! and sizes it alongside every other buffer). The old single-pass
-//! running-maximum cell survives as [`kernel::scalar_reference`], the
-//! kernel's equivalence oracle.
+//! Every column is scaled by `sᵐ` with `s = min_k(α_k(∞)/D_k)` over the
+//! queueing stations, i.e. every stage runs on the demand `s·D`. The
+//! bottleneck's tail ratio becomes 1 and every other ratio is at most 1,
+//! so no carried recurrence grows with the population and the log values
+//! stay small enough to keep their low-order bits. Throughput takes the
+//! scale back out, `X = s·G′(n−1)/G′(n)`; queues and marginals are ratios
+//! of equal powers of `s` and need no correction. The `conv.lse` health
+//! probe still watches the unscaled `ln G(n) = ln G′(n) − n·ln s`.
+//!
+//! What remains O(m) per population: the `H − 1` complement cells of the
+//! heavy stations other than the last ([`kernel::conv_cell`]), table cells
+//! below their saturation index, and delay stations that track marginals.
+//! Those cells run on the batched kernel, whose [`kernel::CellScratch`] the
+//! workspace carries and sizes alongside every other buffer.
 //!
 //! Changing the demand vector ([`solve_at`]) re-runs the recursion from
-//! population 0 inside the same buffers — `O(n²)` cells but **zero**
-//! allocation and zero `ln()` calls beyond one `ln D` per stage — which is
-//! what the quasi-static MVASD phase does at every population step.
+//! population 0 inside the same buffers — zero allocation and zero `ln()`
+//! calls beyond one `ln D` per station — which is what the quasi-static
+//! MVASD phase does at every population step.
 //!
 //! [`advance`]: ConvWorkspace::advance
 //! [`solve_at`]: ConvWorkspace::solve_at
@@ -51,7 +75,7 @@ use super::ConvStation;
 use crate::QueueingError;
 use mvasd_obsv as obsv;
 
-/// How the workspace extends one stage's factor/prefix/suffix cells.
+/// How the workspace extends one stage's factor and chain cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StageKind {
     /// Zero demand: `f = (1, 0, 0, …)`, the convolution identity.
@@ -60,8 +84,37 @@ enum StageKind {
     Geo,
     /// Infinite-server: `f(j) = D^j / j!`.
     Exp,
-    /// Rate-table station (multi-server or custom): `f(j) = D^j / ∏ α(i)`.
+    /// Rate-table station (multi-server or custom): `f(j) = D^j / ∏ α(i)`,
+    /// geometric past the saturation index.
     Table,
+}
+
+/// One link of the convolution chain.
+#[derive(Debug, Clone, Copy)]
+struct Stage {
+    kind: StageKind,
+    /// Station index; [`NO_ROW`] for the merged infinite-server stage.
+    station: usize,
+    /// `ln(s·D)`, the scaled demand (`−∞` when zero).
+    ln_d: f64,
+    /// Table stages: the saturation index `C` where the tail starts.
+    width: usize,
+    /// Table stages: `ln ρ = ln(s·D) − ln α(C)`.
+    ln_ratio: f64,
+    /// Table stages: row in `ln_rate` and in both tail grids.
+    row: usize,
+}
+
+impl Stage {
+    /// A zero-demand stage with no station behind it.
+    const IDENTITY: Stage = Stage {
+        kind: StageKind::Zero,
+        station: NO_ROW,
+        ln_d: f64::NEG_INFINITY,
+        width: 0,
+        ln_ratio: f64::NEG_INFINITY,
+        row: NO_ROW,
+    };
 }
 
 /// A fixed number of equally-long `f64` rows in one flat allocation.
@@ -118,6 +171,9 @@ impl Grid {
 /// Sentinel for "this station has no row in that grid".
 const NO_ROW: usize = usize::MAX;
 
+/// The merged infinite-server stage always heads the chain.
+const IS_STAGE: usize = 0;
+
 /// Incremental log-domain convolution engine. See the module docs for the
 /// layout and the per-kind update rules.
 ///
@@ -131,21 +187,28 @@ pub struct ConvWorkspace {
 
     /// Last population evaluated (0 = fresh).
     n: usize,
-    /// Per-stage extension rule (stations then think stage); recomputed on
-    /// every demand change.
-    kind: Vec<StageKind>,
-    /// `ln D_i` per stage (`ln Z` for the think stage); `−∞` when zero.
-    ln_d: Vec<f64>,
+    /// The chain, stage 0 first; re-derived on every demand change.
+    stages: Vec<Stage>,
+    /// Stage of each station ([`NO_ROW`] when folded into stage 0).
+    stage_of: Vec<usize>,
+    /// First stage of the heavy group (`stages.len()` when there is none).
+    first_heavy: usize,
     /// Whether station `k` currently needs the `G₍₋ₖ₎` marginal path.
     heavy: Vec<bool>,
-    /// Any heavy station at all? Gates the whole suffix chain.
-    any_heavy: bool,
+    /// `ln s`, the per-population column scale (module docs).
+    ln_s: f64,
+    /// Prefix, suffix and complement cells written per extension.
+    cells_per_step: u64,
 
+    /// Saturation index `C` of each rate-table station (0 otherwise).
+    sat_index: Vec<usize>,
+    /// `ln α_k(C)`, the saturated rate (0 for single servers).
+    ln_top_rate: Vec<f64>,
     /// Row of `ln_g_minus` for stations that can ever be heavy (else NO_ROW).
     g_row: Vec<usize>,
     /// Row of `ln_lq` for light single-server-like stations (else NO_ROW).
     lq_row: Vec<usize>,
-    /// Row of `ln_rate` for rate-table stations (else NO_ROW).
+    /// Row of `ln_rate` and the tail grids for rate-table stations.
     rate_row: Vec<usize>,
 
     /// `ln j` for `j = 1..cap` (index 0 unused), shared by all Exp stages.
@@ -153,18 +216,21 @@ pub struct ConvWorkspace {
     /// `ln α_k(j)` per rate-table station, computed once per growth.
     ln_rate: Grid,
 
-    /// `ln_factors[i][j] = ln f_i(j)`, stations then the think stage.
+    /// `ln_factors[i][j] = ln f_i(j)` per stage (scaled).
     ln_factors: Grid,
-    /// `ln_prefix[i] = f_0 ⊛ … ⊛ f_{i−1}` (`ln_prefix[0]` = identity); the last
-    /// row is `ln G`.
+    /// `ln_prefix[i] = f_0 ⊛ … ⊛ f_{i−1}`; the last row is `ln G′`.
+    /// `ln_prefix[0]` is the identity and is never read past `j = 0`.
     ln_prefix: Grid,
-    /// `suffix[i] = f_i ⊛ … ⊛ f_{total−1}` (`suffix[total]` = identity).
-    /// Only maintained while a heavy station exists.
+    /// `suffix[i] = f_i ⊛ … ⊛ f_{total−1}` (`suffix[total]` = identity),
+    /// maintained only past the first heavy stage.
     suffix: Grid,
-    /// `ln_g_minus[row] = ln G₍₋ₖ₎` for heavy-capable stations.
+    /// Carried tails `T(m)` of the table stages' prefix cells.
+    ln_tail_prefix: Grid,
+    /// Carried tails `T(m)` of the table stages' suffix cells.
+    ln_tail_suffix: Grid,
+    /// `ln_g_minus[row] = ln G₍₋ₖ₎` for heavy stations but the last.
     ln_g_minus: Grid,
-    /// `ln_lq[row][n] = ln Σ_{j≥1} j·D^j·G(n−j)`… telescoped: the light
-    /// single-server queue numerator `h(n)`.
+    /// `ln_lq[row][n]`: the light single-server queue numerator `h(n)`.
     ln_lq: Grid,
 
     // Per-population outputs, overwritten in place by `compute_outputs`.
@@ -181,9 +247,10 @@ pub struct ConvWorkspace {
 
     extend_ctr: obsv::CounterBatch,
     cells_ctr: obsv::CounterBatch,
-    /// Watches `ln G` per extension (log-sum-exp dynamic range, NaN-poison
-    /// trips) and counts marginal-term underflows. Locally buffered;
-    /// flushed by [`flush_metrics`](Self::flush_metrics) and on drop.
+    /// Watches the unscaled `ln G` per extension (log-sum-exp dynamic
+    /// range, NaN-poison trips) and counts marginal-term underflows.
+    /// Locally buffered; flushed by [`flush_metrics`](Self::flush_metrics)
+    /// and on drop.
     health: obsv::HealthProbe,
 }
 
@@ -209,33 +276,40 @@ impl ConvWorkspace {
             return Err(QueueingError::EmptyNetwork);
         }
         let k_count = stations.len();
-        let total = k_count + 1; // + think stage
         limits.resize(k_count, 0);
 
+        let mut sat_index = vec![0usize; k_count];
+        let mut ln_top_rate = vec![0.0f64; k_count];
         let mut g_row = vec![NO_ROW; k_count];
         let mut lq_row = vec![NO_ROW; k_count];
         let mut rate_row = vec![NO_ROW; k_count];
         let (mut g_rows, mut lq_rows, mut rate_rows) = (0, 0, 0);
         for (k, s) in stations.iter().enumerate() {
-            let table_capable = matches!(
-                s.rate,
-                RateFunction::MultiServer(2..) | RateFunction::Custom(_)
-            );
-            if table_capable {
+            let sat = match &s.rate {
+                RateFunction::MultiServer(c) if *c >= 2 => *c,
+                RateFunction::Custom(t) => t.len(),
+                _ => 0,
+            };
+            if sat > 0 {
+                sat_index[k] = sat;
+                ln_top_rate[k] = s.rate.rate(sat).ln();
                 rate_row[k] = rate_rows;
                 rate_rows += 1;
             }
-            if limits[k] > 0 || table_capable {
+            if limits[k] > 0 || sat > 0 {
                 g_row[k] = g_rows;
                 g_rows += 1;
-            } else if matches!(
-                s.rate,
-                RateFunction::SingleServer | RateFunction::MultiServer(1)
-            ) {
+            } else if !matches!(s.rate, RateFunction::Delay) {
                 lq_row[k] = lq_rows;
                 lq_rows += 1;
             }
         }
+        let merged = stations
+            .iter()
+            .zip(&limits)
+            .filter(|&(s, &limit)| folds_into_stage_0(s, limit))
+            .count();
+        let total = 1 + k_count - merged;
 
         let mut marg_off = Vec::with_capacity(k_count);
         let mut off = 0usize;
@@ -249,10 +323,14 @@ impl ConvWorkspace {
             think_time,
             limits,
             n: 0,
-            kind: vec![StageKind::Zero; total],
-            ln_d: vec![f64::NEG_INFINITY; total],
+            stages: vec![Stage::IDENTITY; total],
+            stage_of: vec![NO_ROW; k_count],
+            first_heavy: total,
             heavy: vec![false; k_count],
-            any_heavy: false,
+            ln_s: 0.0,
+            cells_per_step: 0,
+            sat_index,
+            ln_top_rate,
             g_row,
             lq_row,
             rate_row,
@@ -261,6 +339,8 @@ impl ConvWorkspace {
             ln_factors: Grid::new(total),
             ln_prefix: Grid::new(total + 1),
             suffix: Grid::new(total + 1),
+            ln_tail_prefix: Grid::new(rate_rows),
+            ln_tail_suffix: Grid::new(rate_rows),
             ln_g_minus: Grid::new(g_rows),
             ln_lq: Grid::new(lq_rows),
             out_x: 0.0,
@@ -325,10 +405,21 @@ impl ConvWorkspace {
         self.health.flush();
     }
 
-    /// Re-derives the per-stage extension rules from the current demands.
+    /// Re-derives the stage chain from the current demands: kinds, order
+    /// (stage 0, light, heavy), the column scale and the scaled demands
+    /// and tail ratios. Allocation-free.
     fn refresh_kinds(&mut self) {
-        let total = self.stations.len() + 1;
+        let total = self.stages.len();
+        let mut ln_s = f64::INFINITY;
+        let mut is_demand = self.think_time;
+        // Light stages fill upward from 1, heavy stages downward from the end.
+        let (mut lo, mut hi) = (1, total);
         for (k, s) in self.stations.iter().enumerate() {
+            self.heavy[k] = false;
+            if folds_into_stage_0(s, self.limits[k]) {
+                is_demand += s.demand;
+                continue;
+            }
             let (kind, ld) = if s.demand <= 0.0 {
                 (StageKind::Zero, f64::NEG_INFINITY)
             } else {
@@ -338,20 +429,56 @@ impl ConvWorkspace {
                     _ => StageKind::Table,
                 };
                 let ln_demand = s.demand.ln();
+                if kind != StageKind::Exp {
+                    ln_s = ln_s.min(self.ln_top_rate[k] - ln_demand);
+                }
                 (kind, ln_demand)
             };
-            self.kind[k] = kind;
-            self.ln_d[k] = ld;
-            self.heavy[k] = self.limits[k] > 0 || kind == StageKind::Table;
+            let heavy = self.limits[k] > 0 || kind == StageKind::Table;
+            let i = if heavy {
+                hi -= 1;
+                hi
+            } else {
+                lo += 1;
+                lo - 1
+            };
+            self.heavy[k] = heavy;
+            self.stage_of[k] = i;
+            self.stages[i] = Stage {
+                kind,
+                station: k,
+                ln_d: ld,
+                width: self.sat_index[k],
+                ln_ratio: f64::NEG_INFINITY,
+                row: self.rate_row[k],
+            };
         }
-        if self.think_time > 0.0 {
-            self.kind[total - 1] = StageKind::Exp;
-            self.ln_d[total - 1] = self.think_time.ln();
+        debug_assert_eq!(lo, hi);
+        self.first_heavy = hi;
+        // Delay stages alone never saturate: nothing to balance.
+        let ln_s = if ln_s.is_finite() { ln_s } else { 0.0 };
+        self.ln_s = ln_s;
+        self.stages[IS_STAGE] = if is_demand > 0.0 {
+            let ln_is_demand = is_demand.ln();
+            Stage {
+                kind: StageKind::Exp,
+                ln_d: ln_is_demand,
+                ..Stage::IDENTITY
+            }
         } else {
-            self.kind[total - 1] = StageKind::Zero;
-            self.ln_d[total - 1] = f64::NEG_INFINITY;
+            Stage::IDENTITY
+        };
+        for st in self.stages.iter_mut() {
+            if st.kind == StageKind::Zero {
+                continue;
+            }
+            st.ln_d += ln_s;
+            if st.kind == StageKind::Table {
+                st.ln_ratio = st.ln_d - self.ln_top_rate[st.station];
+            }
         }
-        self.any_heavy = self.heavy.iter().any(|&h| h);
+        let complements = (total - self.first_heavy).saturating_sub(1);
+        self.cells_per_step = (total + 2 * complements) as u64;
     }
 
     /// Grows every grid so populations `0..len` fit, extending the `ln`
@@ -364,11 +491,17 @@ impl ConvWorkspace {
         let new_cap = len.next_power_of_two().max(self.ln_factors.cap * 2).max(64);
         let old_cap = self.ln_factors.cap;
         let keep = (self.n + 1).min(old_cap);
-        self.ln_factors.grow(new_cap, keep);
-        self.ln_prefix.grow(new_cap, keep);
-        self.suffix.grow(new_cap, keep);
-        self.ln_g_minus.grow(new_cap, keep);
-        self.ln_lq.grow(new_cap, keep);
+        for grid in [
+            &mut self.ln_factors,
+            &mut self.ln_prefix,
+            &mut self.suffix,
+            &mut self.ln_tail_prefix,
+            &mut self.ln_tail_suffix,
+            &mut self.ln_g_minus,
+            &mut self.ln_lq,
+        ] {
+            grid.grow(new_cap, keep);
+        }
         self.cell.ensure(new_cap);
 
         self.ln_int.resize(new_cap, 0.0);
@@ -394,6 +527,8 @@ impl ConvWorkspace {
             let bytes = self.ln_factors.bytes()
                 + self.ln_prefix.bytes()
                 + self.suffix.bytes()
+                + self.ln_tail_prefix.bytes()
+                + self.ln_tail_suffix.bytes()
                 + self.ln_g_minus.bytes()
                 + self.ln_lq.bytes()
                 + self.ln_rate.bytes()
@@ -404,10 +539,10 @@ impl ConvWorkspace {
     }
 
     /// Rewinds to population 0, re-initializing only the `j = 0` cells:
-    /// `f(0) = G(0) = G₍₋ₖ₎(0) = 1`, `h(0) = 0`.
+    /// `f(0) = G(0) = G₍₋ₖ₎(0) = 1`, `h(0) = T(0) = 0`.
     fn reset(&mut self) {
         self.n = 0;
-        let total = self.stations.len() + 1;
+        let total = self.stages.len();
         for i in 0..total {
             self.ln_factors.set(i, 0, 0.0);
         }
@@ -421,6 +556,10 @@ impl ConvWorkspace {
         for r in 0..self.ln_lq.rows {
             self.ln_lq.set(r, 0, f64::NEG_INFINITY);
         }
+        for r in 0..self.ln_tail_prefix.rows {
+            self.ln_tail_prefix.set(r, 0, f64::NEG_INFINITY);
+            self.ln_tail_suffix.set(r, 0, f64::NEG_INFINITY);
+        }
     }
 
     /// Extends every live column by the cell for population `self.n + 1`.
@@ -430,83 +569,78 @@ impl ConvWorkspace {
     fn extend_one(&mut self) -> Result<(), QueueingError> {
         let m = self.n + 1;
         self.ensure_capacity(m + 1);
-        let total = self.stations.len() + 1;
+        let total = self.stages.len();
 
-        for i in 0..total {
-            let v = match self.kind[i] {
+        for (i, st) in self.stages.iter().enumerate() {
+            let prev = self.ln_factors.at(i, m - 1);
+            let v = match st.kind {
                 StageKind::Zero => f64::NEG_INFINITY,
-                StageKind::Geo => self.ln_factors.at(i, m - 1) + self.ln_d[i],
-                StageKind::Exp => self.ln_factors.at(i, m - 1) + (self.ln_d[i] - self.ln_int[m]),
-                StageKind::Table => {
-                    let lr = self.ln_rate.at(self.rate_row[i], m);
-                    self.ln_factors.at(i, m - 1) + (self.ln_d[i] - lr)
-                }
+                StageKind::Geo => prev + st.ln_d,
+                StageKind::Exp => prev + (st.ln_d - self.ln_int[m]),
+                StageKind::Table => prev + (st.ln_d - self.ln_rate.at(st.row, m)),
             };
             self.ln_factors.set(i, m, v);
         }
 
-        self.ln_prefix.set(0, m, f64::NEG_INFINITY); // identity
-        for i in 0..total {
-            let v = match self.kind[i] {
-                StageKind::Zero => self.ln_prefix.at(i, m),
-                StageKind::Geo => lse2(
-                    self.ln_prefix.at(i, m),
-                    self.ln_d[i] + self.ln_prefix.at(i + 1, m - 1),
-                ),
-                _ => kernel::conv_cell(
-                    self.ln_prefix.row(i),
-                    self.ln_factors.row(i),
-                    m,
-                    &mut self.cell,
-                ),
-            };
+        // Stage 0 convolves with the identity `prefix[0]`: its prefix cell
+        // is its factor cell.
+        self.ln_prefix
+            .set(IS_STAGE + 1, m, self.ln_factors.at(IS_STAGE, m));
+        for i in IS_STAGE + 1..total {
+            let v = chain_cell(
+                &self.stages[i],
+                self.ln_prefix.row(i),
+                self.ln_factors.row(i),
+                self.ln_prefix.at(i + 1, m - 1),
+                &mut self.ln_tail_prefix,
+                m,
+                &mut self.cell,
+            );
             self.ln_prefix.set(i + 1, m, v);
         }
 
         let g_m = self.ln_prefix.at(total, m);
-        self.health.watch(g_m);
+        let ln_g = g_m - m as f64 * self.ln_s;
+        self.health.watch(ln_g);
         if g_m == f64::NEG_INFINITY && self.ln_prefix.at(total, m - 1) != f64::NEG_INFINITY {
             return Err(QueueingError::InvalidParameter {
                 what: "normalization constant vanished (all-zero demands?)",
             });
         }
 
-        if self.any_heavy {
+        if self.first_heavy < total {
             self.suffix.set(total, m, f64::NEG_INFINITY); // identity
-            for i in (0..total).rev() {
-                let v = match self.kind[i] {
-                    StageKind::Zero => self.suffix.at(i + 1, m),
-                    StageKind::Geo => lse2(
-                        self.suffix.at(i + 1, m),
-                        self.ln_d[i] + self.suffix.at(i, m - 1),
-                    ),
-                    _ => kernel::conv_cell(
-                        self.ln_factors.row(i),
-                        self.suffix.row(i + 1),
-                        m,
-                        &mut self.cell,
-                    ),
-                };
+            for i in (self.first_heavy + 1..total).rev() {
+                let v = chain_cell(
+                    &self.stages[i],
+                    self.suffix.row(i + 1),
+                    self.ln_factors.row(i),
+                    self.suffix.at(i, m - 1),
+                    &mut self.ln_tail_suffix,
+                    m,
+                    &mut self.cell,
+                );
                 self.suffix.set(i, m, v);
             }
-            for k in 0..self.stations.len() {
-                if self.heavy[k] {
-                    let v = kernel::conv_cell(
-                        self.ln_prefix.row(k),
-                        self.suffix.row(k + 1),
-                        m,
-                        &mut self.cell,
-                    );
-                    self.ln_g_minus.set(self.g_row[k], m, v);
-                }
+            for i in self.first_heavy..total - 1 {
+                let v = kernel::conv_cell(
+                    self.ln_prefix.row(i),
+                    self.suffix.row(i + 1),
+                    m,
+                    &mut self.cell,
+                );
+                self.ln_g_minus
+                    .set(self.g_row[self.stages[i].station], m, v);
             }
         }
 
-        for k in 0..self.stations.len() {
-            let r = self.lq_row[k];
-            if r != NO_ROW && self.kind[k] == StageKind::Geo && !self.heavy[k] {
-                let v =
-                    self.ln_d[k] + lse2(self.ln_lq.at(r, m - 1), self.ln_prefix.at(total, m - 1));
+        for (k, &r) in self.lq_row.iter().enumerate() {
+            if r == NO_ROW || self.heavy[k] {
+                continue;
+            }
+            let st = &self.stages[self.stage_of[k]];
+            if st.kind == StageKind::Geo {
+                let v = st.ln_d + lse2(self.ln_lq.at(r, m - 1), self.ln_prefix.at(total, m - 1));
                 self.ln_lq.set(r, m, v);
             }
         }
@@ -514,14 +648,8 @@ impl ConvWorkspace {
         self.n = m;
         self.extend_ctr.add(1);
         if obsv::enabled() {
-            let heavy_count = self.heavy.iter().filter(|&&h| h).count();
-            let cells = if self.any_heavy {
-                2 * total + heavy_count
-            } else {
-                total
-            };
-            self.cells_ctr.add(cells as u64);
-            obsv::gauge("convolution.ln_g", g_m);
+            self.cells_ctr.add(self.cells_per_step);
+            obsv::gauge("convolution.ln_g", ln_g);
         }
         Ok(())
     }
@@ -532,19 +660,25 @@ impl ConvWorkspace {
     // lint: no-alloc
     fn compute_outputs(&mut self, n: usize) {
         debug_assert!(n >= 1 && n <= self.n);
-        let total = self.stations.len() + 1;
+        let total = self.stages.len();
         let g_n = self.ln_prefix.at(total, n);
-        let x = (self.ln_prefix.at(total, n - 1) - g_n).exp();
+        let x = (self.ln_s + (self.ln_prefix.at(total, n - 1) - g_n)).exp();
         self.out_x = x;
         for k in 0..self.stations.len() {
+            let i = self.stage_of[k];
             if self.heavy[k] {
                 let limit = self.limits[k];
                 let off = self.marg_off[k];
                 self.out_marginals[off..off + limit].fill(0.0);
-                let gr = self.g_row[k];
+                // The last heavy stage's complement is the prefix before it.
+                let ln_g_minus = if i + 1 == total {
+                    self.ln_prefix.row(i)
+                } else {
+                    self.ln_g_minus.row(self.g_row[k])
+                };
                 let mut q = 0.0;
                 for j in 0..=n {
-                    let lp = self.ln_factors.at(k, j) + self.ln_g_minus.at(gr, n - j) - g_n;
+                    let lp = self.ln_factors.at(i, j) + ln_g_minus[n - j] - g_n;
                     if lp > -700.0 {
                         let p = lp.exp();
                         q += j as f64 * p;
@@ -558,20 +692,23 @@ impl ConvWorkspace {
                     }
                 }
                 self.out_queues[k] = q;
+            } else if i == NO_ROW {
+                // Folded into the infinite-server stage: Q = X·D (Little).
+                self.out_queues[k] = x * self.stations[k].demand;
             } else {
-                self.out_queues[k] = match self.kind[k] {
+                self.out_queues[k] = match self.stages[i].kind {
                     StageKind::Zero => 0.0,
-                    // Infinite-server: Q = X·D exactly (Little).
-                    StageKind::Exp => x * self.stations[k].demand,
                     StageKind::Geo => (self.ln_lq.at(self.lq_row[k], n) - g_n).exp(),
-                    StageKind::Table => unreachable!("table stations are always heavy"),
+                    StageKind::Exp | StageKind::Table => {
+                        unreachable!("delay stages are merged or heavy; table stages are heavy")
+                    }
                 };
             }
         }
     }
 
     /// Advances one population and refreshes the outputs — the streaming
-    /// hot path: O(total·n) cells, zero allocation once capacity is there.
+    /// hot path, zero allocation once capacity is there.
     ///
     /// On error the columns are poisoned (partially extended) and the
     /// workspace must be discarded; all errors here are deterministic model
@@ -623,6 +760,44 @@ impl ConvWorkspace {
         }
         self.compute_outputs(n);
         Ok(())
+    }
+}
+
+/// Whether a station joins the merged infinite-server stage 0: a delay
+/// station that tracks no marginals.
+fn folds_into_stage_0(s: &ConvStation, limit: usize) -> bool {
+    matches!(s.rate, RateFunction::Delay) && limit == 0
+}
+
+/// One chain cell `(a ⊛ f)(m)` of stage `st`: `a` is the chain row the
+/// stage extends (prefix before it, or suffix after it) and `own_prev` the
+/// stage's own chain cell at `m − 1`. Table stages also append their
+/// carried tail `T(m)` to their row of `tails`.
+// lint: no-alloc
+fn chain_cell(
+    st: &Stage,
+    a: &[f64],
+    f: &[f64],
+    own_prev: f64,
+    tails: &mut Grid,
+    m: usize,
+    cell: &mut kernel::CellScratch,
+) -> f64 {
+    match st.kind {
+        StageKind::Zero => a[m],
+        StageKind::Geo => lse2(a[m], st.ln_d + own_prev),
+        StageKind::Exp => kernel::conv_cell(a, f, m, cell),
+        StageKind::Table => {
+            let c = st.width;
+            if m < c {
+                tails.set(st.row, m, f64::NEG_INFINITY);
+                kernel::conv_cell(a, f, m, cell)
+            } else {
+                let ln_tail = lse2(f[c] + a[m - c], st.ln_ratio + tails.at(st.row, m - 1));
+                tails.set(st.row, m, ln_tail);
+                kernel::head_tail_cell(f, a, m, c, ln_tail)
+            }
+        }
     }
 }
 
@@ -774,10 +949,10 @@ mod tests {
         }
     }
 
-    /// Satellite 2: incremental-workspace `solve_at` ≡ from-scratch
-    /// `solve_at` to 1e-12 across random mixed networks with random
-    /// marginal limits, under a random schedule of population jumps
-    /// (up, down, and demand changes) against ONE reused workspace.
+    /// Incremental-workspace `solve_at` ≡ from-scratch `solve_at` across
+    /// random mixed networks with random marginal limits, under a random
+    /// schedule of population jumps (up, down, deep past every saturation
+    /// index, and demand changes) against ONE reused workspace.
     #[test]
     fn propcheck_workspace_equals_scratch_on_random_networks() {
         check(
@@ -829,36 +1004,146 @@ mod tests {
                         let k = g.usize_in(0, k_count - 1);
                         demands[k] = g.f64_in(0.001, 0.2);
                     }
-                    let n = g.usize_in(1, 40);
+                    // Mostly shallow, sometimes far past every saturation
+                    // index, where the carried tails do the work.
+                    let n = if g.usize_in(0, 7) == 0 {
+                        g.usize_in(150, 400)
+                    } else {
+                        g.usize_in(1, 40)
+                    };
                     ws.solve_at(n, &demands).unwrap();
 
                     let mut ref_sts = stations.clone();
                     for (s, &d) in ref_sts.iter_mut().zip(&demands) {
                         s.demand = d;
                     }
-                    let (x, q, m) = scratch::solve_at(&ref_sts, z, n, &limits).unwrap();
-                    assert!(
-                        rel_close(ws.throughput(), x, 1e-12),
-                        "x: {} vs {x} at n={n}",
-                        ws.throughput()
-                    );
-                    for k in 0..k_count {
-                        assert!(
-                            rel_close(ws.queues()[k], q[k], 1e-11),
-                            "q[{k}]: {} vs {} at n={n}",
-                            ws.queues()[k],
-                            q[k]
-                        );
-                        for (j, &mv) in m[k].iter().enumerate() {
-                            assert!(
-                                (ws.marginals_of(k)[j] - mv).abs() <= 1e-12,
-                                "marginal[{k}][{j}] at n={n}"
-                            );
-                        }
-                    }
+                    assert_matches_scratch(&ws, &ref_sts, z, n, &limits, "random");
                 }
             },
         );
+    }
+
+    /// Asserts the workspace's outputs at population `n` against the
+    /// from-scratch reference at the suite's bars: 1e-12 on X, 1e-11 on
+    /// queues, 1e-12 (absolute) on marginals.
+    fn assert_matches_scratch(
+        ws: &ConvWorkspace,
+        stations: &[ConvStation],
+        z: f64,
+        n: usize,
+        limits: &[usize],
+        label: &str,
+    ) {
+        let (x, q, m) = scratch::solve_at(stations, z, n, limits).unwrap();
+        assert!(
+            rel_close(ws.throughput(), x, 1e-12),
+            "{label}: x {} vs {x} at n={n}",
+            ws.throughput()
+        );
+        for (k, &qk) in q.iter().enumerate() {
+            assert!(
+                rel_close(ws.queues()[k], qk, 1e-11),
+                "{label}: q[{k}] {} vs {qk} at n={n}",
+                ws.queues()[k]
+            );
+            for (j, &mv) in m[k].iter().enumerate() {
+                assert!(
+                    (ws.marginals_of(k)[j] - mv).abs() <= 1e-12,
+                    "{label}: marginal[{k}][{j}] {} vs {mv} at n={n}",
+                    ws.marginals_of(k)[j]
+                );
+            }
+        }
+    }
+
+    /// Deep saturating populations, where the carried geometric tails do
+    /// nearly all the work: every rate-table shape (C = 2, 16, 64, clamped
+    /// custom tables), heavy single-server and delay stations, zero-demand
+    /// stations and Z = 0. The first case is the 16-core model whose
+    /// bottleneck tail drifts past the queue bar without column scaling.
+    #[test]
+    fn deep_saturating_populations_match_scratch() {
+        let cases: Vec<(&str, Vec<ConvStation>, f64, Vec<usize>)> = vec![
+            (
+                "cpu16+disk",
+                vec![
+                    st("cpu", 0.16, RateFunction::MultiServer(16)),
+                    st("disk", 0.004, RateFunction::SingleServer),
+                ],
+                1.0,
+                vec![16, 0],
+            ),
+            (
+                "two-server",
+                vec![
+                    st("cpu", 0.05, RateFunction::MultiServer(2)),
+                    st("disk", 0.01, RateFunction::SingleServer),
+                    st("lan", 0.02, RateFunction::Delay),
+                ],
+                0.5,
+                vec![2, 0, 0],
+            ),
+            (
+                "cpu64",
+                vec![
+                    st("cpu", 0.6, RateFunction::MultiServer(64)),
+                    st("disk", 0.006, RateFunction::SingleServer),
+                    st("cpu16", 0.1, RateFunction::MultiServer(16)),
+                ],
+                1.0,
+                vec![8, 0, 0],
+            ),
+            (
+                "clamped-custom",
+                vec![
+                    st("fes", 0.03, RateFunction::Custom(vec![1.0, 1.7, 2.2, 2.5])),
+                    st("nic", 0.02, RateFunction::Custom(vec![1.0, 1.5])),
+                    st("one", 0.009, RateFunction::Custom(vec![0.8])),
+                    st("disk", 0.004, RateFunction::SingleServer),
+                ],
+                0.3,
+                vec![3, 0, 1, 0],
+            ),
+            (
+                "heavy-single-server-batch",
+                vec![
+                    st("disk", 0.02, RateFunction::SingleServer),
+                    st("cpu", 0.07, RateFunction::MultiServer(4)),
+                ],
+                0.0,
+                vec![2, 0],
+            ),
+            (
+                "heavy-delay-and-ghosts",
+                vec![
+                    st("lan", 0.05, RateFunction::Delay),
+                    st("ghost", 0.0, RateFunction::SingleServer),
+                    st("cpu", 0.16, RateFunction::MultiServer(16)),
+                    st("idle", 0.0, RateFunction::MultiServer(8)),
+                    st("disk", 0.006, RateFunction::SingleServer),
+                ],
+                1.0,
+                vec![3, 0, 16, 2, 0],
+            ),
+            (
+                "batch-with-ghost",
+                vec![
+                    st("cpu", 0.16, RateFunction::MultiServer(16)),
+                    st("disk", 0.004, RateFunction::SingleServer),
+                    st("ghost", 0.0, RateFunction::SingleServer),
+                ],
+                0.0,
+                vec![0, 0, 0],
+            ),
+        ];
+        for (label, stations, z, limits) in &cases {
+            let demands: Vec<f64> = stations.iter().map(|s| s.demand).collect();
+            let mut ws = ws_of(stations, *z, limits);
+            for n in [300usize, 600] {
+                ws.solve_at(n, &demands).unwrap();
+                assert_matches_scratch(&ws, stations, *z, n, limits, label);
+            }
+        }
     }
 
     #[test]

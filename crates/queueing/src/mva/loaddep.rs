@@ -145,7 +145,12 @@ pub(crate) fn validated_conv_stations(
 /// Runs exact load-dependent analysis up to population `n_max`.
 /// `n_max = 0` yields an empty solution (the model is still validated).
 ///
-/// Complexity `O(N² · K)` log-sum-exp operations and `O(N · K)` memory.
+/// Complexity `O(N · K · C + N² · H)` log-sum-exp terms and `O(N · K)`
+/// memory, with `C` the largest saturation index (server count or custom
+/// table length) and `H` the number of rate-table stations: each one is
+/// geometric past `C`, and only `H − 1` of them keep an `O(N)` complement
+/// cell per population (see [`super::ConvWorkspace`]). Single-server and
+/// delay stations cost `O(1)` per population.
 pub fn load_dependent_mva(
     stations: &[LdStation],
     think_time: f64,

@@ -34,13 +34,16 @@
 //! convolution solves beyond it.
 //!
 //! The quasi-static solves are served by a carried incremental
-//! [`ConvWorkspace`] rather than a from-scratch evaluation: when the
+//! [`ConvWorkspace`] rather than a from-scratch evaluation. When the
 //! demand array changes between steps (the MVASD case) the workspace
-//! rebuilds its carried factor columns in `O(K·n)`, and when it does not
-//! (constant-demand Algorithm 2 driven through the recursion) each step
-//! extends the columns by a single entry in `O(K)` — against the old
-//! `O(K·n²)` per-step rebuild either way. The workspace's scratch buffers
-//! are allocated once and reused for the rest of the sweep.
+//! rebuilds its columns from population 0: `n` extensions of `O(K·C)`
+//! each (`C` the largest server count; multi-server factors are geometric
+//! past `C`) plus one `O(n)` complement cell per multi-server station but
+//! the last. When it does not (constant-demand Algorithm 2 driven through
+//! the recursion) each step is a single extension. The old path rebuilt
+//! everything from scratch at `O(K·n²)` per step either way. The
+//! workspace's buffers are allocated once and reused for the rest of the
+//! sweep.
 
 use mvasd_numerics::dd::Dd;
 
@@ -274,8 +277,8 @@ impl PopulationRecursion {
 
     /// One quasi-static step: exact constant-demand solve at population `n`
     /// with this step's demand array, served by the carried incremental
-    /// workspace (same-demand steps extend in `O(K)`; demand changes
-    /// rebuild the carried columns in `O(K·n)`).
+    /// workspace (same-demand steps extend by one population; demand
+    /// changes rebuild the carried columns from population 0).
     fn quasi_static_step(&mut self, n: usize, demands: &[f64]) -> (f64, f64, Vec<f64>) {
         if self.ws.is_none() {
             let conv: Vec<ConvStation> = self

@@ -131,7 +131,11 @@ fn sweep_cache_metrics_land_in_collector_snapshot() {
     let collector = Arc::new(obsv::Collector::new());
     let _scope = obsv::scoped(collector.clone());
 
-    let mut sweep = ScenarioSweep::new(vins_samples()).default_cap(120);
+    // One worker pinned: the default follows the host's core count, and
+    // `pool_occupancy` below counts workers in use.
+    let mut sweep = ScenarioSweep::new(vins_samples())
+        .default_cap(120)
+        .parallelism(1);
     let scenarios = [
         Scenario::new("baseline"),
         Scenario::new("tuned").scale_demands(0.9),
@@ -150,7 +154,7 @@ fn sweep_cache_metrics_land_in_collector_snapshot() {
             sub_solves: 0,
             sub_cache_hits: 0,
             parallel_sub_solves: 0,
-            // Two distinct models under the default single worker.
+            // Two distinct models under the pinned single worker.
             pool_occupancy: 1,
         }
     );

@@ -59,7 +59,9 @@ fn mva_respects_all_operational_laws() {
             let tb = throughput_bounds(&net, p.n);
             let rb = response_bounds(&net, p.n);
             assert!(p.throughput <= tb.upper + 1e-6 + 1e-6 * tb.upper);
+            assert!(p.throughput >= tb.lower - 1e-6 - 1e-6 * tb.lower);
             assert!(p.response >= rb.lower - 1e-6 - 1e-6 * rb.lower);
+            assert!(p.response <= rb.upper + 1e-6 + 1e-6 * rb.upper);
             // Monotone non-decreasing throughput for constant demands.
             assert!(p.throughput >= prev_x - 1e-6 - 1e-6 * prev_x);
             prev_x = p.throughput;
