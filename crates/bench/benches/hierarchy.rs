@@ -18,22 +18,12 @@
 //! - `aggregated_sweep_cached/N` — the same solve with a warm
 //!   [`ProfileCache`], the scenario-sweep steady state where only the root
 //!   model is re-advanced.
-//! - `aggregated_sweep_parallel4/N` — the cold aggregated solve with
-//!   [`AggregationOptions::parallelism`]`(4)`: independent subsystem
-//!   profile extensions fan out across a scoped worker pool at every
-//!   level of the tree. The bench asserts the parallel solution is
-//!   bit-identical to the serial one before reporting the gain. The gain
-//!   is recorded descriptively (`parallel_gain_vs_serial`, not a checked
-//!   `speedup`) because it is pure hardware: on a single-core runner the
-//!   scoped threads time-slice and the ratio sits at ~1.0, which the
-//!   doctor's break-even speedup floor would misread as a regression.
 //!
 //! Beyond the text table the bench emits `results/BENCH_hierarchy.json`
 //! (schema `mvasd-bench/1` plus a `hierarchy` error-metrics block,
 //! documented in `EXPERIMENTS.md`): flat vs aggregated medians, the
-//! end-to-end and parallel speedups, and the max relative throughput /
-//! response-time error of the aggregated solve against the flat exact
-//! reference.
+//! end-to-end speedup, and the max relative throughput / response-time
+//! error of the aggregated solve against the flat exact reference.
 
 use std::sync::Arc;
 
@@ -97,21 +87,9 @@ fn estate() -> HierarchicalNetwork {
     .expect("estate parameters are valid")
 }
 
-/// Worker-pool width for the parallel aggregated solve.
-const PARALLEL_WORKERS: usize = 4;
-
 fn aggregated_sweep(net: &HierarchicalNetwork, cache: Option<Arc<ProfileCache>>, n: usize) -> f64 {
-    aggregated_sweep_with(net, cache, n, 1)
-}
-
-fn aggregated_sweep_with(
-    net: &HierarchicalNetwork,
-    cache: Option<Arc<ProfileCache>>,
-    n: usize,
-    workers: usize,
-) -> f64 {
-    let opts = AggregationOptions::truncated(PLATEAU_EPS).parallelism(workers);
-    let mut solver = HierarchicalSolver::with_options(net.clone(), opts);
+    let mut solver =
+        HierarchicalSolver::with_options(net.clone(), AggregationOptions::truncated(PLATEAU_EPS));
     if let Some(cache) = cache {
         solver = solver.with_cache(cache);
     }
@@ -155,17 +133,6 @@ fn main() {
         Plan::default(),
         || aggregated_sweep(&net, Some(warm.clone()), n_cap),
     );
-    let mut bp = Bench::new("hierarchy_parallel");
-    bp.measure(
-        &format!("aggregated_sweep_serial/{n_cap}"),
-        Plan::default(),
-        || aggregated_sweep(&net, None, n_cap),
-    );
-    bp.measure(
-        &format!("aggregated_sweep_parallel{PARALLEL_WORKERS}/{n_cap}"),
-        Plan::default(),
-        || aggregated_sweep_with(&net, None, n_cap, PARALLEL_WORKERS),
-    );
     // The flat exact reference drags ~90 load-dependent factor columns
     // through every population: seconds per call at full depth, so sample
     // it sparsely.
@@ -179,7 +146,6 @@ fn main() {
         || flat_exact_sweep(&net, n_cap).points.len(),
     );
     println!("{}", b.report());
-    println!("{}", bp.report());
 
     let find = |results: &[mvasd_bench::timing::Measurement], name: &str| {
         results
@@ -192,16 +158,6 @@ fn main() {
     let flat = find(b.results(), &format!("flat_exact_sweep/{n_cap}"));
     let speedup = flat.as_secs_f64() / agg.as_secs_f64().max(1e-12);
     println!("aggregated speedup over flat exact at n={n_cap}: {speedup:.1}x");
-    let serial = find(bp.results(), &format!("aggregated_sweep_serial/{n_cap}"));
-    let par = find(
-        bp.results(),
-        &format!("aggregated_sweep_parallel{PARALLEL_WORKERS}/{n_cap}"),
-    );
-    let parallel_speedup = serial.as_secs_f64() / par.as_secs_f64().max(1e-12);
-    println!(
-        "parallel ({PARALLEL_WORKERS} workers) speedup over serial cold solve: \
-         {parallel_speedup:.1}x"
-    );
 
     let flat_sol = flat_exact_sweep(&net, n_cap);
     let agg_sol =
@@ -214,39 +170,14 @@ fn main() {
          ({station_count} stations)"
     );
 
-    // The parallel schedule must be a pure wall-clock optimization: every
-    // point of the parallel solution is bit-identical to the serial one.
-    let par_sol = HierarchicalSolver::with_options(
-        net.clone(),
-        AggregationOptions::truncated(PLATEAU_EPS).parallelism(PARALLEL_WORKERS),
-    )
-    .solve(n_cap)
-    .expect("parallel solve for bit-identity check");
-    for (ps, pp) in agg_sol.points.iter().zip(par_sol.points.iter()) {
-        assert_eq!(
-            ps.throughput.to_bits(),
-            pp.throughput.to_bits(),
-            "parallel throughput diverges at n={}",
-            ps.n
-        );
-        assert_eq!(
-            ps.response.to_bits(),
-            pp.response.to_bits(),
-            "parallel response diverges at n={}",
-            ps.n
-        );
-    }
-    println!("parallel solution is bit-identical to serial over all {n_cap} populations");
-
     // Splice the accuracy block into the standard schema and check the
     // result still parses before committing it to disk.
-    let json = bench_json(&[&b, &bp]);
+    let json = bench_json(&[&b]);
     let trimmed = json.trim_end().trim_end_matches('}');
     let json = format!(
         "{trimmed},\"hierarchy\":{{\"stations\":{station_count},\"n\":{n_cap},\
          \"max_rel_err_throughput\":{err_x:.3e},\"max_rel_err_response\":{err_r:.3e},\
-         \"speedup\":{speedup:.2},\"workers\":{PARALLEL_WORKERS},\
-         \"parallel_gain_vs_serial\":{parallel_speedup:.2}}}}}\n"
+         \"speedup\":{speedup:.2}}}}}\n"
     );
     obsv::json::parse(&json).expect("spliced report is valid JSON");
     let path =

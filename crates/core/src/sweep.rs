@@ -368,11 +368,6 @@ pub struct SweepStats {
     /// across scenarios *and* across identically-shaped subsystems within
     /// one model.
     pub sub_cache_hits: usize,
-    /// Subsystem profile extensions executed on parallel workers
-    /// (hierarchical sweeps with
-    /// [`AggregationOptions::parallelism`] > 1 only; serial sweeps leave
-    /// this at zero).
-    pub parallel_sub_solves: usize,
     /// Worker threads the most recent [`run`](ScenarioSweep::run) used for
     /// its model-group fan-out (a snapshot, not a running total: 1 means
     /// the last run was effectively serial).
@@ -597,6 +592,7 @@ impl ScenarioSweep {
     /// Answers every scenario. Scenarios resolving to the same model share
     /// one iterator (and its memoized prefix); distinct models run
     /// concurrently. Results come back in input order.
+    // lint: bit-identical
     pub fn run(&mut self, scenarios: &[Scenario]) -> Result<SweepReport, CoreError> {
         let _span = obsv::span_with("sweep.run", || format!("scenarios={}", scenarios.len()));
         if scenarios.is_empty() {
@@ -607,9 +603,7 @@ impl ScenarioSweep {
         // Snapshot the shared aggregation cache so sub-model work done by
         // this run can be committed as a delta on success.
         let sub_before = match &self.base {
-            BaseModel::Hierarchy { profiles, .. } => {
-                Some((profiles.stats(), profiles.parallel_solves()))
-            }
+            BaseModel::Hierarchy { profiles, .. } => Some(profiles.stats()),
             BaseModel::Samples(_) | BaseModel::Workload(_) => None,
         };
         // Resolve every scenario and group by model fingerprint, keeping
@@ -767,17 +761,12 @@ impl ScenarioSweep {
         self.stats.pool_occupancy = effective_workers(groups.len(), self.parallelism, 1);
         let mut sub_solves = 0usize;
         let mut sub_cache_hits = 0usize;
-        let mut parallel_sub_solves = 0usize;
-        if let (Some((before, par_before)), BaseModel::Hierarchy { profiles, .. }) =
-            (sub_before, &self.base)
-        {
+        if let (Some(before), BaseModel::Hierarchy { profiles, .. }) = (sub_before, &self.base) {
             let after = profiles.stats();
             sub_solves = (after.solves - before.solves) as usize;
             sub_cache_hits = (after.hits - before.hits) as usize;
-            parallel_sub_solves = (profiles.parallel_solves() - par_before) as usize;
             self.stats.sub_solves += sub_solves;
             self.stats.sub_cache_hits += sub_cache_hits;
-            self.stats.parallel_sub_solves += parallel_sub_solves;
         }
         // lint: commit-phase
         if obsv::enabled() {
@@ -793,9 +782,6 @@ impl ScenarioSweep {
             if sub_solves > 0 || sub_cache_hits > 0 {
                 obsv::counter("sweep.sub_solves", sub_solves as u64);
                 obsv::counter("sweep.sub_cache_hits", sub_cache_hits as u64);
-            }
-            if parallel_sub_solves > 0 {
-                obsv::counter("sweep.parallel_sub_solves", parallel_sub_solves as u64);
             }
         }
 

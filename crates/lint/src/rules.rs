@@ -7,7 +7,7 @@
 //! | `L3:unwrap` etc. | no `unwrap()`/non-literal `expect()`/`panic!`/literal indexing in library `src/` trees (baseline-ratcheted) |
 //! | `L4:no-alloc`    | functions marked `// lint: no-alloc` contain no allocating tokens |
 //! | `L5:allow-justify` | every `#[allow(...)]` carries a trailing justification comment |
-//! | `L6:kernel-ratchet` | `convolution/kernel.rs` keeps `// lint: no-alloc` on `conv_cell`; `hierarchy.rs` keeps `// lint: bit-identical` on `ensure` |
+//! | `L6:kernel-ratchet`, `L6:sweep-ratchet` | `convolution/kernel.rs` keeps `// lint: no-alloc` on `conv_cell`; `core/src/sweep.rs` keeps `// lint: bit-identical` on `run` |
 //! | `L7:log-domain dataflow` | tracked log-domain values never flow into linear-domain arithmetic (see [`crate::dataflow`]) |
 //! | `L8:parallel-interference` | pool closures do not mutate captured state, touch interior mutability, or commit mid-plan |
 //! | `L9:reduction-order` | `// lint: bit-identical` fns contain no completion-order-dependent float reductions |
@@ -107,9 +107,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "L6 ratchets: structural markers that may never disappear.\n\
              kernel-ratchet — convolution/kernel.rs keeps `// lint: no-alloc` on\n\
              conv_cell (the zero-allocation steady state).\n\
-             hierarchy-ratchet — hierarchy.rs keeps `// lint: bit-identical` on\n\
-             ensure (parallel sub-solves promise bitwise equality with serial;\n\
-             the interleaving explorer in numerics::pool witnesses it)."
+             sweep-ratchet — core/src/sweep.rs keeps `// lint: bit-identical` on\n\
+             run (the scenario sweep's model-group fan-out promises bitwise\n\
+             equality with serial; the interleaving explorer in numerics::pool\n\
+             witnesses it)."
         }
         "L7" => {
             "L7 log-domain dataflow: the AST pass tracks values produced by\n\
@@ -167,7 +168,7 @@ enum AnnKey {
     /// (slot-claim idioms, per-index locks); the reason is mandatory.
     InterferenceOk,
     /// Declares a fn's parallel output bit-identical to its serial
-    /// order; arms L9 and is itself required on `hierarchy::ensure`.
+    /// order; arms L9 and is itself required on `ScenarioSweep::run`.
     BitIdentical,
 }
 
@@ -260,8 +261,8 @@ pub fn lint_file(relpath: &str, src: &str) -> Vec<Finding> {
     if path.ends_with("queueing/src/mva/convolution/kernel.rs") {
         check_kernel_ratchet(&ctx, &annotations, &mut out);
     }
-    if path.ends_with("queueing/src/hierarchy.rs") {
-        check_hierarchy_ratchet(&ctx, &tree, &annotations, &mut out);
+    if path.ends_with("core/src/sweep.rs") {
+        check_sweep_ratchet(&ctx, &tree, &annotations, &mut out);
     }
 
     // Apply annotation suppression: an escape-hatch annotation covers
@@ -1215,16 +1216,12 @@ fn check_reduction_order(
     });
 }
 
-/// L6 (`hierarchy-ratchet`): the hierarchy's `ensure` runs the parallel
-/// plan/commit sub-solves whose whole contract is bitwise equality with
-/// the serial order, so it must carry — and keep — the
-/// `// lint: bit-identical` marker that arms L9 over its body.
-fn check_hierarchy_ratchet(
-    ctx: &Ctx,
-    tree: &Ast,
-    annotations: &[Annotation],
-    out: &mut Vec<Finding>,
-) {
+/// L6 (`sweep-ratchet`): the scenario sweep's `run` fans independent
+/// model groups across the pool and commits them serially; its whole
+/// contract is bitwise equality with the serial order, so it must carry —
+/// and keep — the `// lint: bit-identical` marker that arms L9 over its
+/// body.
+fn check_sweep_ratchet(ctx: &Ctx, tree: &Ast, annotations: &[Annotation], out: &mut Vec<Finding>) {
     let mut fns: Vec<(u32, String)> = Vec::new();
     ast::for_each_fn(&tree.items, &mut |f| {
         fns.push((f.line, f.name.clone()));
@@ -1235,23 +1232,23 @@ fn check_hierarchy_ratchet(
             && fns
                 .iter()
                 .find(|(l, _)| *l > a.line)
-                .is_some_and(|(_, name)| name == "ensure")
+                .is_some_and(|(_, name)| name == "run")
     });
     if covered {
         return;
     }
     let line = fns
         .iter()
-        .find(|(_, name)| name == "ensure")
+        .find(|(_, name)| name == "run")
         .map(|(l, _)| *l)
         .unwrap_or(1);
     out.push(Finding {
         file: ctx.path.to_string(),
         line,
         rule: "L6",
-        code: "hierarchy-ratchet",
-        message: "the hierarchy's `ensure` must carry `// lint: bit-identical`: \
-                  its parallel sub-solves promise bitwise equality with the \
+        code: "sweep-ratchet",
+        message: "the scenario sweep's `run` must carry `// lint: bit-identical`: \
+                  its model-group fan-out promises bitwise equality with the \
                   serial schedule (see the interleaving explorer in \
                   numerics::pool and tests/interleaving.rs)"
             .to_string(),
@@ -1545,15 +1542,15 @@ mod tests {
     }
 
     #[test]
-    fn l6_requires_the_hierarchy_bit_identical_ratchet() {
-        let hier = "crates/queueing/src/hierarchy.rs";
-        let ok = "// lint: bit-identical\npub fn ensure(&mut self) {}";
-        assert!(codes(hier, ok).is_empty());
-        let missing = "pub fn ensure(&mut self) {}";
-        assert_eq!(codes(hier, missing), ["L6:hierarchy-ratchet"]);
+    fn l6_requires_the_sweep_bit_identical_ratchet() {
+        let sweep = "crates/core/src/sweep.rs";
+        let ok = "// lint: bit-identical\npub fn run(&mut self) {}";
+        assert!(codes(sweep, ok).is_empty());
+        let missing = "pub fn run(&mut self) {}";
+        assert_eq!(codes(sweep, missing), ["L6:sweep-ratchet"]);
         // A marker on some other fn does not satisfy the ratchet.
-        let wrong = "// lint: bit-identical\nfn other() {}\npub fn ensure(&mut self) {}";
-        assert_eq!(codes(hier, wrong), ["L6:hierarchy-ratchet"]);
+        let wrong = "// lint: bit-identical\nfn other() {}\npub fn run(&mut self) {}";
+        assert_eq!(codes(sweep, wrong), ["L6:sweep-ratchet"]);
     }
 
     #[test]

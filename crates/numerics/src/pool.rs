@@ -1,12 +1,11 @@
 //! Scoped-thread work pool: indexed fan-out with deterministic reassembly.
 //!
-//! Every concurrent layer of the workspace — testbed load campaigns,
-//! scenario-sweep model groups, and the hierarchy's parallel subsystem
-//! solves — shares this one primitive: run `job(0..count)` on a scoped
-//! thread pool and hand the results back **in index order**, so parallel
-//! execution changes wall-clock time and nothing else. Results travel
-//! through per-index slots, not a channel, which is what makes the
-//! reassembly order independent of scheduling.
+//! Every concurrent layer of the workspace — testbed load campaigns and
+//! scenario-sweep model groups — shares this one primitive: run
+//! `job(0..count)` on a scoped thread pool and hand the results back **in
+//! index order**, so parallel execution changes wall-clock time and
+//! nothing else. Results travel through per-index slots, not a channel,
+//! which is what makes the reassembly order independent of scheduling.
 //!
 //! Worker-count policy ([`effective_workers`]): besides the obvious caps
 //! (`parallelism`, `count`), a `min_chunk` heuristic keeps tiny job lists
@@ -20,15 +19,15 @@
 //! # Deterministic interleaving explorer
 //!
 //! "Results in index order" is a *static* promise; the callers that claim
-//! bit-identity to serial execution (the hierarchy's plan/commit
-//! sub-solves, lint rule L9) need a *dynamic* witness. [`with_schedule`]
-//! forces every pool dispatch on the current thread to execute its jobs
-//! serially in a chosen completion order — the exact set of observable
-//! side-effect orderings a real scheduler could produce — while still
-//! returning results in index order. [`explore_schedules`] drives a
-//! closure through **every** permutation of a ≤ 4-task dispatch (at most
-//! 24 schedules), so a test can assert that outputs and caches are
-//! bitwise identical on all of them.
+//! bit-identity to serial execution (the scenario sweep's plan/commit
+//! model-group fan-out, armed for lint rule L9) need a *dynamic* witness.
+//! [`with_schedule`] forces every pool dispatch on the current thread to
+//! execute its jobs serially in a chosen completion order — the exact set
+//! of observable side-effect orderings a real scheduler could produce —
+//! while still returning results in index order. [`explore_schedules`]
+//! drives a closure through **every** permutation of a ≤ 4-task dispatch
+//! (at most 24 schedules), so a test can assert that outputs and caches
+//! are bitwise identical on all of them.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -186,9 +185,10 @@ fn permute_into(prefix: &mut Vec<usize>, rest: &mut Vec<usize>, out: &mut Vec<Ve
 /// Exhaustively runs `run` under every completion-order schedule of a
 /// `count`-task dispatch, returning each schedule paired with its result.
 /// The caller asserts whatever identity it promises across the results —
-/// for the plan/commit layers, bitwise equality of solutions and cache
-/// contents. Capped at `count <= 4` (24 schedules) so exploration stays
-/// exhaustive rather than sampled.
+/// for the scenario sweep's plan/commit fan-out, bitwise equality of the
+/// solutions and of the shared subsystem-profile cache. Capped at
+/// `count <= 4` (24 schedules) so exploration stays exhaustive rather than
+/// sampled.
 pub fn explore_schedules<R>(
     count: usize,
     mut run: impl FnMut(&[usize]) -> R,

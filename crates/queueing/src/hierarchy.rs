@@ -27,17 +27,12 @@
 //! ([`AggregationOptions::truncation`]), and memoized across solves and
 //! scenario sweeps through a shared [`ProfileCache`] keyed by a structural
 //! fingerprint (station names excluded — ten identical replicas of a
-//! service tier share one profile). Stale profiles at one level are
-//! mutually independent, so [`AggregationOptions::parallelism`] can fan
-//! their extensions across scoped worker threads; the commit back into the
-//! cache is always serial in subsystem index order, keeping parallel
-//! output bit-identical to the serial schedule.
+//! service tier share one profile).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mvasd_numerics::pool;
 use mvasd_obsv as obsv;
 
 use crate::mva::convolution::{ConvStation, ConvWorkspace};
@@ -300,14 +295,6 @@ pub struct AggregationOptions {
     /// roughly `eps` per aggregated level while capping profile length at
     /// the subsystem's knee.
     pub truncation: Option<f64>,
-    /// Worker threads for independent subsystem profile extensions.
-    /// `0` and `1` both mean serial (the default). With `n > 1`, stale
-    /// subsystems at one level extend concurrently on up to `n` scoped
-    /// threads; results are committed serially in subsystem index order, so
-    /// the output — solutions *and* cache contents — is bit-identical to
-    /// the serial schedule. Excluded from every cache/fingerprint key: it
-    /// changes wall-clock, never results.
-    pub parallelism: usize,
 }
 
 impl AggregationOptions {
@@ -320,15 +307,7 @@ impl AggregationOptions {
     pub fn truncated(eps: f64) -> Self {
         Self {
             truncation: Some(eps),
-            ..Self::default()
         }
-    }
-
-    /// Returns a copy with the given sub-solve worker count
-    /// (see [`AggregationOptions::parallelism`]).
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers;
-        self
     }
 
     fn validate(&self) -> Result<(), QueueingError> {
@@ -365,7 +344,6 @@ pub struct ProfileCache {
     entries: Mutex<HashMap<Vec<u64>, SubEngine>>,
     solves: AtomicU64,
     hits: AtomicU64,
-    parallel_solves: AtomicU64,
 }
 
 impl ProfileCache {
@@ -390,19 +368,6 @@ impl ProfileCache {
             solves: self.solves.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
         }
-    }
-
-    /// Subsystem profile extensions executed on a parallel worker pool
-    /// (zero unless some solver ran with
-    /// [`AggregationOptions::parallelism`] above one). A subset of the
-    /// work behind [`stats`](Self::stats) — parallelism changes the
-    /// schedule, never the profiles.
-    pub fn parallel_solves(&self) -> u64 {
-        self.parallel_solves.load(Ordering::Relaxed)
-    }
-
-    fn note_parallel_solves(&self, n: u64) {
-        self.parallel_solves.fetch_add(n, Ordering::Relaxed);
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<Vec<u64>, SubEngine>> {
@@ -442,7 +407,7 @@ impl ProfileCache {
     /// profiles yield equal snapshots regardless of insertion order, so
     /// this is the comparison surface for schedule-independence tests
     /// (the interleaving explorer asserts snapshot equality across every
-    /// forced completion order).
+    /// forced completion order of a hierarchical scenario sweep).
     pub fn profiles(&self) -> Vec<(Vec<u64>, Vec<f64>, Vec<f64>)> {
         let mut out: Vec<_> = self
             .lock()
@@ -585,9 +550,6 @@ struct LevelEngine {
     flat_queues: Vec<f64>,
     /// Largest population this engine was asked to pre-size for.
     reserved: usize,
-    /// Worker threads for stale-profile extensions
-    /// ([`AggregationOptions::parallelism`]; `0`/`1` = serial).
-    parallelism: usize,
     cache: Option<Arc<ProfileCache>>,
     /// Watches the FES disaggregation closure error `|Σ_l Q_l − Q_FES|`
     /// and counts residual clamps; buffered locally, flushed on drop.
@@ -615,7 +577,7 @@ impl LevelEngine {
                     conv.push(ConvStation {
                         name: s.name.clone(),
                         demand: s.demand(),
-                        rate: rate_of(&s.kind),
+                        rate: RateFunction::from(&s.kind),
                     });
                     sources.push(Source::Leaf);
                     width += 1;
@@ -660,7 +622,6 @@ impl LevelEngine {
             width,
             flat_queues: vec![0.0; width],
             reserved: 0,
-            parallelism: opts.parallelism,
             cache: cache.cloned(),
             disagg_health: obsv::HealthProbe::new("hierarchy.disagg"),
         })
@@ -691,98 +652,21 @@ impl LevelEngine {
     /// by the workspace's append-only column guarantee, since every column
     /// at or below the carried population only reads rate-table entries
     /// that existed before the extension.
-    ///
-    /// Runs as a **plan/commit** two-phase. Plan: list the stale
-    /// subsystems and extend each one's isolated profile —
-    /// [`SubEngine::extend_to`] touches nothing outside its own engine, so
-    /// with [`AggregationOptions::parallelism`] above one the extensions
-    /// fan out across scoped worker threads. Commit: always serial, in
-    /// subsystem index order — staleness counters, cache stores, and the
-    /// single rebuild happen in the same order under any worker count, so
-    /// the solutions *and* the [`ProfileCache`] contents are bit-identical
-    /// to the serial schedule.
-    // lint: bit-identical
     fn ensure(&mut self, m: usize) -> Result<(), QueueingError> {
-        // Plan: which subsystems are stale, and how far each must extend.
-        // `Vec::new` defers its first allocation to the first push, so a
-        // warm steady state (nothing dirty) stays allocation-free.
-        let mut dirty: Vec<(usize, usize)> = Vec::new();
-        for (i, sub) in self.subs.iter().enumerate() {
+        let mut grew = false;
+        for (i, sub) in self.subs.iter_mut().enumerate() {
             let len = sub.profile.len();
             if sub.finalized || len >= m {
                 continue;
             }
-            dirty.push((i, m.max(len * 2).max(MIN_CHUNK)));
-        }
-        if dirty.is_empty() {
-            return Ok(());
-        }
-
-        // Extend every dirty profile; results come back in dirty-list
-        // order from either schedule.
-        let extended: Vec<Result<usize, QueueingError>> = if self.parallelism > 1 && dirty.len() > 1
-        {
-            let started = std::time::Instant::now();
-            let Self {
-                subs,
-                sub_names,
-                parallelism,
-                cache,
-                ..
-            } = self;
-            let jobs: Vec<Mutex<(&mut SubEngine, &str, usize)>> = {
-                let mut want = dirty.iter().peekable();
-                subs.iter_mut()
-                    .enumerate()
-                    .filter_map(|(i, sub)| match want.peek() {
-                        Some(&&(di, target)) if di == i => {
-                            want.next();
-                            Some(Mutex::new((sub, sub_names[i].as_str(), target)))
-                        }
-                        _ => None,
-                    })
-                    .collect()
-            };
-            let out = pool::scoped_indexed(jobs.len(), *parallelism, |j| {
-                // lint: interference-ok per-subsystem job slot, each index locked by one task
-                let mut slot = jobs[j].lock().unwrap_or_else(|p| p.into_inner());
-                let (sub, name, target) = &mut *slot;
-                sub.extend_to(*target, name)
-            });
-            if let Some(cache) = cache {
-                cache.note_parallel_solves(out.len() as u64);
-            }
-            if obsv::enabled() {
-                obsv::counter("hierarchy.parallel.sub_solves", out.len() as u64);
-                obsv::counter(
-                    "hierarchy.parallel.queue_wait_ns",
-                    started.elapsed().as_nanos() as u64,
-                );
-            }
-            out
-        } else {
-            dirty
-                .iter()
-                .map(|&(i, target)| {
-                    let name = &self.sub_names[i];
-                    self.subs[i].extend_to(target, name)
-                })
-                .collect()
-        };
-
-        // Commit: serial, in subsystem index order — deterministic counter
-        // emission and cache fills regardless of worker count.
-        let mut grew = false;
-        // lint: commit-phase
-        for (&(i, _), added) in dirty.iter().zip(extended) {
-            let added = added?;
+            let added = sub.extend_to(m.max(len * 2).max(MIN_CHUNK), &self.sub_names[i])?;
             if added > 0 {
                 grew = true;
                 // Staleness: the carried (possibly cache-reused) profile
                 // did not cover this population and had to extend.
                 obsv::counter("health.hierarchy.profile_stale_steps", added as u64);
                 if let Some(cache) = &self.cache {
-                    cache.store(&self.sub_keys[i], &self.subs[i]);
+                    cache.store(&self.sub_keys[i], sub);
                 }
             }
         }
@@ -890,15 +774,6 @@ impl LevelEngine {
                 }
             }
         }
-    }
-}
-
-fn rate_of(kind: &StationKind) -> RateFunction {
-    match kind {
-        StationKind::Queueing { servers: 1 } => RateFunction::SingleServer,
-        StationKind::Queueing { servers } => RateFunction::MultiServer(*servers),
-        StationKind::Delay => RateFunction::Delay,
-        StationKind::LoadDependent { rates } => RateFunction::Custom(rates.clone()),
     }
 }
 
@@ -1080,7 +955,7 @@ impl HierIter {
             .iter()
             .map(|s| LeafMeta {
                 demand: s.demand(),
-                max_rate: rate_of(&s.kind).max_rate(),
+                max_rate: RateFunction::from(&s.kind).max_rate(),
             })
             .collect::<Vec<_>>()
             .into();
@@ -1352,181 +1227,6 @@ mod tests {
         let s2 = cache.stats();
         assert_eq!(s2.solves, 2, "stats: {s2:?}");
         assert!(s2.hits > s1.hits);
-    }
-
-    #[test]
-    fn parallel_sub_solves_are_bit_identical_to_serial() {
-        // Several distinct tiers go stale together at every geometric
-        // growth step, so the parallel plan phase really fans out.
-        let net = HierarchicalNetwork::new(
-            vec![
-                Station::queueing("lb", 1, 1.0, 0.002).into(),
-                tier("a", 0.010, 0.004).into(),
-                tier("b", 0.012, 0.005).into(),
-                tier("c", 0.016, 0.007).into(),
-                tier("d", 0.009, 0.003).into(),
-                Station::delay("lan", 1.0, 0.003).into(),
-            ],
-            0.5,
-        )
-        .unwrap();
-        let serial = HierarchicalSolver::with_options(net.clone(), AggregationOptions::exact())
-            .solve(60)
-            .unwrap();
-        let par = HierarchicalSolver::with_options(net, AggregationOptions::exact().parallelism(4))
-            .solve(60)
-            .unwrap();
-        for (s, p) in serial.points.iter().zip(par.points.iter()) {
-            assert_eq!(s.throughput.to_bits(), p.throughput.to_bits(), "n={}", s.n);
-            assert_eq!(s.response.to_bits(), p.response.to_bits(), "n={}", s.n);
-            for (a, b) in s.stations.iter().zip(&p.stations) {
-                assert_eq!(a.queue.to_bits(), b.queue.to_bits(), "n={}", s.n);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_cache_fills_match_serial() {
-        // Plan/commit protocol: the cache after a parallel solve holds the
-        // same entries (same keys, same profile lengths) as after a serial
-        // one, and only the parallel run reports parallel sub-solves.
-        let net = HierarchicalNetwork::new(
-            vec![
-                Station::queueing("lb", 1, 1.0, 0.002).into(),
-                tier("a", 0.010, 0.004).into(),
-                tier("b", 0.010, 0.004).into(),
-                tier("c", 0.016, 0.007).into(),
-            ],
-            0.5,
-        )
-        .unwrap();
-        let serial_cache = Arc::new(ProfileCache::new());
-        HierarchicalSolver::with_options(net.clone(), AggregationOptions::exact())
-            .with_cache(serial_cache.clone())
-            .solve(40)
-            .unwrap();
-        let par_cache = Arc::new(ProfileCache::new());
-        HierarchicalSolver::with_options(net, AggregationOptions::exact().parallelism(3))
-            .with_cache(par_cache.clone())
-            .solve(40)
-            .unwrap();
-        assert_eq!(serial_cache.len(), par_cache.len());
-        assert_eq!(serial_cache.stats(), par_cache.stats());
-        assert_eq!(serial_cache.parallel_solves(), 0);
-        assert!(par_cache.parallel_solves() > 0);
-        let (s_profiles, p_profiles) = (serial_cache.lock(), par_cache.lock());
-        for (key, sub) in s_profiles.iter() {
-            let twin = p_profiles.get(key).expect("same keys under parallelism");
-            assert_eq!(sub.profile.len(), twin.profile.len());
-            for (a, b) in sub.profile.iter().zip(&twin.profile) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn every_schedule_of_parallel_sub_solves_is_bit_identical() {
-        // Dynamic witness for the plan/commit protocol: force every
-        // completion order of the ≤4-task parallel plan phase and assert
-        // the solution *and* the cache contents are bitwise equal to the
-        // serial run on each one. A scheduling-dependent commit (e.g. a
-        // worker publishing into the shared cache mid-plan) would flip
-        // bits on at least one permutation.
-        let net = HierarchicalNetwork::new(
-            vec![
-                Station::queueing("fe", 1, 1.0, 0.002).into(),
-                tier("a", 0.010, 0.004).into(),
-                tier("b", 0.012, 0.005).into(),
-                tier("c", 0.016, 0.007).into(),
-                tier("d", 0.009, 0.003).into(),
-            ],
-            0.5,
-        )
-        .unwrap();
-        let serial_cache = Arc::new(ProfileCache::new());
-        let serial = HierarchicalSolver::with_options(net.clone(), AggregationOptions::exact())
-            .with_cache(serial_cache.clone())
-            .solve(30)
-            .unwrap();
-        let reference = serial_cache.profiles();
-        assert!(!reference.is_empty());
-
-        let runs = pool::explore_schedules(4, |_sched| {
-            let cache = Arc::new(ProfileCache::new());
-            let par = HierarchicalSolver::with_options(
-                net.clone(),
-                AggregationOptions::exact().parallelism(4),
-            )
-            .with_cache(cache.clone())
-            .solve(30)
-            .unwrap();
-            (par, cache.profiles())
-        });
-        assert_eq!(runs.len(), 24, "4 tasks => 4! exhaustive schedules");
-        for (sched, (par, profiles)) in &runs {
-            for (s, p) in serial.points.iter().zip(par.points.iter()) {
-                assert_eq!(
-                    s.throughput.to_bits(),
-                    p.throughput.to_bits(),
-                    "schedule {sched:?} n={}",
-                    s.n
-                );
-                for (a, b) in s.stations.iter().zip(&p.stations) {
-                    assert_eq!(a.queue.to_bits(), b.queue.to_bits(), "schedule {sched:?}");
-                }
-            }
-            assert_eq!(profiles.len(), reference.len(), "schedule {sched:?}");
-            for ((k, prof, rows), (rk, rprof, rrows)) in profiles.iter().zip(&reference) {
-                assert_eq!(k, rk, "schedule {sched:?}");
-                assert_eq!(prof.len(), rprof.len(), "schedule {sched:?}");
-                for (a, b) in prof.iter().zip(rprof) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "schedule {sched:?} key {k:?}");
-                }
-                for (a, b) in rows.iter().zip(rrows) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "schedule {sched:?} key {k:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn propcheck_parallel_equals_serial_bitwise() {
-        use mvasd_numerics::propcheck::{check, Config};
-        check(
-            "hierarchy.parallel_bit_identity",
-            &Config::default().cases(10),
-            |g| {
-                let net = HierarchicalNetwork::new(
-                    vec![
-                        Station::queueing("fe", 1, 1.0, g.f64_in(0.001, 0.01)).into(),
-                        tier("t1", g.f64_in(0.004, 0.02), g.f64_in(0.001, 0.01)).into(),
-                        tier("t2", g.f64_in(0.004, 0.02), g.f64_in(0.001, 0.01)).into(),
-                        tier("t3", g.f64_in(0.004, 0.02), g.f64_in(0.001, 0.01)).into(),
-                    ],
-                    g.f64_in(0.05, 1.0),
-                )
-                .unwrap();
-                let opts = if g.bool() {
-                    AggregationOptions::exact()
-                } else {
-                    AggregationOptions::truncated(1e-6)
-                };
-                let n = g.usize_in(3, 45);
-                let workers = g.usize_in(2, 6);
-                let serial = HierarchicalSolver::with_options(net.clone(), opts)
-                    .solve(n)
-                    .unwrap();
-                let par = HierarchicalSolver::with_options(net, opts.parallelism(workers))
-                    .solve(n)
-                    .unwrap();
-                for (s, p) in serial.points.iter().zip(par.points.iter()) {
-                    assert_eq!(s.throughput.to_bits(), p.throughput.to_bits(), "n={}", s.n);
-                    for (a, b) in s.stations.iter().zip(&p.stations) {
-                        assert_eq!(a.queue.to_bits(), b.queue.to_bits(), "n={}", s.n);
-                    }
-                }
-            },
-        );
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! paper's MVASD models *demand* dependence on the **global** population,
 //! which is a different (and weaker-studied) axis — see `mvasd-core`.
 
+use crate::network::StationKind;
 use crate::QueueingError;
 
 use super::convolution::{solve, to_mva_solution, ConvStation};
@@ -77,6 +78,21 @@ impl RateFunction {
                 })
             }
             _ => Ok(()),
+        }
+    }
+}
+
+/// The one lowering of a static station description onto the
+/// load-dependent rate model: a one-server queue is `SingleServer`, `C`
+/// servers are `MultiServer(C)`, a delay is `Delay`, and an explicit rate
+/// table is `Custom`.
+impl From<&StationKind> for RateFunction {
+    fn from(kind: &StationKind) -> Self {
+        match kind {
+            StationKind::Queueing { servers: 1 } => RateFunction::SingleServer,
+            StationKind::Queueing { servers } => RateFunction::MultiServer(*servers),
+            StationKind::Delay => RateFunction::Delay,
+            StationKind::LoadDependent { rates } => RateFunction::Custom(rates.clone()),
         }
     }
 }

@@ -83,12 +83,7 @@ pub(crate) fn conv_stations(net: &ClosedNetwork) -> Vec<ConvStation> {
         .map(|s| ConvStation {
             name: s.name.clone(),
             demand: s.demand(),
-            rate: match &s.kind {
-                StationKind::Delay => RateFunction::Delay,
-                StationKind::Queueing { servers: 1 } => RateFunction::SingleServer,
-                StationKind::Queueing { servers } => RateFunction::MultiServer(*servers),
-                StationKind::LoadDependent { rates } => RateFunction::Custom(rates.clone()),
-            },
+            rate: RateFunction::from(&s.kind),
         })
         .collect()
 }

@@ -19,14 +19,14 @@
 //! model descriptions: a static [`ClosedNetwork`], a demand profile, a
 //! simulation network); only the target population is a solve-time input.
 
-use super::convolution::{ConvIter, ConvStation};
+use super::convolution::ConvIter;
 use super::exact::ExactMvaIter;
 use super::loaddep::validated_conv_stations;
 use super::multiserver::conv_stations;
 use super::schweitzer::SchweitzerIter;
 use super::stepping::SolverIter;
 use super::{LdStation, MvaSolution, RateFunction, SchweitzerOptions};
-use crate::network::{ClosedNetwork, StationKind};
+use crate::network::ClosedNetwork;
 use crate::QueueingError;
 
 /// A solver for closed queueing networks.
@@ -79,16 +79,6 @@ impl<S: ClosedSolver + ?Sized> ClosedSolver for Box<S> {
 
     fn solve(&self, n_max: usize) -> Result<MvaSolution, QueueingError> {
         (**self).solve(n_max)
-    }
-}
-
-/// Maps a static station description onto the load-dependent rate model.
-fn rate_of(kind: &StationKind) -> RateFunction {
-    match kind {
-        StationKind::Queueing { servers: 1 } => RateFunction::SingleServer,
-        StationKind::Queueing { servers } => RateFunction::MultiServer(*servers),
-        StationKind::Delay => RateFunction::Delay,
-        StationKind::LoadDependent { rates } => RateFunction::Custom(rates.clone()),
     }
 }
 
@@ -170,7 +160,7 @@ impl LoadDependentSolver {
         let stations = net
             .stations()
             .iter()
-            .map(|s| LdStation::new(&s.name, s.demand(), rate_of(&s.kind)))
+            .map(|s| LdStation::new(&s.name, s.demand(), RateFunction::from(&s.kind)))
             .collect();
         Self {
             stations,
@@ -211,19 +201,10 @@ impl ClosedSolver for ConvolutionSolver {
     }
 
     fn start(&self) -> Result<Box<dyn SolverIter>, QueueingError> {
-        let stations: Vec<ConvStation> = self
-            .net
-            .stations()
-            .iter()
-            .map(|s| ConvStation {
-                name: s.name.clone(),
-                demand: s.demand(),
-                rate: rate_of(&s.kind),
-            })
-            .collect();
-        let limits = vec![0usize; stations.len()];
+        let conv = conv_stations(&self.net);
+        let limits = vec![0usize; conv.len()];
         Ok(Box::new(ConvIter::new(
-            stations,
+            conv,
             self.net.think_time(),
             limits,
         )?))

@@ -133,33 +133,6 @@ fn workspace_steady_state_allocates_nothing() {
         after - before
     );
 
-    // A configured worker pool must not cost the steady state anything:
-    // the parallel plan phase defers its first allocation to the first
-    // dirty subsystem, and a reserved engine has none — so a 4-worker
-    // engine advances exactly as allocation-free as the serial one.
-    let mut pws =
-        HierarchicalWorkspace::new(&net, AggregationOptions::exact().parallelism(4), None).unwrap();
-    pws.reserve(400).unwrap();
-    for _ in 0..150 {
-        pws.advance().unwrap();
-    }
-    let mut psink = 0.0f64;
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..200 {
-        pws.advance().unwrap();
-        psink += pws.throughput() + pws.leaf_queues()[0];
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-
-    assert!(psink.is_finite());
-    assert_eq!(
-        after - before,
-        0,
-        "parallel hierarchical steady-state advance allocated {} times",
-        after - before
-    );
-
     // The carried multiclass workspace makes the same promise: the whole
     // lattice is allocated up front, so advancing a customer (filling one
     // slab) and reading the per-class outputs never touches the allocator.

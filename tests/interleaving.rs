@@ -1,13 +1,14 @@
 //! Deterministic interleaving explorer: end-to-end schedule-independence.
 //!
 //! `numerics::pool::explore_schedules` forces every completion order of a
-//! ≤4-task fan-out (4! = 24 schedules). These tests drive the two real
-//! plan/commit executions in the suite — the scenario-sweep model-group
-//! fan-out and the hierarchical solver's parallel sub-solves — under every
-//! schedule and assert the published results are bit-identical on each
-//! one. Lint rule L9 is the static half of this contract; this file is
-//! the dynamic witness that the plan/commit protocol actually delivers
-//! schedule independence, not just that the code looks like it should.
+//! ≤4-task fan-out (4! = 24 schedules). These tests drive the suite's
+//! plan/commit execution — the scenario-sweep model-group fan-out, over
+//! sampled demands and over a hierarchy whose groups share one subsystem
+//! profile cache — under every schedule and assert the published results
+//! are bit-identical on each one. Lint rule L9 is the static half of this
+//! contract; this file is the dynamic witness that the plan/commit
+//! protocol actually delivers schedule independence, not just that the
+//! code looks like it should.
 
 use mvasd_suite::core::profile::{DemandAxis, DemandSamples, InterpolationKind};
 use mvasd_suite::core::sweep::{Scenario, ScenarioSweep, SweepReport};
@@ -125,10 +126,11 @@ fn sweep_fan_out_is_schedule_independent() {
 
 #[test]
 fn hierarchy_cache_is_bit_identical_on_every_schedule() {
-    // Three distinct subsystems plus a front end: the parallel plan phase
-    // extends three stale profiles per growth step. The shared
-    // ProfileCache snapshot must come out bitwise equal no matter which
-    // worker's commit lands first.
+    // Four scenarios that differ only in think time: four model groups
+    // whose subsystems share every cache key, so every pool task extends
+    // and stores the same profiles in the one shared ProfileCache. The
+    // cache snapshot must come out bitwise equal no matter which group's
+    // store lands first.
     let tier = |name: &str, d: f64, z: f64| {
         Subsystem::new(
             name,
@@ -148,24 +150,37 @@ fn hierarchy_cache_is_bit_identical_on_every_schedule() {
         0.4,
     )
     .expect("network builds");
+    let scenarios = [
+        Scenario::new("z0.4"),
+        Scenario::new("z0.2").with_think_time(0.2),
+        Scenario::new("z0.8").with_think_time(0.8),
+        Scenario::new("z1.6").with_think_time(1.6),
+    ];
 
-    let mut serial_sweep =
-        ScenarioSweep::over_hierarchy(net.clone(), AggregationOptions::exact()).default_cap(25);
+    let mut serial_sweep = ScenarioSweep::over_hierarchy(net.clone(), AggregationOptions::exact())
+        .default_cap(25)
+        .parallelism(1);
     let serial = serial_sweep
-        .run(&four_scenarios())
+        .run(&scenarios)
         .expect("serial hierarchy sweep solves");
+    // Four model groups; the three tier shapes are solved once and every
+    // other group reuses them from the shared cache.
+    let stats = serial_sweep.stats();
+    assert_eq!(stats.cache_misses, 4, "{stats:?}");
+    assert_eq!(stats.sub_solves, 3, "{stats:?}");
+    assert_eq!(stats.sub_cache_hits, 9, "{stats:?}");
     let reference = serial_sweep
         .profile_cache()
         .expect("hierarchical sweeps expose their cache")
         .profiles();
     assert!(!reference.is_empty(), "sweep populated the profile cache");
 
-    let runs = pool::explore_schedules(3, |_sched| {
-        let mut sweep =
-            ScenarioSweep::over_hierarchy(net.clone(), AggregationOptions::exact().parallelism(3))
-                .default_cap(25);
+    let runs = pool::explore_schedules(4, |_sched| {
+        let mut sweep = ScenarioSweep::over_hierarchy(net.clone(), AggregationOptions::exact())
+            .default_cap(25)
+            .parallelism(4);
         let report = sweep
-            .run(&four_scenarios())
+            .run(&scenarios)
             .expect("parallel hierarchy sweep solves");
         let profiles = sweep
             .profile_cache()
@@ -173,7 +188,7 @@ fn hierarchy_cache_is_bit_identical_on_every_schedule() {
             .profiles();
         (report, profiles)
     });
-    assert_eq!(runs.len(), 6, "3 tasks => 3! exhaustive schedules");
+    assert_eq!(runs.len(), 24, "4 tasks => 4! exhaustive schedules");
     for (sched, (report, profiles)) in &runs {
         assert_reports_bitwise_equal(sched, report, &serial);
         assert_eq!(profiles.len(), reference.len(), "schedule {sched:?}");

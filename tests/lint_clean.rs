@@ -172,21 +172,18 @@ fn seeded_mutations_of_real_sources_fire_l7_l8_l9() {
         "L8 must fire when sweep.rs loses its commit-phase markers"
     );
 
-    // L9: `ensure` is marked bit-identical; a channel receive inside it
-    // would make results depend on completion order.
-    let (path, src) = real_source("crates/queueing/src/hierarchy.rs");
+    // L9: the sweep's `run` is marked bit-identical; a channel receive
+    // inside it would make results depend on completion order.
     assert!(!codes(&path, &src).iter().any(|c| c.starts_with("L9")));
     let mutated = src.replace(
-        "if dirty.is_empty() {",
-        "let _probe = self.status_rx.recv();\n        if dirty.is_empty() {",
+        "let mut first_error: Option<QueueingError> = None;",
+        "let _probe = self.status_rx.recv();\n        \
+         let mut first_error: Option<QueueingError> = None;",
     );
-    assert_ne!(
-        mutated, src,
-        "L9 mutation anchor vanished from hierarchy.rs"
-    );
+    assert_ne!(mutated, src, "L9 mutation anchor vanished from sweep.rs");
     assert!(
         codes(&path, &mutated).contains(&"L9:reduction-order".to_string()),
-        "L9 must fire on a recv() seeded into the bit-identical ensure fn"
+        "L9 must fire on a recv() seeded into the bit-identical run fn"
     );
 }
 
