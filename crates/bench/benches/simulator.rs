@@ -1,21 +1,32 @@
 //! Discrete-event simulator throughput: simulated load tests per second of
 //! wall clock at the paper's scales.
+//!
+//! The `simulated_load_test_60s` group times single 60 s runs; the
+//! `simnet_campaign` group times the measurement campaign of the paper's
+//! Fig. 17 workflow on VINS: 5 Chebyshev levels over [1, 1500], one
+//! worker, 900 simulated seconds per level (90 s in quick mode). Both are
+//! written to `results/BENCH_simulator.json` (schema `mvasd-bench/1`,
+//! documented in `EXPERIMENTS.md`), which `mvasd-doctor` holds against its
+//! baseline.
 
-use mvasd_bench::timing::{Bench, Plan};
+use mvasd_bench::output::{results_dir, write_text};
+use mvasd_bench::timing::{bench_json, quick_mode, Bench, Plan};
+use mvasd_core::pipeline::PredictionWorkflow;
 use mvasd_queueing::mva::{run_until, ClosedSolver, StopCondition};
 use mvasd_simnet::{SimConfig, Simulation};
 use mvasd_testbed::apps::{jpetstore, vins};
+use mvasd_testbed::campaign::{run_campaign, CampaignConfig};
 use mvasd_testbed::solver::SimSolver;
 
 fn main() {
-    let mut g = Bench::new("simulated_load_test_60s");
+    let mut single = Bench::new("simulated_load_test_60s");
     for (name, app, users) in [
         ("vins_50_users", vins::model(), 50usize),
         ("vins_1500_users", vins::model(), 1500),
         ("jpetstore_210_users", jpetstore::model(), 210),
     ] {
         let net = app.sim_network(users).unwrap();
-        g.measure(name, Plan::heavy(), || {
+        single.measure(name, Plan::heavy(), || {
             Simulation::new(
                 net.clone(),
                 SimConfig {
@@ -31,13 +42,42 @@ fn main() {
             .unwrap()
         });
     }
-    println!("{}", g.report());
+    println!("{}", single.report());
+
+    let mut campaign = Bench::new("simnet_campaign");
+    let levels = PredictionWorkflow {
+        test_points: 5,
+        range: (1.0, 1500.0),
+        ..PredictionWorkflow::default()
+    }
+    .design()
+    .unwrap();
+    let cfg = CampaignConfig {
+        test_duration: if quick_mode() { 90.0 } else { 900.0 },
+        parallelism: 1,
+        base_seed: 42,
+    };
+    let app = vins::model();
+    campaign.measure("vins_campaign", Plan::heavy(), || {
+        run_campaign(&app, &levels, &cfg).unwrap()
+    });
+    println!("{}", campaign.report());
+    println!(
+        "levels {levels:?}, {} simulated s each\n",
+        cfg.test_duration
+    );
+    let path = write_text(
+        &results_dir(),
+        "BENCH_simulator.json",
+        &bench_json(&[&single, &campaign]),
+    )
+    .expect("results directory is writable");
+    println!("wrote {}\n", path.display());
 
     // Streaming sweep with a plateau cut-off: the DES solver stops the
     // population sweep once throughput flattens, instead of simulating
     // every population up to the cap.
     let mut g = Bench::new("des_population_sweep_early_exit");
-    let app = vins::model();
     let sim = SimSolver::new(
         app.sim_network(200).unwrap(),
         SimConfig {

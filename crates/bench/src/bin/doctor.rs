@@ -14,8 +14,9 @@
 //! verdict (missing/truncated inputs — the message says how to fix it).
 //!
 //! `--write-baseline` instead (re)generates the baseline from the current
-//! results, merging into the existing file so a quick-mode regen never
-//! clobbers the committed full-run numbers.
+//! results, merging key by key into the existing file: only the keys the
+//! results carry are re-anchored, so a quick-mode regen never clobbers the
+//! committed full-run numbers.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -673,38 +673,30 @@ pub fn floors_from_report(report: &HealthReport) -> HealthFloors {
     }
 }
 
-/// Folds fresh bench files (and an optional health report) into `existing`,
-/// replacing the section(s) matching each file's mode and leaving the other
-/// mode untouched — so a quick CI regen never clobbers the committed full
-/// numbers.
+/// Folds fresh bench files (and an optional health report) into `existing`:
+/// every key a file carries is re-anchored in the section of that file's
+/// mode, and every other key is kept. A quick CI regen never clobbers the
+/// committed full numbers, and a results directory holding one bench file
+/// re-anchors that file's keys only.
 pub fn merge_baseline(
     existing: Baseline,
     benches: &[BenchFile],
     health: Option<&HealthReport>,
 ) -> Baseline {
     let mut out = existing;
-    let mut fresh_full = BaselineSection::default();
-    let mut fresh_quick = BaselineSection::default();
-    let (mut saw_full, mut saw_quick) = (false, false);
     for bench in benches {
-        let (section, saw) = if bench.quick {
-            (&mut fresh_quick, &mut saw_quick)
+        let section = if bench.quick {
+            &mut out.quick
         } else {
-            (&mut fresh_full, &mut saw_full)
-        };
-        *saw = true;
+            &mut out.full
+        }
+        .get_or_insert_with(BaselineSection::default);
         section
             .timings
             .extend(bench.timings.iter().map(|(k, v)| (k.clone(), *v)));
         section
             .metrics
             .extend(bench.metrics.iter().map(|(k, v)| (k.clone(), *v)));
-    }
-    if saw_full {
-        out.full = Some(fresh_full);
-    }
-    if saw_quick {
-        out.quick = Some(fresh_quick);
     }
     if let Some(report) = health {
         out.health = Some(floors_from_report(report));
@@ -996,6 +988,17 @@ mod tests {
         assert_eq!(merged.full, loaded.full);
         assert_eq!(merged.quick.as_ref().map(|s| s.timings.len()), Some(1));
         assert_eq!(merged.health, loaded.health, "health floors survive merge");
+        // A full regen of another bench adds its keys and re-anchors none
+        // of the others.
+        let other = bench(false, &[("sim/campaign", 3.0e8)], &[]);
+        let merged = write_baseline(&path, std::slice::from_ref(&other), None).expect("full merge");
+        let timings = &merged.full.as_ref().expect("full section").timings;
+        assert_eq!(timings.get("g/walk/800"), Some(&3.4e7));
+        assert_eq!(timings.get("sim/campaign"), Some(&3.0e8));
+        assert_eq!(
+            merged.full.as_ref().map(|s| &s.metrics),
+            loaded.full.as_ref().map(|s| &s.metrics)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

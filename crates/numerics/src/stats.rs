@@ -38,21 +38,36 @@ pub fn std_dev(xs: &[f64]) -> Option<f64> {
 }
 
 /// Linearly interpolated percentile (`p` in `[0, 100]`); `None` for an empty
-/// slice or out-of-range `p`.
+/// slice or out-of-range `p`. Panics on a NaN among two or more values.
+///
+/// Selects the one or two order statistics it needs in O(n) instead of
+/// sorting a copy, and returns exactly the bits the sorted definition
+/// (`s[lo] + frac · (s[hi] − s[lo])` over a stable sort) gives.
 pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
     if xs.is_empty() || !(0.0..=100.0).contains(&p) {
         return None;
     }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in percentile input"));
-    let rank = p / 100.0 * (sorted.len() as f64 - 1.0);
+    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("no NaN in percentile input");
+    let rank = p / 100.0 * (xs.len() as f64 - 1.0);
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
+    let mut scratch = xs.to_vec();
+    let (_, &mut at_lo, above) = scratch.select_nth_unstable_by(lo, cmp);
     if lo == hi {
-        return Some(sorted[lo]);
+        // lint: float-eq-ok zeros of both signs compare equal, so the selection may pick either
+        if at_lo == 0.0 {
+            // A stable sort keeps tied zeros in input order: return the one
+            // it would have put at `lo`.
+            let below = xs.iter().filter(|&&x| x < 0.0).count();
+            // lint: float-eq-ok matches both signed zeros
+            return xs.iter().copied().filter(|&x| x == 0.0).nth(lo - below);
+        }
+        return Some(at_lo);
     }
+    // The interpolation maps either zero sign to the same result.
+    let at_hi = *above.iter().min_by(|a, b| cmp(a, b))?;
     let frac = rank - lo as f64;
-    Some(sorted[lo] + frac * (sorted[hi] - sorted[lo]))
+    Some(at_lo + frac * (at_hi - at_lo))
 }
 
 /// Mean percentage deviation of predictions from measurements — paper eq. 15.
@@ -261,6 +276,19 @@ mod tests {
         assert!(close(percentile(&xs, 50.0).unwrap(), 2.5, 1e-12));
         assert!(percentile(&xs, 101.0).is_none());
         assert!(percentile(&[], 50.0).is_none());
+    }
+
+    #[test]
+    fn percentile_keeps_the_sorted_zero_sign_and_nan_behaviour() {
+        // A stable sort puts the tied zeros in input order.
+        let xs = [0.0, 1.0, -0.0, -1.0, 2.0];
+        assert_eq!(percentile(&xs, 25.0).map(f64::to_bits), Some(0));
+        assert_eq!(
+            percentile(&xs, 50.0).map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+        assert!(percentile(&[f64::NAN], 50.0).unwrap().is_nan());
+        assert!(std::panic::catch_unwind(|| percentile(&[1.0, f64::NAN, 2.0], 50.0)).is_err());
     }
 
     #[test]

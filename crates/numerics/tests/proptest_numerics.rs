@@ -209,6 +209,53 @@ fn percentile_between_min_and_max() {
     });
 }
 
+/// The sort-based definition that `percentile` must reproduce bit for bit.
+fn sorted_percentile(xs: &[f64], p: f64) -> Option<f64> {
+    if xs.is_empty() || !(0.0..=100.0).contains(&p) {
+        return None;
+    }
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let rank = p / 100.0 * (sorted.len() as f64 - 1.0);
+    let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+    if lo == hi {
+        return Some(sorted[lo]);
+    }
+    let frac = rank - lo as f64;
+    Some(sorted[lo] + frac * (sorted[hi] - sorted[lo]))
+}
+
+#[test]
+fn percentile_matches_the_sort_based_definition_bitwise() {
+    check(
+        "percentile_matches_the_sort_based_definition_bitwise",
+        &Config::default().cases(256),
+        |g| {
+            // Half the values come from a small pool, so ties (signed
+            // zeros included) are common.
+            let pool = [-0.0, 0.0, -3.5, 1e-300, 0.25, 2.0, 7.0, 1e6];
+            let len = g.usize_in(0, 200);
+            let xs: Vec<f64> = (0..len)
+                .map(|_| {
+                    if g.bool() {
+                        *g.choose(&pool)
+                    } else {
+                        g.f64_in(-1e3, 1e3)
+                    }
+                })
+                .collect();
+            // Quartiles hit exact integer ranks whenever 4 divides len - 1.
+            let p = *g.choose(&[0.0, 25.0, 50.0, 75.0, 95.0, 100.0, -1.0, 100.5]);
+            let p = if g.bool() { p } else { g.f64_in(0.0, 100.0) };
+            assert_eq!(
+                percentile(&xs, p).map(f64::to_bits),
+                sorted_percentile(&xs, p).map(f64::to_bits),
+                "p = {p}, xs = {xs:?}"
+            );
+        },
+    );
+}
+
 #[test]
 fn pct_deviation_zero_iff_equal() {
     check("pct_deviation_zero_iff_equal", &cfg(), |g| {

@@ -3,12 +3,16 @@
 //! `N` customers cycle: (optional staggered entry) → station 0 → station 1 →
 //! … → station K−1 → think → repeat. Multi-server FCFS queueing, seeded and
 //! fully deterministic for a given configuration.
+//!
+//! An event carries only a customer; the customer's stage says what ends
+//! (a think, or a service at that station). Handling one touches at most
+//! the two stations whose counts change, so its cost does not grow with K.
 
 use mvasd_numerics::rng::Xoshiro256pp;
 use mvasd_obsv as obsv;
 use std::collections::VecDeque;
 
-use crate::event::{EventKind, EventQueue};
+use crate::event::EventQueue;
 use crate::metrics::{Accumulators, SimReport, StationStats, SystemStats, TimeSeriesBucket};
 use crate::station::{SimNetwork, StationModel};
 use crate::SimError;
@@ -47,7 +51,8 @@ impl Default for SimConfig {
 
 #[derive(Debug, Clone, Copy)]
 struct Customer {
-    /// Index of the station the customer is currently heading to/at.
+    /// Index of the station the customer is at, or K while it thinks (or
+    /// has not yet entered).
     stage: usize,
     /// Start of the in-flight interaction.
     interaction_start: f64,
@@ -55,10 +60,77 @@ struct Customer {
     station_arrival: f64,
 }
 
-#[derive(Debug, Default)]
-struct StationState {
-    busy: usize,
-    waiting: VecDeque<usize>,
+/// The mutable state of one run.
+struct Run<'a> {
+    net: &'a SimNetwork,
+    rng: Xoshiro256pp,
+    events: EventQueue,
+    acc: Accumulators,
+    customers: Vec<Customer>,
+    /// FCFS queue of customers waiting for a server, per station.
+    waiting: Vec<VecDeque<usize>>,
+}
+
+impl Run<'_> {
+    /// Customer `c` arrives at station `k` at time `t`.
+    fn enter(&mut self, k: usize, c: usize, t: f64) {
+        self.acc.touch(k, t);
+        let customer = &mut self.customers[c];
+        customer.stage = k;
+        customer.station_arrival = t;
+        let st = &mut self.acc.stations[k];
+        st.present += 1;
+        let spec = &self.net.stations()[k];
+        match spec.model {
+            StationModel::Delay => {
+                st.busy += 1;
+                let s = spec.service.sample(&mut self.rng);
+                self.events.schedule_infinite(t + s, c);
+            }
+            StationModel::Queueing { servers } if st.busy < servers => {
+                st.busy += 1;
+                self.start_service(k, c, t);
+            }
+            StationModel::Queueing { .. } => self.waiting[k].push_back(c),
+        }
+    }
+
+    /// Starts `c`'s service at queueing station `k`, whose busy count
+    /// already includes it.
+    fn start_service(&mut self, k: usize, c: usize, t: f64) {
+        let spec = &self.net.stations()[k];
+        let mut s = spec.service.sample(&mut self.rng);
+        if let Some(m) = &spec.contention {
+            s *= m.factor(self.acc.stations[k].present);
+        }
+        self.events.schedule_queueing(t + s, c);
+    }
+
+    /// Customer `c` finishes service at its station at time `t` and moves
+    /// on to the next station, or completes its interaction and thinks.
+    fn leave(&mut self, c: usize, t: f64) {
+        let Customer {
+            stage: k,
+            interaction_start,
+            station_arrival,
+        } = self.customers[c];
+        self.acc.touch(k, t);
+        self.acc.record_visit(k, t, t - station_arrival);
+        self.acc.stations[k].present -= 1;
+        match self.waiting[k].pop_front() {
+            Some(next) => self.start_service(k, next, t),
+            None => self.acc.stations[k].busy -= 1,
+        }
+        let think_stage = self.net.stations().len();
+        if k + 1 < think_stage {
+            self.enter(k + 1, c, t);
+        } else {
+            self.customers[c].stage = think_stage;
+            self.acc.record_completion(t, t - interaction_start);
+            let z = self.net.think().sample(&mut self.rng);
+            self.events.schedule_infinite(t + z, c);
+        }
+    }
 }
 
 /// A configured, runnable simulation.
@@ -104,127 +176,50 @@ impl Simulation {
         let _span = obsv::span_with("simnet.run", || {
             format!("customers={} seed={}", self.cfg.customers, self.cfg.seed)
         });
-        let mut event_count = 0u64;
         let k_count = self.net.stations().len();
-        let mut rng = Xoshiro256pp::seed_from_u64(self.cfg.seed);
-        let mut events = EventQueue::new();
-        let mut acc = Accumulators::new(
-            k_count,
-            self.cfg.warmup,
-            self.cfg.horizon,
-            self.cfg.bucket_width,
-        );
-        let mut customers = vec![
-            Customer {
-                stage: 0,
-                interaction_start: 0.0,
-                station_arrival: 0.0,
-            };
-            self.cfg.customers
-        ];
-        let mut stations: Vec<StationState> =
-            (0..k_count).map(|_| StationState::default()).collect();
-
+        let mut run = Run {
+            net: &self.net,
+            rng: Xoshiro256pp::seed_from_u64(self.cfg.seed),
+            events: EventQueue::new(),
+            acc: Accumulators::new(
+                k_count,
+                self.cfg.warmup,
+                self.cfg.horizon,
+                self.cfg.bucket_width,
+            ),
+            customers: vec![
+                Customer {
+                    stage: k_count,
+                    interaction_start: 0.0,
+                    station_arrival: 0.0,
+                };
+                self.cfg.customers
+            ],
+            waiting: vec![VecDeque::new(); k_count],
+        };
+        // Entering the system for the first time is a think that ends at
+        // the customer's staggered start.
         for c in 0..self.cfg.customers {
-            events.schedule(
-                c as f64 * self.cfg.stagger,
-                EventKind::CustomerArrives { customer: c },
-            );
+            run.events.schedule_infinite(c as f64 * self.cfg.stagger, c);
         }
 
-        while let Some((t, kind)) = events.pop() {
+        let mut event_count = 0u64;
+        while let Some((t, c)) = run.events.pop() {
             if t > self.cfg.horizon {
                 break;
             }
             event_count += 1;
-            acc.advance(t);
-            match kind {
-                EventKind::CustomerArrives { customer } => {
-                    customers[customer].interaction_start = t;
-                    customers[customer].stage = 0;
-                    Self::enter_station(
-                        &self.net,
-                        &mut stations,
-                        &mut customers,
-                        &mut acc,
-                        &mut events,
-                        &mut rng,
-                        0,
-                        customer,
-                        t,
-                    );
-                }
-                EventKind::ThinkDone { customer } => {
-                    customers[customer].interaction_start = t;
-                    customers[customer].stage = 0;
-                    Self::enter_station(
-                        &self.net,
-                        &mut stations,
-                        &mut customers,
-                        &mut acc,
-                        &mut events,
-                        &mut rng,
-                        0,
-                        customer,
-                        t,
-                    );
-                }
-                EventKind::ServiceDone { station, customer } => {
-                    // Leave the station.
-                    acc.at_station[station] -= 1;
-                    acc.record_visit(station, t, t - customers[customer].station_arrival);
-                    let st = &mut stations[station];
-                    match self.net.stations()[station].model {
-                        StationModel::Queueing { .. } => {
-                            st.busy -= 1;
-                            acc.busy[station] -= 1;
-                            if let Some(next) = st.waiting.pop_front() {
-                                st.busy += 1;
-                                acc.busy[station] += 1;
-                                let spec = &self.net.stations()[station];
-                                let mut s = spec.service.sample(&mut rng);
-                                if let Some(c) = &spec.contention {
-                                    s *= c.factor(acc.at_station[station]);
-                                }
-                                events.schedule(
-                                    t + s,
-                                    EventKind::ServiceDone {
-                                        station,
-                                        customer: next,
-                                    },
-                                );
-                            }
-                        }
-                        StationModel::Delay => {
-                            acc.busy[station] -= 1;
-                        }
-                    }
-                    // Move on.
-                    let next_stage = customers[customer].stage + 1;
-                    if next_stage < k_count {
-                        customers[customer].stage = next_stage;
-                        Self::enter_station(
-                            &self.net,
-                            &mut stations,
-                            &mut customers,
-                            &mut acc,
-                            &mut events,
-                            &mut rng,
-                            next_stage,
-                            customer,
-                            t,
-                        );
-                    } else {
-                        // Interaction complete.
-                        let r = t - customers[customer].interaction_start;
-                        acc.record_completion(t, r);
-                        let z = self.net.think().sample(&mut rng);
-                        events.schedule(t + z, EventKind::ThinkDone { customer });
-                    }
-                }
+            if run.customers[c].stage == k_count {
+                run.customers[c].interaction_start = t;
+                run.enter(0, c, t);
+            } else {
+                run.leave(c, t);
             }
         }
-        acc.advance(self.cfg.horizon);
+        let mut acc = run.acc;
+        for k in 0..k_count {
+            acc.touch(k, self.cfg.horizon);
+        }
         if obsv::enabled() {
             obsv::counter("simnet.runs", 1);
             obsv::counter("simnet.events", event_count);
@@ -234,84 +229,30 @@ impl Simulation {
         Ok(self.build_report(acc))
     }
 
-    #[allow(clippy::too_many_arguments)] // static helper threads the engine's split borrows
-    fn enter_station(
-        net: &SimNetwork,
-        stations: &mut [StationState],
-        customers: &mut [Customer],
-        acc: &mut Accumulators,
-        events: &mut EventQueue,
-        rng: &mut Xoshiro256pp,
-        k: usize,
-        customer: usize,
-        t: f64,
-    ) {
-        customers[customer].station_arrival = t;
-        acc.at_station[k] += 1;
-        let spec = &net.stations()[k];
-        match spec.model {
-            StationModel::Delay => {
-                acc.busy[k] += 1;
-                let s = spec.service.sample(rng);
-                events.schedule(
-                    t + s,
-                    EventKind::ServiceDone {
-                        station: k,
-                        customer,
-                    },
-                );
-            }
-            StationModel::Queueing { servers } => {
-                let st = &mut stations[k];
-                if st.busy < servers {
-                    st.busy += 1;
-                    acc.busy[k] += 1;
-                    let mut s = spec.service.sample(rng);
-                    if let Some(c) = &spec.contention {
-                        s *= c.factor(acc.at_station[k]);
-                    }
-                    events.schedule(
-                        t + s,
-                        EventKind::ServiceDone {
-                            station: k,
-                            customer,
-                        },
-                    );
-                } else {
-                    st.waiting.push_back(customer);
-                }
-            }
-        }
-    }
-
     fn build_report(&self, acc: Accumulators) -> SimReport {
         let measured = (self.cfg.horizon - self.cfg.warmup).max(f64::MIN_POSITIVE);
+        let station_servers: Vec<Option<usize>> = self
+            .net
+            .stations()
+            .iter()
+            .map(|s| s.model.servers())
+            .collect();
         let stations = self
             .net
             .stations()
             .iter()
-            .enumerate()
-            .map(|(k, s)| {
-                let servers = match s.model {
-                    StationModel::Queueing { servers } => servers as f64,
-                    StationModel::Delay => f64::INFINITY,
-                };
-                let utilization = if servers.is_finite() {
-                    acc.busy_time[k] / (measured * servers)
+            .zip(&acc.stations)
+            .zip(&station_servers)
+            .map(|((s, a), servers)| StationStats {
+                name: s.name.clone(),
+                utilization: a.busy_time / (measured * servers.map_or(1.0, |c| c as f64)),
+                throughput: a.visits as f64 / measured,
+                mean_queue: a.queue_time / measured,
+                mean_visit_time: if a.visits > 0 {
+                    a.visit_time_sum / a.visits as f64
                 } else {
-                    acc.busy_time[k] / measured
-                };
-                StationStats {
-                    name: s.name.clone(),
-                    utilization,
-                    throughput: acc.visits[k] as f64 / measured,
-                    mean_queue: acc.queue_time[k] / measured,
-                    mean_visit_time: if acc.visits[k] > 0 {
-                        acc.visit_time_sum[k] / acc.visits[k] as f64
-                    } else {
-                        0.0
-                    },
-                }
+                    0.0
+                },
             })
             .collect();
 
@@ -347,15 +288,7 @@ impl Simulation {
             time_series,
             busy_series: acc.bucket_busy,
             bucket_width: self.cfg.bucket_width,
-            station_servers: self
-                .net
-                .stations()
-                .iter()
-                .map(|s| match s.model {
-                    StationModel::Queueing { servers } => servers,
-                    StationModel::Delay => usize::MAX,
-                })
-                .collect(),
+            station_servers,
             response_samples: acc.samples,
         }
     }

@@ -1,68 +1,38 @@
 //! The future-event list.
 //!
-//! A binary min-heap keyed on `(time, sequence)`; the monotonically
-//! increasing sequence number makes simultaneous events deterministic, which
-//! keeps seeded runs exactly reproducible across platforms.
+//! A pending event is `(time, seq, customer)`: what it means is read from
+//! the customer's stage when it fires (the end of a think, or the end of a
+//! service at the station the customer occupies). Events live in two
+//! binary min-heaps ordered by the same global `(time, seq)` key:
+//!
+//! * an infinite-server heap for think ends and delay-station completions,
+//!   which can hold every customer at once;
+//! * a queueing-completion heap, which never holds more entries than the
+//!   network has servers.
+//!
+//! [`EventQueue::pop`] takes whichever head is earlier, so events leave in
+//! exactly the order one heap over both would give. The sequence number
+//! increases on every schedule and breaks time ties by insertion order,
+//! which keeps seeded runs reproducible across platforms. Times are
+//! finite and non-negative, so their IEEE-754 bit patterns order like the
+//! values and the key compares as integers.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// What happens when an event fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EventKind {
-    /// A customer enters the system for the first time (ramp-up).
-    CustomerArrives {
-        /// Customer index.
-        customer: usize,
-    },
-    /// A customer finishes thinking and starts its next interaction.
-    ThinkDone {
-        /// Customer index.
-        customer: usize,
-    },
-    /// A service completes at a station.
-    ServiceDone {
-        /// Station index.
-        station: usize,
-        /// Customer index.
-        customer: usize,
-    },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Scheduled {
-    time: f64,
+/// One pending event; the derived order is `(time bits, seq)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Pending {
+    time: u64,
     seq: u64,
-    kind: EventKind,
+    customer: usize,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed for a min-heap; ties broken by insertion order.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .expect("event times are finite")
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Deterministic future-event list.
+/// Deterministic two-heap future-event list.
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
-    heap: BinaryHeap<Scheduled>,
+    infinite: BinaryHeap<Reverse<Pending>>,
+    queueing: BinaryHeap<Reverse<Pending>>,
     seq: u64,
 }
 
@@ -72,32 +42,43 @@ impl EventQueue {
         Self::default()
     }
 
-    /// Schedules `kind` at absolute time `time` (must be finite).
-    pub(crate) fn schedule(&mut self, time: f64, kind: EventKind) {
-        debug_assert!(time.is_finite(), "event time must be finite");
-        self.heap.push(Scheduled {
-            time,
-            seq: self.seq,
-            kind,
-        });
+    fn pending(&mut self, time: f64, customer: usize) -> Reverse<Pending> {
+        debug_assert!(
+            time.is_finite() && time >= 0.0,
+            "event time must be finite and >= 0"
+        );
+        let seq = self.seq;
         self.seq += 1;
+        // `+ 0.0` maps -0.0 to +0.0, whose bit pattern sorts first.
+        Reverse(Pending {
+            time: (time + 0.0).to_bits(),
+            seq,
+            customer,
+        })
     }
 
-    /// Pops the earliest event, if any.
-    pub(crate) fn pop(&mut self) -> Option<(f64, EventKind)> {
-        self.heap.pop().map(|s| (s.time, s.kind))
+    /// Schedules a think end or delay-station completion at `time`.
+    pub(crate) fn schedule_infinite(&mut self, time: f64, customer: usize) {
+        let p = self.pending(time, customer);
+        self.infinite.push(p);
     }
 
-    /// Number of pending events.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn len(&self) -> usize {
-        self.heap.len()
+    /// Schedules a service completion at a queueing station at `time`.
+    pub(crate) fn schedule_queueing(&mut self, time: f64, customer: usize) {
+        let p = self.pending(time, customer);
+        self.queueing.push(p);
     }
 
-    /// Whether no events are pending.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+    /// Pops the earliest event of either heap as `(time, customer)`.
+    pub(crate) fn pop(&mut self) -> Option<(f64, usize)> {
+        // Under `Reverse`, the greater head is the earlier event.
+        let heap = match (self.infinite.peek(), self.queueing.peek()) {
+            (Some(a), Some(b)) if b > a => &mut self.queueing,
+            (Some(_), _) => &mut self.infinite,
+            (None, _) => &mut self.queueing,
+        };
+        heap.pop()
+            .map(|Reverse(p)| (f64::from_bits(p.time), p.customer))
     }
 }
 
@@ -105,43 +86,45 @@ impl EventQueue {
 mod tests {
     use super::*;
 
+    fn drain(q: &mut EventQueue) -> Vec<(f64, usize)> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
+
     #[test]
-    fn pops_in_time_order() {
+    fn pops_in_time_order_across_heaps() {
         let mut q = EventQueue::new();
-        q.schedule(3.0, EventKind::ThinkDone { customer: 2 });
-        q.schedule(1.0, EventKind::CustomerArrives { customer: 0 });
-        q.schedule(2.0, EventKind::ThinkDone { customer: 1 });
-        let t1 = q.pop().unwrap();
-        let t2 = q.pop().unwrap();
-        let t3 = q.pop().unwrap();
-        assert_eq!(t1.0, 1.0);
-        assert_eq!(t2.0, 2.0);
-        assert_eq!(t3.0, 3.0);
+        q.schedule_infinite(3.0, 0);
+        q.schedule_queueing(1.5, 1);
+        q.schedule_infinite(1.0, 2);
+        q.schedule_queueing(4.0, 3);
+        q.schedule_queueing(2.0, 4);
+        q.schedule_infinite(0.0, 5);
+        q.schedule_queueing(-0.0, 6); // ties with 0.0, as the values do
+        assert_eq!(
+            drain(&mut q),
+            vec![
+                (0.0, 5),
+                (0.0, 6),
+                (1.0, 2),
+                (1.5, 1),
+                (2.0, 4),
+                (3.0, 0),
+                (4.0, 3)
+            ]
+        );
         assert!(q.pop().is_none());
     }
 
     #[test]
-    fn ties_break_by_insertion_order() {
+    fn ties_break_by_insertion_order_across_heaps() {
         let mut q = EventQueue::new();
-        q.schedule(5.0, EventKind::CustomerArrives { customer: 10 });
-        q.schedule(5.0, EventKind::CustomerArrives { customer: 11 });
-        q.schedule(5.0, EventKind::CustomerArrives { customer: 12 });
-        let order: Vec<usize> = (0..3)
-            .map(|_| match q.pop().unwrap().1 {
-                EventKind::CustomerArrives { customer } => customer,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(order, vec![10, 11, 12]);
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.schedule(1.0, EventKind::CustomerArrives { customer: 0 });
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
+        q.schedule_queueing(5.0, 10);
+        q.schedule_infinite(5.0, 11);
+        q.schedule_queueing(5.0, 12);
+        q.schedule_infinite(5.0, 13);
+        q.schedule_infinite(5.0, 14);
+        q.schedule_queueing(5.0, 15);
+        let order: Vec<usize> = drain(&mut q).into_iter().map(|(_, c)| c).collect();
+        assert_eq!(order, vec![10, 11, 12, 13, 14, 15]);
     }
 }

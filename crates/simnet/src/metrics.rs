@@ -1,6 +1,13 @@
 //! Measurement collection: steady-state accumulators (post-warm-up) plus the
 //! full-run time series used to reproduce the ramp-up transient of the
 //! paper's Fig. 1.
+//!
+//! Time integrals are kept per station and advanced lazily: the engine
+//! calls [`Accumulators::touch`] for a station just before its counts
+//! change, so an event costs at most two touches whatever the number of
+//! stations. Each station remembers which timeline bucket its last touch
+//! fell in and where that bucket ends; an interval that stays inside the
+//! bucket is one multiply-add with no division.
 
 /// Steady-state statistics of one station.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,9 +70,9 @@ pub struct SimReport {
     pub busy_series: Vec<Vec<f64>>,
     /// Width of the time-series buckets (seconds).
     pub bucket_width: f64,
-    /// Per-station server counts (`usize::MAX` = delay station), needed to
+    /// Per-station server counts (`None` = delay station), needed to
     /// normalize the busy series into utilizations.
-    pub station_servers: Vec<usize>,
+    pub station_servers: Vec<Option<usize>>,
     /// Raw post-warm-up response-time samples (for batch-means CIs).
     pub response_samples: Vec<f64>,
 }
@@ -92,14 +99,31 @@ impl SimReport {
     /// one per-server utilization value per time-series bucket (including
     /// the warm-up transient). Delay stations report mean jobs in service.
     pub fn utilization_timeline(&self, k: usize) -> Vec<f64> {
-        let servers = self.station_servers[k];
-        let denom = if servers == usize::MAX {
-            self.bucket_width
-        } else {
-            self.bucket_width * servers as f64
-        };
+        let denom = self.bucket_width * self.station_servers[k].map_or(1.0, |c| c as f64);
         self.busy_series[k].iter().map(|b| b / denom).collect()
     }
+}
+
+/// One station's live counts and integrals.
+#[derive(Debug, Clone)]
+pub(crate) struct StationAcc {
+    /// Busy servers right now (customers in service at a delay station).
+    pub busy: usize,
+    /// Customers at the station right now (queued + in service).
+    pub present: usize,
+    /// Time up to which this station's integrals are complete.
+    last: f64,
+    /// Timeline bucket that holds `last`, and that bucket's end.
+    bucket: usize,
+    bucket_end: f64,
+    /// Integral of busy servers over post-warm-up time.
+    pub busy_time: f64,
+    /// Integral of station population over post-warm-up time.
+    pub queue_time: f64,
+    /// Post-warm-up visit completions.
+    pub visits: u64,
+    /// Sum of per-visit sojourn (wait+service) post-warm-up.
+    pub visit_time_sum: f64,
 }
 
 /// Internal accumulator used by the engine.
@@ -107,19 +131,7 @@ impl SimReport {
 pub(crate) struct Accumulators {
     pub warmup: f64,
     pub horizon: f64,
-    pub last_time: f64,
-    /// Per-station busy server count right now.
-    pub busy: Vec<usize>,
-    /// Per-station customer count right now (queued + in service).
-    pub at_station: Vec<usize>,
-    /// Integral of busy servers over post-warm-up time.
-    pub busy_time: Vec<f64>,
-    /// Integral of station population over post-warm-up time.
-    pub queue_time: Vec<f64>,
-    /// Post-warm-up visit completions per station.
-    pub visits: Vec<u64>,
-    /// Sum of per-visit sojourn (wait+service) post-warm-up.
-    pub visit_time_sum: Vec<f64>,
+    pub stations: Vec<StationAcc>,
     /// Post-warm-up interaction completions.
     pub completions: u64,
     /// Sum of interaction response times post-warm-up.
@@ -137,16 +149,21 @@ pub(crate) struct Accumulators {
 impl Accumulators {
     pub(crate) fn new(k: usize, warmup: f64, horizon: f64, bucket_width: f64) -> Self {
         let buckets = (horizon / bucket_width).ceil() as usize + 1;
+        let station = StationAcc {
+            busy: 0,
+            present: 0,
+            last: 0.0,
+            bucket: 0,
+            bucket_end: bucket_width,
+            busy_time: 0.0,
+            queue_time: 0.0,
+            visits: 0,
+            visit_time_sum: 0.0,
+        };
         Self {
             warmup,
             horizon,
-            last_time: 0.0,
-            busy: vec![0; k],
-            at_station: vec![0; k],
-            busy_time: vec![0.0; k],
-            queue_time: vec![0.0; k],
-            visits: vec![0; k],
-            visit_time_sum: vec![0.0; k],
+            stations: vec![station; k],
             completions: 0,
             response_sum: 0.0,
             samples: Vec::new(),
@@ -157,40 +174,44 @@ impl Accumulators {
         }
     }
 
-    /// Advances the clock to `now`, accumulating time-weighted state over
-    /// the post-warm-up, pre-horizon part of the interval.
-    pub(crate) fn advance(&mut self, now: f64) {
-        let lo = self.last_time.max(self.warmup);
-        let hi = now.min(self.horizon);
-        if hi > lo {
-            let dt = hi - lo;
-            for k in 0..self.busy.len() {
-                self.busy_time[k] += dt * self.busy[k] as f64;
-                self.queue_time[k] += dt * self.at_station[k] as f64;
-            }
+    /// Brings station `k`'s integrals up to `now` (clipped at the horizon)
+    /// under its current counts. Call it before changing those counts.
+    pub(crate) fn touch(&mut self, k: usize, now: f64) {
+        let now = now.min(self.horizon);
+        let s = &mut self.stations[k];
+        let last = s.last;
+        if now <= last {
+            return;
         }
-        // Whole-run busy timeline (includes warm-up, clipped at horizon):
-        // split the interval across the buckets it spans.
-        let tl_lo = self.last_time.min(self.horizon);
-        let tl_hi = now.min(self.horizon);
-        if tl_hi > tl_lo {
-            let w = self.bucket_width;
-            let mut b = (tl_lo / w) as usize;
-            let last_bucket = self.bucket_busy.first().map(|v| v.len()).unwrap_or(0);
-            while b < last_bucket {
-                let b_start = b as f64 * w;
-                let b_end = b_start + w;
-                let overlap = tl_hi.min(b_end) - tl_lo.max(b_start);
-                if overlap <= 0.0 {
-                    break;
-                }
-                for k in 0..self.busy.len() {
-                    self.bucket_busy[k][b] += overlap * self.busy[k] as f64;
-                }
-                b += 1;
-            }
+        s.last = now;
+        let lo = last.max(self.warmup);
+        if now > lo {
+            let dt = now - lo;
+            s.busy_time += dt * s.busy as f64;
+            s.queue_time += dt * s.present as f64;
         }
-        self.last_time = now;
+        // Whole-run busy timeline (includes warm-up): split the interval
+        // across the buckets it spans.
+        let row = &mut self.bucket_busy[k];
+        let busy = s.busy as f64;
+        if now <= s.bucket_end {
+            if s.busy > 0 {
+                row[s.bucket] += (now - last) * busy;
+            }
+            return;
+        }
+        let w = self.bucket_width;
+        let b = ((now / w) as usize).clamp(s.bucket, row.len() - 1);
+        let b_start = b as f64 * w;
+        if s.busy > 0 {
+            row[s.bucket] += (s.bucket_end - last) * busy;
+            for full in row.iter_mut().take(b).skip(s.bucket + 1) {
+                *full += w * busy;
+            }
+            row[b] += (now - b_start.max(s.bucket_end)) * busy;
+        }
+        s.bucket = b;
+        s.bucket_end = b_start + w;
     }
 
     /// Records a completed interaction at time `t` with response `r`.
@@ -210,8 +231,9 @@ impl Accumulators {
     /// Records a completed station visit with sojourn `w` at time `t`.
     pub(crate) fn record_visit(&mut self, k: usize, t: f64, w: f64) {
         if t >= self.warmup && t <= self.horizon {
-            self.visits[k] += 1;
-            self.visit_time_sum[k] += w;
+            let s = &mut self.stations[k];
+            s.visits += 1;
+            s.visit_time_sum += w;
         }
     }
 }
@@ -221,17 +243,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn advance_respects_warmup_and_horizon() {
-        let mut a = Accumulators::new(1, 10.0, 100.0, 1.0);
-        a.busy[0] = 1;
-        a.at_station[0] = 2;
-        a.advance(5.0); // entirely inside warm-up: nothing accumulated
-        assert_eq!(a.busy_time[0], 0.0);
-        a.advance(20.0); // 10 post-warm-up seconds
-        assert!((a.busy_time[0] - 10.0).abs() < 1e-12);
-        assert!((a.queue_time[0] - 20.0).abs() < 1e-12);
-        a.advance(200.0); // clipped at horizon: 80 more seconds
-        assert!((a.busy_time[0] - 90.0).abs() < 1e-12);
+    fn touch_respects_warmup_horizon_and_buckets() {
+        let mut a = Accumulators::new(2, 10.0, 100.0, 2.5);
+        a.stations[0].busy = 1;
+        a.stations[0].present = 2;
+        a.touch(0, 1.0);
+        a.touch(0, 2.0); // same bucket: the cached end, no split
+        a.touch(0, 6.0); // crosses two boundaries
+        assert_eq!(a.stations[0].busy_time, 0.0); // all inside warm-up
+        a.stations[0].busy = 2;
+        a.touch(0, 20.0); // 10 post-warm-up seconds
+        assert!((a.stations[0].busy_time - 20.0).abs() < 1e-12);
+        assert!((a.stations[0].queue_time - 20.0).abs() < 1e-12);
+        a.touch(0, 200.0); // clipped at horizon: 80 more seconds
+        assert!((a.stations[0].busy_time - 180.0).abs() < 1e-12);
+        a.touch(1, 50.0); // idle station: nothing recorded
+
+        // The timeline covers the whole run, warm-up included.
+        let row = &a.bucket_busy[0];
+        let want = [2.5, 2.5, 1.0 + 3.0, 5.0, 5.0, 5.0, 5.0, 5.0];
+        for (b, w) in want.iter().enumerate() {
+            assert!((row[b] - w).abs() < 1e-12, "bucket {b}: {} vs {w}", row[b]);
+        }
+        assert!((row.iter().sum::<f64>() - 194.0).abs() < 1e-12);
+        assert!(a.bucket_busy[1].iter().all(|&b| b == 0.0));
     }
 
     #[test]
@@ -250,7 +285,7 @@ mod tests {
         let mut a = Accumulators::new(2, 0.0, 10.0, 1.0);
         a.record_visit(1, 5.0, 0.05);
         a.record_visit(1, 20.0, 0.05); // past horizon: ignored
-        assert_eq!(a.visits[1], 1);
-        assert_eq!(a.visits[0], 0);
+        assert_eq!(a.stations[1].visits, 1);
+        assert_eq!(a.stations[0].visits, 0);
     }
 }

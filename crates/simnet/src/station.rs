@@ -16,6 +16,16 @@ pub enum StationModel {
     Delay,
 }
 
+impl StationModel {
+    /// Server count of a queueing station; `None` for a delay station.
+    pub(crate) fn servers(&self) -> Option<usize> {
+        match self {
+            StationModel::Queueing { servers } => Some(*servers),
+            StationModel::Delay => None,
+        }
+    }
+}
+
 /// One simulated service station.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimStation {
@@ -172,8 +182,10 @@ mod tests {
         let s = SimStation::queueing("cpu", 8, 0.01);
         assert_eq!(s.demand(), 0.01);
         assert_eq!(s.model, StationModel::Queueing { servers: 8 });
+        assert_eq!(s.model.servers(), Some(8));
         let d = SimStation::delay("lan", 0.002);
         assert_eq!(d.model, StationModel::Delay);
+        assert_eq!(d.model.servers(), None);
     }
 
     #[test]
