@@ -6,11 +6,12 @@
 //! (contention-scaled 8-way CPU, RAID-pair disk, LAN delay, bonded NIC),
 //! plus two load-balancer stations at the root. The CPUs are genuinely
 //! load-dependent (sublinear core scaling), so the flat exact reference is
-//! the log-domain convolution solver — Algorithm 2 multi-server MVA cannot
-//! express these stations at all. Two cost models are compared:
+//! the log-domain convolution over their rate tables — a plain `C`-server
+//! queue cannot express these stations at all. Two cost models are
+//! compared:
 //!
-//! - `flat_exact_sweep/N` — [`ConvolutionSolver`] over all 122 flattened
-//!   stations: ~90 load-dependent factor columns, each O(n) per step.
+//! - `flat_exact_sweep/N` — [`MultiserverMvaSolver`] over all 122
+//!   flattened stations: ~90 load-dependent factor columns.
 //! - `aggregated_sweep/N` — [`HierarchicalSolver`] with plateau truncation:
 //!   every service and tier collapses into a flow-equivalent server whose
 //!   throughput profile saturates geometrically, so the root model carries
@@ -34,7 +35,7 @@ use mvasd_queueing::hierarchy::{
     AggregationOptions, HierarchicalNetwork, HierarchicalSolver, NetworkNode, ProfileCache,
     Subsystem,
 };
-use mvasd_queueing::mva::{ClosedSolver, ConvolutionSolver, MvaSolution};
+use mvasd_queueing::mva::{ClosedSolver, MultiserverMvaSolver, MvaSolution};
 use mvasd_queueing::network::Station;
 
 /// Truncation threshold for the aggregated solve: subsystem profiles stop
@@ -98,7 +99,7 @@ fn aggregated_sweep(net: &HierarchicalNetwork, cache: Option<Arc<ProfileCache>>,
 }
 
 fn flat_exact_sweep(net: &HierarchicalNetwork, n: usize) -> MvaSolution {
-    ConvolutionSolver::new(net.flatten())
+    MultiserverMvaSolver::new(net.flatten())
         .solve(n)
         .expect("flat exact sweep")
 }

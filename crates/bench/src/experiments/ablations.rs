@@ -11,7 +11,7 @@ use mvasd_core::designer::{design_levels, SamplingStrategy};
 use mvasd_core::extrapolation::CurveFitPredictor;
 use mvasd_core::profile::{DemandAxis, InterpolationKind, ServiceDemandProfile};
 use mvasd_queueing::mva::{
-    ClosedSolver, ExactMvaSolver, LoadDependentSolver, MultiserverMvaSolver, SchweitzerSolver,
+    ClosedSolver, ExactMvaSolver, LdStation, MultiserverMvaSolver, RateFunction, SchweitzerSolver,
 };
 use mvasd_queueing::network::{ClosedNetwork, Station};
 use mvasd_testbed::apps::jpetstore;
@@ -95,9 +95,15 @@ pub fn solvers(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     .expect("static model");
     let n_max = 300;
 
-    let reference = LoadDependentSolver::from_network(&net)
-        .solve(n_max)
-        .expect("reference");
+    let reference = MultiserverMvaSolver::from_stations(
+        vec![
+            LdStation::new("cpu16", 0.12, RateFunction::MultiServer(16)),
+            LdStation::new("disk", 0.006, RateFunction::SingleServer),
+        ],
+        1.0,
+    )
+    .solve(n_max)
+    .expect("reference");
 
     let contenders: Vec<(&str, Box<dyn ClosedSolver>)> = vec![
         (

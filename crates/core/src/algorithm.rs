@@ -431,28 +431,47 @@ mod tests {
 
     #[test]
     fn constant_profile_reduces_to_algorithm_2() {
-        // MVASD with a flat demand profile must equal exact multi-server MVA.
-        let samples = constant_samples(&[(16, 0.02), (1, 0.004)], 1.0);
-        let profile = ServiceDemandProfile::from_samples(
-            &samples,
-            InterpolationKind::CubicNotAKnot,
-            DemandAxis::Concurrency,
-        )
-        .unwrap();
-        let sd = mvasd(&profile, 300).unwrap();
+        // MVASD with a flat demand profile must equal exact multi-server
+        // MVA, also with hundreds or thousands of lightly loaded servers,
+        // where the carried recursion loses p(0) long before 50 % per-server
+        // utilization.
+        for (c, d, disk, n_max) in [
+            (16usize, 0.02, 0.004, 300usize),
+            (16, 0.5, 0.001, 600),
+            (32, 0.5, 0.001, 600),
+            (64, 0.5, 0.001, 600),
+            (256, 0.5, 0.001, 600),
+            (1024, 0.5, 0.001, 600),
+            (4096, 0.5, 0.001, 600),
+        ] {
+            let samples = constant_samples(&[(c, d), (1, disk)], 1.0);
+            let profile = ServiceDemandProfile::from_samples(
+                &samples,
+                InterpolationKind::CubicNotAKnot,
+                DemandAxis::Concurrency,
+            )
+            .unwrap();
+            let sd = mvasd(&profile, n_max).unwrap();
 
-        let net = ClosedNetwork::new(
-            vec![
-                Station::queueing("s0", 16, 1.0, 0.02),
-                Station::queueing("s1", 1, 1.0, 0.004),
-            ],
-            1.0,
-        )
-        .unwrap();
-        let a2 = multiserver_mva(&net, 300).unwrap();
-        for (ps, pa) in sd.points.iter().zip(a2.points.iter()) {
-            assert!(close(ps.throughput, pa.throughput, 1e-9), "n={}", ps.n);
-            assert!(close(ps.response, pa.response, 1e-9));
+            let net = ClosedNetwork::new(
+                vec![
+                    Station::queueing("s0", c, 1.0, d),
+                    Station::queueing("s1", 1, 1.0, disk),
+                ],
+                1.0,
+            )
+            .unwrap();
+            let a2 = multiserver_mva(&net, n_max).unwrap();
+            for (ps, pa) in sd.points.iter().zip(a2.points.iter()) {
+                assert!(
+                    close(ps.throughput, pa.throughput, 1e-9),
+                    "C={c} n={}: {} vs {}",
+                    ps.n,
+                    ps.throughput,
+                    pa.throughput
+                );
+                assert!(close(ps.response, pa.response, 1e-9), "C={c} n={}", ps.n);
+            }
         }
     }
 

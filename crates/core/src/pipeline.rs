@@ -39,6 +39,17 @@ pub enum SolverBackend {
     MvasdSchweitzer,
 }
 
+impl SolverBackend {
+    /// Wraps an interpolated demand profile in this backend's solver.
+    pub fn solver(self, profile: ServiceDemandProfile) -> Box<dyn ClosedSolver> {
+        match self {
+            SolverBackend::Mvasd => Box::new(MvasdSolver::new(profile)),
+            SolverBackend::MvasdSingleServer => Box::new(MvasdSingleServerSolver::new(profile)),
+            SolverBackend::MvasdSchweitzer => Box::new(MvasdSchweitzerSolver::new(profile)),
+        }
+    }
+}
+
 /// The Fig. 17 workflow configuration.
 ///
 /// ```
@@ -114,7 +125,8 @@ impl PredictionWorkflow {
     ) -> Result<(ServiceDemandProfile, MvaSolution), CoreError> {
         let profile = ServiceDemandProfile::from_samples(samples, self.interpolation, self.axis)?;
         let sol = self
-            .solver_for_profile(profile.clone())
+            .backend
+            .solver(profile.clone())
             .solve(n_max)
             .map_err(CoreError::from)?;
         Ok((profile, sol))
@@ -124,16 +136,7 @@ impl PredictionWorkflow {
     /// interpolation settings and backend.
     pub fn solver(&self, samples: &DemandSamples) -> Result<Box<dyn ClosedSolver>, CoreError> {
         let profile = ServiceDemandProfile::from_samples(samples, self.interpolation, self.axis)?;
-        Ok(self.solver_for_profile(profile))
-    }
-
-    /// Wraps an already-built profile in the configured backend.
-    pub fn solver_for_profile(&self, profile: ServiceDemandProfile) -> Box<dyn ClosedSolver> {
-        match self.backend {
-            SolverBackend::Mvasd => Box::new(MvasdSolver::new(profile)),
-            SolverBackend::MvasdSingleServer => Box::new(MvasdSingleServerSolver::new(profile)),
-            SolverBackend::MvasdSchweitzer => Box::new(MvasdSchweitzerSolver::new(profile)),
-        }
+        Ok(self.backend.solver(profile))
     }
 
     /// Runs **any** [`ClosedSolver`] as the workflow's Step 3 — the hook

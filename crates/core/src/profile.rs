@@ -122,6 +122,12 @@ impl DemandSamples {
                 });
             }
         }
+        // lint: float-eq-ok validation rejects the exact all-zero-demand, zero-think-time input
+        if self.think_time == 0.0 && self.demands.iter().flatten().all(|&d| d == 0.0) {
+            return Err(CoreError::InvalidParameter {
+                what: "network needs positive demand or think time",
+            });
+        }
         Ok(())
     }
 }
@@ -466,6 +472,32 @@ mod tests {
             DemandAxis::Concurrency
         )
         .is_err());
+
+        // All-zero demands with no think time: X = n/0 at every step.
+        let mut s = samples();
+        s.think_time = 0.0;
+        for row in &mut s.demands {
+            row.fill(0.0);
+        }
+        assert_eq!(
+            ServiceDemandProfile::from_samples(
+                &s,
+                InterpolationKind::Linear,
+                DemandAxis::Concurrency
+            )
+            .unwrap_err(),
+            CoreError::InvalidParameter {
+                what: "network needs positive demand or think time"
+            }
+        );
+        // Either one positive makes the model solvable again.
+        s.think_time = 1.0;
+        assert!(ServiceDemandProfile::from_samples(
+            &s,
+            InterpolationKind::Linear,
+            DemandAxis::Concurrency
+        )
+        .is_ok());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! lattice — single-class is literally the 1-class special case (bit-for-bit
 //! against the exact backend; see `tests/properties.rs`).
 
-use mvasd_queueing::mva::{ClosedSolver, MvaSolution, SolverIter};
+use mvasd_queueing::mva::{ClosedSolver, SolverIter};
 use mvasd_queueing::QueueingError;
 
 pub use mvasd_queueing::hierarchy::{
@@ -35,10 +35,7 @@ pub use mvasd_queueing::mva::{
     MulticlassSolution, MulticlassStepper, MulticlassWorkspace, Workload,
 };
 
-use crate::algorithm::{
-    mvasd, mvasd_schweitzer, mvasd_single_server, MvasdIter, MvasdSchweitzerIter,
-    MvasdSingleServerIter,
-};
+use crate::algorithm::{MvasdIter, MvasdSchweitzerIter, MvasdSingleServerIter};
 use crate::profile::ServiceDemandProfile;
 use crate::CoreError;
 
@@ -79,10 +76,6 @@ impl ClosedSolver for MvasdSolver {
     fn start(&self) -> Result<Box<dyn SolverIter>, QueueingError> {
         Ok(Box::new(MvasdIter::new(&self.profile)))
     }
-
-    fn solve(&self, n_max: usize) -> Result<MvaSolution, QueueingError> {
-        mvasd(&self.profile, n_max).map_err(QueueingError::from)
-    }
 }
 
 /// The paper's "MVASD: Single-Server" baseline: interpolated demands
@@ -106,10 +99,6 @@ impl ClosedSolver for MvasdSingleServerSolver {
 
     fn start(&self) -> Result<Box<dyn SolverIter>, QueueingError> {
         Ok(Box::new(MvasdSingleServerIter::new(&self.profile)))
-    }
-
-    fn solve(&self, n_max: usize) -> Result<MvaSolution, QueueingError> {
-        mvasd_single_server(&self.profile, n_max).map_err(QueueingError::from)
     }
 }
 
@@ -135,10 +124,6 @@ impl ClosedSolver for MvasdSchweitzerSolver {
 
     fn start(&self) -> Result<Box<dyn SolverIter>, QueueingError> {
         Ok(Box::new(MvasdSchweitzerIter::new(&self.profile)))
-    }
-
-    fn solve(&self, n_max: usize) -> Result<MvaSolution, QueueingError> {
-        mvasd_schweitzer(&self.profile, n_max).map_err(QueueingError::from)
     }
 }
 

@@ -4,10 +4,9 @@
 //! — "what if demands drop 10 %?", "what if we double the cores?", "where
 //! does the SLA break?" — and many of those questions share a model or need
 //! only a prefix of the population sweep. Because every solver in the
-//! workspace now exposes a resumable population iterator
-//! ([`SolverIter`](mvasd_queueing::mva::SolverIter)), a sweep engine can
-//! answer each question from the *longest already-computed prefix* instead
-//! of recomputing from population 1.
+//! workspace now exposes a resumable population iterator ([`SolverIter`]),
+//! a sweep engine can answer each question from the *longest
+//! already-computed prefix* instead of recomputing from population 1.
 //!
 //! [`ScenarioSweep`] groups scenarios by a fingerprint of the resolved
 //! model; scenarios that share a model share one iterator and its memoized
@@ -27,6 +26,7 @@ use std::sync::Mutex;
 
 use std::sync::Arc;
 
+use mvasd_numerics::pool::{effective_workers, scoped_indexed};
 use mvasd_obsv as obsv;
 use mvasd_queueing::hierarchy::{
     AggregationOptions, HierarchicalNetwork, HierarchicalSolver, ProfileCache,
@@ -39,14 +39,7 @@ use mvasd_queueing::QueueingError;
 
 use crate::pipeline::SolverBackend;
 use crate::profile::{DemandAxis, DemandSamples, InterpolationKind, ServiceDemandProfile};
-use crate::solver::{MvasdSchweitzerSolver, MvasdSingleServerSolver, MvasdSolver};
 use crate::CoreError;
-
-// The scoped pool itself lives in `mvasd_numerics::pool` so the queueing
-// layer (which `core` depends on) can fan out hierarchical sub-solves on
-// the same primitive. Re-exported here because this module is its
-// historical home and the testbed reaches it through this path.
-pub use mvasd_numerics::pool::{effective_workers, scoped_indexed, scoped_indexed_min_chunk};
 
 /// One what-if question over a base demand model: a model transform plus
 /// the conditions under which its sweep may stop early.
@@ -659,16 +652,7 @@ impl ScenarioSweep {
                                     self.interpolation,
                                     self.axis,
                                 )?;
-                                let solver: Box<dyn ClosedSolver> = match self.backend {
-                                    SolverBackend::Mvasd => Box::new(MvasdSolver::new(profile)),
-                                    SolverBackend::MvasdSingleServer => {
-                                        Box::new(MvasdSingleServerSolver::new(profile))
-                                    }
-                                    SolverBackend::MvasdSchweitzer => {
-                                        Box::new(MvasdSchweitzerSolver::new(profile))
-                                    }
-                                };
-                                (solver, None)
+                                (self.backend.solver(profile), None)
                             }
                             ResolvedModel::Hierarchy(solver) => (Box::new(solver.clone()), None),
                             ResolvedModel::Workload(workload) => (
@@ -758,7 +742,7 @@ impl ScenarioSweep {
         self.stats.steps_demanded += steps_demanded;
         self.stats.cache_hits += cache_hits;
         self.stats.cache_misses += cache_misses;
-        self.stats.pool_occupancy = effective_workers(groups.len(), self.parallelism, 1);
+        self.stats.pool_occupancy = effective_workers(groups.len(), self.parallelism);
         let mut sub_solves = 0usize;
         let mut sub_cache_hits = 0usize;
         if let (Some(before), BaseModel::Hierarchy { profiles, .. }) = (sub_before, &self.base) {
@@ -884,15 +868,6 @@ mod tests {
             levels: vec![1.0, 100.0, 300.0],
             demands: vec![vec![0.024, 0.021, 0.020], vec![0.012, 0.011, 0.0105]],
         }
-    }
-
-    #[test]
-    fn scoped_indexed_preserves_order() {
-        let out = scoped_indexed(16, 4, |i| i * i);
-        assert_eq!(out, (0..16).map(|i| i * i).collect::<Vec<_>>());
-        // Serial fast path.
-        assert_eq!(scoped_indexed(3, 1, |i| i + 1), vec![1, 2, 3]);
-        assert_eq!(scoped_indexed(0, 4, |i| i), Vec::<usize>::new());
     }
 
     #[test]

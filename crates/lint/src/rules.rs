@@ -822,7 +822,7 @@ fn check_kernel_ratchet(ctx: &Ctx, annotations: &[Annotation], out: &mut Vec<Fin
 
 /// Entry points that hand a closure to the worker pool; their closure
 /// arguments execute concurrently on arbitrary threads.
-const POOL_FNS: &[&str] = &["scoped_indexed", "scoped_indexed_min_chunk", "spawn"];
+const POOL_FNS: &[&str] = &["scoped_indexed", "spawn"];
 
 /// Methods that reach through interior mutability; inside a pool closure
 /// each call is a potential cross-task interference point.

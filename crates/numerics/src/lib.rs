@@ -38,10 +38,9 @@
 //!   policy: no `rand`).
 //! * [`propcheck`] — a small deterministic property-test harness (seeded
 //!   case generation, tape-based bounded shrinking) replacing `proptest`.
-//! * [`pool`] — scoped-thread indexed fan-out ([`pool::scoped_indexed`])
-//!   with a `min_chunk` worker-count heuristic; the shared parallel
-//!   substrate for scenario sweeps, testbed campaigns, and hierarchical
-//!   subsystem solves (zero-dependency policy: no `rayon`/`crossbeam`).
+//! * [`pool`] — scoped-thread indexed fan-out ([`pool::scoped_indexed`]);
+//!   the shared parallel substrate for scenario sweeps and testbed
+//!   campaigns (zero-dependency policy: no `rayon`/`crossbeam`).
 //!
 //! ## Quick example
 //!

@@ -7,14 +7,11 @@
 //! nothing else. Results travel through per-index slots, not a channel,
 //! which is what makes the reassembly order independent of scheduling.
 //!
-//! Worker-count policy ([`effective_workers`]): besides the obvious caps
-//! (`parallelism`, `count`), a `min_chunk` heuristic keeps tiny job lists
-//! from fanning out — spawning `count` threads for `count` microsecond
-//! jobs costs more than it saves. [`scoped_indexed`] uses `min_chunk = 1`
-//! (every job is assumed heavyweight: a whole model solve); callers with
-//! cheap jobs pick a larger chunk through [`scoped_indexed_min_chunk`].
-//! `count = 1` or `parallelism <= 1` always degenerates to a serial loop
-//! on the calling thread with zero spawn overhead.
+//! Worker-count policy ([`effective_workers`]): `parallelism` threads,
+//! capped by `count`. Every job is assumed heavyweight (a whole model
+//! solve or load-test level). `count = 1` or `parallelism <= 1` always
+//! degenerates to a serial loop on the calling thread with zero spawn
+//! overhead.
 //!
 //! # Deterministic interleaving explorer
 //!
@@ -39,13 +36,10 @@ thread_local! {
 }
 
 /// Number of worker threads a fan-out of `count` jobs will actually use:
-/// `parallelism`, capped by the job count and by the `min_chunk` heuristic
-/// (each worker should have at least `min_chunk` jobs' worth of work, so
-/// `count` jobs justify at most `count / min_chunk` threads). Never zero;
-/// a result of 1 means the serial path.
-pub fn effective_workers(count: usize, parallelism: usize, min_chunk: usize) -> usize {
-    let by_chunk = count / min_chunk.max(1);
-    parallelism.min(count).min(by_chunk).max(1)
+/// `parallelism`, capped by the job count. Never zero; a result of 1
+/// means the serial path.
+pub fn effective_workers(count: usize, parallelism: usize) -> usize {
+    parallelism.min(count).max(1)
 }
 
 /// Runs `job(0..count)` on a scoped thread pool and returns the results in
@@ -54,25 +48,8 @@ pub fn effective_workers(count: usize, parallelism: usize, min_chunk: usize) -> 
 /// the scope joins, exactly like a serial panic would.
 ///
 /// Jobs are assumed heavyweight (model solves, load campaigns): the pool
-/// fans out whenever `parallelism > 1` and `count > 1`. For cheap jobs use
-/// [`scoped_indexed_min_chunk`] so short lists stay serial.
+/// fans out whenever `parallelism > 1` and `count > 1`.
 pub fn scoped_indexed<T, F>(count: usize, parallelism: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    scoped_indexed_min_chunk(count, parallelism, 1, job)
-}
-
-/// [`scoped_indexed`] with an explicit `min_chunk`: at least `min_chunk`
-/// jobs per worker thread, so a list of a few cheap jobs runs serially
-/// instead of paying `count` thread spawns (see [`effective_workers`]).
-pub fn scoped_indexed_min_chunk<T, F>(
-    count: usize,
-    parallelism: usize,
-    min_chunk: usize,
-    job: F,
-) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -80,7 +57,7 @@ where
     if let Some(order) = SCHEDULE.with(|s| s.borrow().clone()) {
         return run_scheduled(count, &order, job);
     }
-    let workers = effective_workers(count, parallelism, min_chunk);
+    let workers = effective_workers(count, parallelism);
     if workers <= 1 {
         return (0..count).map(job).collect();
     }
@@ -149,9 +126,9 @@ impl Drop for ScheduleReset {
 
 /// Runs `f` with a forced task schedule: for the duration of the call,
 /// every pool dispatch on this thread executes serially in the given
-/// completion order (see [`run_scheduled`] for how the order is adapted
-/// to each dispatch's `count`). Returns `f`'s result; the schedule is
-/// cleared on exit, panic included.
+/// completion order. Order indices `>= count` and duplicates are skipped,
+/// and indices the order omits run afterwards, ascending. Returns `f`'s
+/// result; the schedule is cleared on exit, panic included.
 pub fn with_schedule<R>(order: &[usize], f: impl FnOnce() -> R) -> R {
     SCHEDULE.with(|s| *s.borrow_mut() = Some(order.to_vec()));
     let _reset = ScheduleReset;
@@ -235,30 +212,9 @@ mod tests {
         );
         let out: Vec<usize> = scoped_indexed(0, 8, |i| i);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn min_chunk_limits_worker_count() {
-        // 3 jobs, 8 threads requested, but each worker must own >= 4 jobs:
-        // serial.
-        assert_eq!(effective_workers(3, 8, 4), 1);
-        // 8 jobs / chunk 4 -> at most 2 workers.
-        assert_eq!(effective_workers(8, 8, 4), 2);
-        // Heavy jobs (chunk 1): capped only by count and parallelism.
-        assert_eq!(effective_workers(3, 8, 1), 3);
-        assert_eq!(effective_workers(100, 4, 1), 4);
-        // Degenerate requests still come back >= 1.
-        assert_eq!(effective_workers(0, 8, 4), 1);
-        assert_eq!(effective_workers(5, 0, 0), 1);
-    }
-
-    #[test]
-    fn min_chunk_variant_runs_serial_under_threshold() {
-        let caller = std::thread::current().id();
-        let out = scoped_indexed_min_chunk(3, 8, 4, |i| (i, std::thread::current().id()));
-        assert!(out.iter().all(|&(_, id)| id == caller));
-        let out = scoped_indexed_min_chunk(64, 4, 4, |i| i + 1);
-        assert_eq!(out, (1..=64).collect::<Vec<_>>());
+        // Degenerate requests still come back as one (serial) worker.
+        assert_eq!(effective_workers(0, 8), 1);
+        assert_eq!(effective_workers(5, 0), 1);
     }
 
     #[test]

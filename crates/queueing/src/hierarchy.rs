@@ -35,10 +35,10 @@ use std::sync::{Arc, Mutex};
 
 use mvasd_obsv as obsv;
 
-use crate::mva::convolution::{ConvStation, ConvWorkspace};
+use crate::mva::convolution::ConvWorkspace;
 use crate::mva::{
-    ClosedSolver, MulticlassIter, MvaPoint, MvaSolution, RateFunction, SolverIter, StationPoint,
-    Workload,
+    ClosedSolver, LdStation, MulticlassIter, MvaPoint, MvaSolution, RateFunction, SolverIter,
+    StationPoint, Workload,
 };
 use crate::network::{ClosedNetwork, Station, StationKind};
 use crate::QueueingError;
@@ -513,18 +513,14 @@ impl SubEngine {
 
     /// The flow-equivalent server for the current profile: demand
     /// `1/X(1)`, rate multipliers `X(j)/X(1)`.
-    fn fes_station(&self, name: &str) -> ConvStation {
+    fn fes_station(&self, name: &str) -> LdStation {
         let x1 = self
             .profile
             .first()
             .copied()
             .expect("profiles always hold X(1)");
         let table = self.profile.iter().map(|x| x / x1).collect();
-        ConvStation {
-            name: name.to_string(),
-            demand: 1.0 / x1,
-            rate: RateFunction::Custom(table),
-        }
+        LdStation::new(name, 1.0 / x1, RateFunction::Custom(table))
     }
 }
 
@@ -574,11 +570,7 @@ impl LevelEngine {
             offsets.push(width);
             match node {
                 NetworkNode::Station(s) => {
-                    conv.push(ConvStation {
-                        name: s.name.clone(),
-                        demand: s.demand(),
-                        rate: RateFunction::from(&s.kind),
-                    });
+                    conv.push(LdStation::from(s));
                     sources.push(Source::Leaf);
                     width += 1;
                 }
@@ -610,8 +602,8 @@ impl LevelEngine {
                 }
             }
         }
-        let limits = fes_limits(&conv, &sources, &subs);
-        let ws = ConvWorkspace::from_conv(conv, think_time, limits)?;
+        let limits = fes_limits(&sources, &subs);
+        let ws = ConvWorkspace::from_validated(conv, think_time, limits)?;
         Ok(Self {
             ws,
             subs,
@@ -689,8 +681,8 @@ impl LevelEngine {
                 Source::Sub(i) => conv.push(self.subs[*i].fes_station(&self.ws.stations()[k].name)),
             }
         }
-        let limits = fes_limits(&conv, &self.sources, &self.subs);
-        let mut ws = ConvWorkspace::from_conv(conv, think_time, limits)?;
+        let limits = fes_limits(&self.sources, &self.subs);
+        let mut ws = ConvWorkspace::from_validated(conv, think_time, limits)?;
         if self.reserved > 0 {
             ws.reserve(self.reserved);
         }
@@ -780,8 +772,8 @@ impl LevelEngine {
 /// Marginal limits for a level: flow-equivalent stations track their full
 /// occupancy distribution (`table_len + 1` states, occupancies `0..=len`);
 /// plain leaves track none.
-fn fes_limits(conv: &[ConvStation], sources: &[Source], subs: &[SubEngine]) -> Vec<usize> {
-    let mut limits = vec![0usize; conv.len()];
+fn fes_limits(sources: &[Source], subs: &[SubEngine]) -> Vec<usize> {
+    let mut limits = vec![0usize; sources.len()];
     for (limit, src) in limits.iter_mut().zip(sources) {
         if let Source::Sub(i) = src {
             *limit = subs[*i].profile.len() + 1;

@@ -13,10 +13,11 @@
 //!   [`mva::exact_mva`] (paper Algorithm 1), [`mva::schweitzer_mva`]
 //!   (eq. 9, with the Seidmann multi-server transform), and
 //!   [`mva::multiserver_mva`] (paper Algorithm 2) together with
-//!   [`mva::load_dependent_mva`] — both evaluated through Buzen's
-//!   normalization-constant algorithm in log-domain, the numerically
-//!   robust exact form (the naive marginal recursion diverges near
-//!   multi-server saturation; see the `multiserver` module docs). The
+//!   [`mva::load_dependent_mva`] — both drains of the one exact
+//!   single-class solver, [`mva::MultiserverMvaSolver`], which evaluates
+//!   Buzen's normalization-constant algorithm in log-domain, the
+//!   numerically robust exact form (the naive marginal recursion diverges
+//!   near multi-server saturation; see the `multiserver` module docs). The
 //!   shared stepping engine [`mva::PopulationRecursion`] powers MVASD, and
 //!   [`mva::multiclass_mva`] adds the exact multiclass extension. All of
 //!   them (and the MVASD variants and simulation estimator downstream) are

@@ -30,16 +30,19 @@
 //! partial convolutions, only for the stations whose queue or marginals
 //! need it.
 //!
-//! Every production path — batch [`solve`], the streaming [`ConvIter`],
-//! and the per-population `solve_at` of the quasi-static MVASD phase —
-//! runs on the incremental [`ConvWorkspace`] in [`workspace`]: carried
-//! log-domain columns extended one cell per population, flat pre-allocated
-//! buffers, O(1) telescoped updates for single-server stages and O(C)
-//! head-plus-geometric-tail cells for `C`-server and custom-rate stages.
-//! Per population that is `O(K·C)` work plus one O(n) complement cell per
-//! heavy station but the last. The pre-workspace from-scratch evaluation
-//! survives in [`scratch`] as the independent reference (propcheck oracle
-//! and benchmark baseline).
+//! Every production path — the streaming [`ConvIter`] behind
+//! `MultiserverMvaSolver` (and so the batch `multiserver_mva` and
+//! `load_dependent_mva`, which drain it), the marginal trace of
+//! `multiserver_mva_with_marginals`, the hierarchy levels and the
+//! per-population `solve_at` of the quasi-static MVASD phase — runs on the
+//! incremental [`ConvWorkspace`] in [`workspace`] over the one station
+//! type, [`LdStation`]: carried log-domain columns extended one cell per
+//! population, flat pre-allocated buffers, O(1) telescoped updates for
+//! single-server stages and O(C) head-plus-geometric-tail cells for
+//! `C`-server and custom-rate stages. Per population that is `O(K·C)` work
+//! plus one O(n) complement cell per heavy station but the last. The
+//! pre-workspace from-scratch evaluation survives in [`scratch`] as the
+//! independent reference (propcheck oracle and benchmark baseline).
 
 pub mod kernel;
 pub(crate) mod scratch;
@@ -48,43 +51,19 @@ pub(crate) mod workspace;
 pub use scratch::reference_solve_at;
 pub use workspace::ConvWorkspace;
 
-use super::loaddep::RateFunction;
+use super::loaddep::LdStation;
 use super::stepping::{MvaPoint, SolverIter};
-use super::{MvaSolution, PopulationPoint, StationPoint};
+use super::{PopulationPoint, StationPoint};
 use crate::QueueingError;
 use mvasd_obsv as obsv;
 use std::sync::Arc;
-
-/// One station of the convolution solver (internal normalized form).
-#[derive(Debug, Clone)]
-pub(crate) struct ConvStation {
-    pub name: String,
-    pub demand: f64,
-    pub rate: RateFunction,
-}
-
-/// Complete convolution solution of a closed network (full population
-/// series).
-#[derive(Debug, Clone)]
-pub(crate) struct ConvSolution {
-    /// Throughput per population `1..=N`.
-    pub x: Vec<f64>,
-    /// `queues[k][n-1]` = mean customers at station `k` with population `n`.
-    pub queues: Vec<Vec<f64>>,
-    /// `marginals[k][n-1][j]` = `p_k(j|n)` for `j = 0..limit_k` where
-    /// `limit_k` is the station's marginal-tracking limit (server count for
-    /// multi-server stations; empty otherwise). Only filled for stations
-    /// where `marginal_limit > 0`.
-    pub marginals: Vec<Vec<Vec<f64>>>,
-}
 
 /// Single-population solve result: `(X, per-station queues, per-station
 /// marginals p(0..limit−1 | n))`.
 pub type PointSolution = (f64, Vec<f64>, Vec<Vec<f64>>);
 
 /// [`SolverIter`] over the incremental convolution workspace — the
-/// streaming backend behind the multiserver, load-dependent, and
-/// convolution solvers.
+/// streaming backend of `MultiserverMvaSolver`.
 #[derive(Debug, Clone)]
 pub(crate) struct ConvIter {
     ws: ConvWorkspace,
@@ -92,18 +71,15 @@ pub(crate) struct ConvIter {
 }
 
 impl ConvIter {
-    pub(crate) fn new(
-        stations: Vec<ConvStation>,
-        think_time: f64,
-        marginal_limits: Vec<usize>,
-    ) -> Result<Self, QueueingError> {
+    /// Streams validated stations; tracks no marginals.
+    pub(crate) fn new(stations: Vec<LdStation>, think_time: f64) -> Result<Self, QueueingError> {
         let names: Arc<[String]> = stations
             .iter()
             .map(|s| s.name.clone())
             .collect::<Vec<_>>()
             .into();
         Ok(Self {
-            ws: ConvWorkspace::from_conv(stations, think_time, marginal_limits)?,
+            ws: ConvWorkspace::from_validated(stations, think_time, Vec::new())?,
             names,
         })
     }
@@ -126,13 +102,7 @@ impl SolverIter for ConvIter {
         let _span = obsv::span("convolution.step");
         obsv::counter("solver.steps", 1);
         self.ws.advance()?;
-        Ok(point_at(
-            self.ws.stations(),
-            self.ws.think_time(),
-            self.ws.population(),
-            self.ws.throughput(),
-            self.ws.queues(),
-        ))
+        Ok(point_at(&self.ws))
     }
 
     fn boxed_clone(&self) -> Box<dyn SolverIter> {
@@ -140,55 +110,17 @@ impl SolverIter for ConvIter {
     }
 }
 
-/// Solves the network exactly for all populations `1..=n_max` by draining
-/// an incremental [`ConvWorkspace`]. `n_max = 0` yields an empty solution.
-///
-/// `marginal_limits[k]` requests the first `limit` marginal probabilities
-/// `p_k(0..limit−1 | n)` per population (0 = skip).
-pub(crate) fn solve(
-    stations: &[ConvStation],
-    think_time: f64,
-    n_max: usize,
-    marginal_limits: &[usize],
-) -> Result<ConvSolution, QueueingError> {
-    let k_count = stations.len();
-    let mut ws = ConvWorkspace::from_conv(stations.to_vec(), think_time, marginal_limits.to_vec())?;
-    ws.reserve(n_max);
-    let mut x = Vec::with_capacity(n_max);
-    let mut queues = vec![Vec::with_capacity(n_max); k_count];
-    let mut marginals: Vec<Vec<Vec<f64>>> = (0..k_count).map(|_| Vec::new()).collect();
-    for _ in 0..n_max {
-        ws.advance()?;
-        x.push(ws.throughput());
-        for (k, q) in queues.iter_mut().enumerate() {
-            q.push(ws.queues()[k]);
-            if marginal_limits.get(k).copied().unwrap_or(0) > 0 {
-                marginals[k].push(ws.marginals_of(k).to_vec());
-            }
-        }
-    }
-    Ok(ConvSolution {
-        x,
-        queues,
-        marginals,
-    })
-}
-
-/// Shapes one population's convolution output into a [`PopulationPoint`].
-/// Shared by the batch assembly and the streaming [`ConvIter`] so both
-/// paths produce identical floats.
-pub(crate) fn point_at(
-    stations: &[ConvStation],
-    think_time: f64,
-    n: usize,
-    x: f64,
-    queues: &[f64],
-) -> PopulationPoint {
-    let station_points = stations
+/// Shapes the workspace's last population into a [`PopulationPoint`].
+/// Shared by the streaming [`ConvIter`] and the marginal-tracing batch
+/// solve so both produce identical floats.
+pub(crate) fn point_at(ws: &ConvWorkspace) -> PopulationPoint {
+    let x = ws.throughput();
+    let queues = ws.queues();
+    let station_points = ws
+        .stations()
         .iter()
-        .enumerate()
-        .map(|(k, s)| {
-            let queue = queues[k];
+        .zip(queues)
+        .map(|(s, &queue)| {
             let utilization = match s.rate.max_rate() {
                 Some(mr) => x * s.demand / mr,
                 None => x * s.demand,
@@ -202,53 +134,45 @@ pub(crate) fn point_at(
         .collect();
     let response: f64 = queues.iter().sum::<f64>() / if x > 0.0 { x } else { 1.0 };
     PopulationPoint {
-        n,
+        n: ws.population(),
         throughput: x,
         response,
-        cycle_time: response + think_time,
+        cycle_time: response + ws.think_time(),
         stations: station_points,
-    }
-}
-
-/// Assembles an [`MvaSolution`] from a convolution solve.
-pub(crate) fn to_mva_solution(
-    stations: &[ConvStation],
-    think_time: f64,
-    sol: &ConvSolution,
-) -> MvaSolution {
-    let n_max = sol.x.len();
-    let mut points = Vec::with_capacity(n_max);
-    let mut queues = vec![0.0f64; stations.len()];
-    for n in 1..=n_max {
-        for (k, q) in sol.queues.iter().enumerate() {
-            queues[k] = q[n - 1];
-        }
-        points.push(point_at(stations, think_time, n, sol.x[n - 1], &queues));
-    }
-    MvaSolution {
-        station_names: stations
-            .iter()
-            .map(|s| s.name.clone())
-            .collect::<Vec<_>>()
-            .into(),
-        points,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mva::RateFunction;
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() <= tol
     }
 
-    fn st(name: &str, demand: f64, rate: RateFunction) -> ConvStation {
-        ConvStation {
-            name: name.into(),
-            demand,
-            rate,
-        }
+    fn st(name: &str, demand: f64, rate: RateFunction) -> LdStation {
+        LdStation::new(name, demand, rate)
+    }
+
+    /// `(X, queues, marginals)` at every population `1..=n_max` of one
+    /// workspace stepped up from population 0.
+    fn series(
+        stations: &[LdStation],
+        z: f64,
+        n_max: usize,
+        limits: &[usize],
+    ) -> Vec<PointSolution> {
+        let mut ws = ConvWorkspace::new(stations, z, limits).unwrap();
+        (0..n_max)
+            .map(|_| {
+                ws.advance().unwrap();
+                let marginals = (0..stations.len())
+                    .map(|k| ws.marginals_of(k).to_vec())
+                    .collect();
+                (ws.throughput(), ws.queues().to_vec(), marginals)
+            })
+            .collect()
     }
 
     #[test]
@@ -262,13 +186,13 @@ mod tests {
             (16, 0.16, 1.0, 1500),
         ] {
             let stations = vec![st("s", d, RateFunction::MultiServer(c))];
-            let sol = solve(&stations, z, n_max, &[c]).unwrap();
+            let sol = series(&stations, z, n_max, &[c]);
             for n in 1..=n_max {
                 let (xe, qe) = mvasd_numerics::erlang::machine_repair(n, c, d, z).unwrap();
-                let x = sol.x[n - 1];
+                let x = sol[n - 1].0;
                 assert!(close(x, xe, 1e-9 * xe.max(1.0)), "c={c} n={n}: {x} vs {xe}");
                 assert!(
-                    close(sol.queues[0][n - 1], qe, 1e-7 * qe.max(1.0)),
+                    close(sol[n - 1].1[0], qe, 1e-7 * qe.max(1.0)),
                     "queue c={c} n={n}"
                 );
             }
@@ -282,10 +206,10 @@ mod tests {
             st("disk", 0.002, RateFunction::SingleServer),
             st("lan", 0.001, RateFunction::Delay),
         ];
-        let sol = solve(&stations, 1.0, 300, &[0, 0, 0]).unwrap();
+        let sol = series(&stations, 1.0, 300, &[0, 0, 0]);
         for n in 1..=300usize {
-            let at_stations: f64 = (0..3).map(|k| sol.queues[k][n - 1]).sum();
-            let thinking = sol.x[n - 1] * 1.0;
+            let at_stations: f64 = sol[n - 1].1.iter().sum();
+            let thinking = sol[n - 1].0 * 1.0;
             assert!(
                 close(at_stations + thinking, n as f64, 1e-6 * n as f64),
                 "n={n}: {} + {}",
@@ -301,24 +225,24 @@ mod tests {
             st("cpu", 0.16, RateFunction::MultiServer(16)),
             st("disk", 0.004, RateFunction::SingleServer),
         ];
-        let sol = solve(&stations, 1.0, 1500, &[0, 0]).unwrap();
+        let sol = series(&stations, 1.0, 1500, &[0, 0]);
         let cap = (16.0 / 0.16f64).min(1.0 / 0.004);
         let mut prev = 0.0;
-        for (i, &x) in sol.x.iter().enumerate() {
+        for (i, &(x, _, _)) in sol.iter().enumerate() {
             assert!(x <= cap + 1e-9, "n={}: {x} > {cap}", i + 1);
             assert!(x >= prev - 1e-9, "monotonicity at n={}", i + 1);
             prev = x;
         }
-        assert!(sol.x[1499] > 0.999 * cap);
+        assert!(sol[1499].0 > 0.999 * cap);
     }
 
     #[test]
     fn marginals_are_probabilities_and_match_busy_identity() {
         let c = 8;
         let stations = vec![st("cpu", 0.08, RateFunction::MultiServer(c))];
-        let sol = solve(&stations, 0.5, 120, &[c]).unwrap();
+        let sol = series(&stations, 0.5, 120, &[c]);
         for n in 1..=120usize {
-            let snap = &sol.marginals[0][n - 1];
+            let snap = &sol[n - 1].2[0];
             let mass: f64 = snap.iter().sum();
             assert!((0.0..=1.0 + 1e-9).contains(&mass));
             // E[min(Q,C)] = X·D (busy-server identity), where
@@ -329,7 +253,7 @@ mod tests {
                 .map(|(j, p)| j as f64 * p)
                 .sum::<f64>()
                 + c as f64 * (1.0 - mass);
-            let u = sol.x[n - 1] * 0.08;
+            let u = sol[n - 1].0 * 0.08;
             assert!(close(e_busy, u, 1e-8 * u.max(1e-12)), "n={n}");
         }
     }
@@ -341,16 +265,17 @@ mod tests {
             st("disk", 0.01, RateFunction::SingleServer),
         ];
         let demands = [0.03, 0.01];
-        let full = solve(&stations, 1.0, 150, &[4, 1]).unwrap();
-        let mut ws = ConvWorkspace::from_conv(stations.clone(), 1.0, vec![4, 1]).unwrap();
+        let full = series(&stations, 1.0, 150, &[4, 1]);
+        let mut ws = ConvWorkspace::new(&stations, 1.0, &[4, 1]).unwrap();
         for n in [1usize, 17, 80, 150] {
             ws.solve_at(n, &demands).unwrap();
             let x = ws.throughput();
-            assert!(close(x, full.x[n - 1], 1e-12 * x));
-            assert!(close(ws.queues()[0], full.queues[0][n - 1], 1e-9));
-            assert!(close(ws.queues()[1], full.queues[1][n - 1], 1e-9));
+            let (xf, qf, mf) = &full[n - 1];
+            assert!(close(x, *xf, 1e-12 * x));
+            assert!(close(ws.queues()[0], qf[0], 1e-9));
+            assert!(close(ws.queues()[1], qf[1], 1e-9));
             for (j, mv) in ws.marginals_of(0).iter().enumerate().take(4) {
-                assert!(close(*mv, full.marginals[0][n - 1][j], 1e-10));
+                assert!(close(*mv, mf[0][j], 1e-10));
             }
         }
     }
@@ -358,9 +283,9 @@ mod tests {
     #[test]
     fn zero_think_time_supported() {
         let stations = vec![st("s", 0.1, RateFunction::SingleServer)];
-        let sol = solve(&stations, 0.0, 50, &[0]).unwrap();
+        let sol = series(&stations, 0.0, 50, &[0]);
         // Batch network: X = 1/D for every n >= 1 (single station).
-        for &x in &sol.x {
+        for &(x, _, _) in &sol {
             assert!(close(x, 10.0, 1e-9));
         }
     }
@@ -372,81 +297,65 @@ mod tests {
             st("ghost", 0.0, RateFunction::SingleServer),
         ];
         let without = vec![st("s", 0.1, RateFunction::SingleServer)];
-        let a = solve(&with, 1.0, 60, &[0, 0]).unwrap();
-        let b = solve(&without, 1.0, 60, &[0]).unwrap();
+        let a = series(&with, 1.0, 60, &[0, 0]);
+        let b = series(&without, 1.0, 60, &[0]);
         for n in 0..60 {
-            assert!(close(a.x[n], b.x[n], 1e-12));
-            assert!(close(a.queues[1][n], 0.0, 1e-12));
+            assert!(close(a[n].0, b[n].0, 1e-12));
+            assert!(close(a[n].1[1], 0.0, 1e-12));
         }
     }
 
     #[test]
     fn rejects_bad_inputs() {
-        assert!(solve(&[], 1.0, 10, &[]).is_err());
+        assert!(ConvWorkspace::new(&[], 1.0, &[]).is_err());
         let s = vec![st("s", 0.1, RateFunction::SingleServer)];
-        // Zero population is a valid (empty) sweep for the series solve…
-        let empty = solve(&s, 1.0, 0, &[0]).unwrap();
-        assert!(empty.x.is_empty());
-        assert_eq!(empty.queues.len(), 1);
-        // …but meaningless for a single-point solve.
-        let mut ws = ConvWorkspace::from_conv(s, 1.0, vec![0]).unwrap();
+        // Zero population is meaningless for a single-point solve.
+        let mut ws = ConvWorkspace::new(&s, 1.0, &[0]).unwrap();
         assert!(ws.solve_at(0, &[0.1]).is_err());
     }
 
     #[test]
-    fn streaming_iterator_matches_batch_bit_for_bit() {
+    fn streaming_iterator_matches_the_workspace_and_resumes_bit_for_bit() {
         let stations = vec![
             st("cpu", 0.03, RateFunction::MultiServer(4)),
             st("disk", 0.01, RateFunction::SingleServer),
             st("lan", 0.005, RateFunction::Delay),
         ];
-        let batch = to_mva_solution(
-            &stations,
-            0.7,
-            &solve(&stations, 0.7, 120, &[0, 0, 0]).unwrap(),
-        );
-        let mut it = ConvIter::new(stations, 0.7, vec![0, 0, 0]).unwrap();
-        let streamed = it.drain(120).unwrap();
-        assert_eq!(batch, streamed);
+        let mut ws = ConvWorkspace::new(&stations, 0.7, &[]).unwrap();
+        let mut it = ConvIter::new(stations, 0.7).unwrap();
+        let mut streamed = Vec::new();
+        for _ in 0..120 {
+            ws.advance().unwrap();
+            let p = it.step().unwrap();
+            assert_eq!(p, point_at(&ws));
+            streamed.push(p);
+        }
 
         // Snapshot mid-sweep, resume, and land on the same floats.
-        let mut it2 = streamed_iter_to(60, &batch);
+        let mut it2 = ConvIter::new(ws.stations().to_vec(), 0.7).unwrap();
+        for _ in 0..60 {
+            it2.step().unwrap();
+        }
         let snap = it2.snapshot();
         let tail_direct = it2.drain(120).unwrap();
         let tail_resumed = snap.resume().drain(120).unwrap();
         assert_eq!(tail_direct, tail_resumed);
-        assert_eq!(&batch.points[60..], tail_direct.points.as_slice());
-    }
-
-    /// A ConvIter stepped to population `n` over the same model as
-    /// `streaming_iterator_matches_batch_bit_for_bit`.
-    fn streamed_iter_to(n: usize, reference: &MvaSolution) -> ConvIter {
-        let stations = vec![
-            st("cpu", 0.03, RateFunction::MultiServer(4)),
-            st("disk", 0.01, RateFunction::SingleServer),
-            st("lan", 0.005, RateFunction::Delay),
-        ];
-        let mut it = ConvIter::new(stations, 0.7, vec![0, 0, 0]).unwrap();
-        for i in 0..n {
-            let p = it.step().unwrap();
-            assert_eq!(p, reference.points[i]);
-        }
-        it
+        assert_eq!(&streamed[60..], tail_direct.points.as_slice());
     }
 
     #[test]
     fn custom_rate_function_supported() {
         // A "2.5-way effective" station: rates 1, 1.8, 2.5 then flat.
         let stations = vec![st("s", 0.1, RateFunction::Custom(vec![1.0, 1.8, 2.5]))];
-        let sol = solve(&stations, 0.2, 200, &[0]).unwrap();
+        let sol = series(&stations, 0.2, 200, &[0]);
         let cap = 2.5 / 0.1;
         let mut prev = 0.0;
-        for &x in &sol.x {
+        for &(x, _, _) in &sol {
             assert!(x <= cap + 1e-9);
             assert!(x >= prev - 1e-9);
             prev = x;
         }
-        assert!(sol.x[199] > 0.99 * cap);
+        assert!(sol[199].0 > 0.99 * cap);
     }
 
     #[test]
@@ -456,10 +365,10 @@ mod tests {
             st("tiny", 1e-5, RateFunction::SingleServer),
             st("lan", 0.5, RateFunction::Delay),
         ];
-        let sol = solve(&stations, 1.5, 50, &[0, 0]).unwrap();
+        let sol = series(&stations, 1.5, 50, &[0, 0]);
         for n in 1..=50usize {
             let expect = n as f64 / 2.0; // ~ n/(1.5 + 0.5)
-            let x = sol.x[n - 1];
+            let x = sol[n - 1].0;
             assert!((x - expect).abs() < 0.02 * expect, "n={n}: {x} vs {expect}");
         }
     }
@@ -469,9 +378,9 @@ mod tests {
         // Zⁿ/n! for n = 3000 spans hundreds of orders of magnitude; the
         // log-domain evaluation must sail through.
         let stations = vec![st("s", 0.01, RateFunction::SingleServer)];
-        let sol = solve(&stations, 10.0, 3000, &[0]).unwrap();
-        assert!(sol.x[2999].is_finite());
-        assert!(sol.x[2999] <= 100.0 + 1e-6);
-        assert!(sol.x[2999] > 99.0);
+        let x = series(&stations, 10.0, 3000, &[0])[2999].0;
+        assert!(x.is_finite());
+        assert!(x <= 100.0 + 1e-6);
+        assert!(x > 99.0);
     }
 }

@@ -13,8 +13,8 @@
 //!    speedup against exactly this per-step path (the pre-workspace cost
 //!    model), so the recorded ratio is honest.
 
-use super::super::loaddep::{validated_conv_stations, LdStation, RateFunction};
-use super::{ConvStation, PointSolution};
+use super::super::loaddep::{validate_stations, LdStation, RateFunction};
+use super::PointSolution;
 use crate::QueueingError;
 
 /// `ln Σ exp(aᵢ)` over the pairwise products of a convolution cell:
@@ -91,7 +91,7 @@ fn log_think_factors(z: f64, n_max: usize) -> Vec<f64> {
 /// Solves only the top population `n`, rebuilding everything from scratch.
 /// This is the pre-workspace quasi-static path, verbatim.
 pub(crate) fn solve_at(
-    stations: &[ConvStation],
+    stations: &[LdStation],
     think_time: f64,
     n: usize,
     marginal_limits: &[usize],
@@ -171,20 +171,16 @@ pub fn reference_solve_at(
     n: usize,
     marginal_limits: &[usize],
 ) -> Result<PointSolution, QueueingError> {
-    let conv = validated_conv_stations(stations, think_time)?;
-    solve_at(&conv, think_time, n, marginal_limits)
+    validate_stations(stations, think_time)?;
+    solve_at(stations, think_time, n, marginal_limits)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn st(name: &str, demand: f64, rate: RateFunction) -> ConvStation {
-        ConvStation {
-            name: name.into(),
-            demand,
-            rate,
-        }
+    fn st(name: &str, demand: f64, rate: RateFunction) -> LdStation {
+        LdStation::new(name, demand, rate)
     }
 
     #[test]

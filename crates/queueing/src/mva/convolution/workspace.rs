@@ -69,9 +69,8 @@
 //! [`advance`]: ConvWorkspace::advance
 //! [`solve_at`]: ConvWorkspace::solve_at
 
-use super::super::loaddep::{validated_conv_stations, LdStation, RateFunction};
+use super::super::loaddep::{validate_stations, LdStation, RateFunction};
 use super::kernel::{self, lse2};
-use super::ConvStation;
 use crate::QueueingError;
 use mvasd_obsv as obsv;
 
@@ -181,7 +180,7 @@ const IS_STAGE: usize = 0;
 /// which is what makes solver snapshots cheap.
 #[derive(Debug, Clone)]
 pub struct ConvWorkspace {
-    stations: Vec<ConvStation>,
+    stations: Vec<LdStation>,
     think_time: f64,
     limits: Vec<usize>,
 
@@ -263,12 +262,14 @@ impl ConvWorkspace {
         think_time: f64,
         marginal_limits: &[usize],
     ) -> Result<Self, QueueingError> {
-        let conv = validated_conv_stations(stations, think_time)?;
-        Self::from_conv(conv, think_time, marginal_limits.to_vec())
+        validate_stations(stations, think_time)?;
+        Self::from_validated(stations.to_vec(), think_time, marginal_limits.to_vec())
     }
 
-    pub(crate) fn from_conv(
-        stations: Vec<ConvStation>,
+    /// [`new`](Self::new) over stations the caller already validated (or
+    /// built valid by construction); only an empty list is rejected.
+    pub(crate) fn from_validated(
+        stations: Vec<LdStation>,
         think_time: f64,
         mut limits: Vec<usize>,
     ) -> Result<Self, QueueingError> {
@@ -359,7 +360,7 @@ impl ConvWorkspace {
     }
 
     /// The model's stations (names, current demands, rates).
-    pub(crate) fn stations(&self) -> &[ConvStation] {
+    pub(crate) fn stations(&self) -> &[LdStation] {
         &self.stations
     }
 
@@ -765,7 +766,7 @@ impl ConvWorkspace {
 
 /// Whether a station joins the merged infinite-server stage 0: a delay
 /// station that tracks no marginals.
-fn folds_into_stage_0(s: &ConvStation, limit: usize) -> bool {
+fn folds_into_stage_0(s: &LdStation, limit: usize) -> bool {
     matches!(s.rate, RateFunction::Delay) && limit == 0
 }
 
@@ -807,16 +808,12 @@ mod tests {
     use super::*;
     use mvasd_numerics::propcheck::{check, Config, Gen};
 
-    fn st(name: &str, demand: f64, rate: RateFunction) -> ConvStation {
-        ConvStation {
-            name: name.into(),
-            demand,
-            rate,
-        }
+    fn st(name: &str, demand: f64, rate: RateFunction) -> LdStation {
+        LdStation::new(name, demand, rate)
     }
 
-    fn ws_of(stations: &[ConvStation], z: f64, limits: &[usize]) -> ConvWorkspace {
-        ConvWorkspace::from_conv(stations.to_vec(), z, limits.to_vec()).unwrap()
+    fn ws_of(stations: &[LdStation], z: f64, limits: &[usize]) -> ConvWorkspace {
+        ConvWorkspace::from_validated(stations.to_vec(), z, limits.to_vec()).unwrap()
     }
 
     fn rel_close(a: f64, b: f64, tol: f64) -> bool {
@@ -993,7 +990,7 @@ mod tests {
                 if z <= 0.0 && stations.iter().all(|s| s.demand <= 0.0) {
                     return;
                 }
-                let mut ws = ConvWorkspace::from_conv(stations.clone(), z, limits.clone())
+                let mut ws = ConvWorkspace::from_validated(stations.clone(), z, limits.clone())
                     .expect("valid network");
 
                 // A random walk of population requests over one workspace:
@@ -1028,7 +1025,7 @@ mod tests {
     /// queues, 1e-12 (absolute) on marginals.
     fn assert_matches_scratch(
         ws: &ConvWorkspace,
-        stations: &[ConvStation],
+        stations: &[LdStation],
         z: f64,
         n: usize,
         limits: &[usize],
@@ -1063,7 +1060,7 @@ mod tests {
     /// bottleneck tail drifts past the queue bar without column scaling.
     #[test]
     fn deep_saturating_populations_match_scratch() {
-        let cases: Vec<(&str, Vec<ConvStation>, f64, Vec<usize>)> = vec![
+        let cases: Vec<(&str, Vec<LdStation>, f64, Vec<usize>)> = vec![
             (
                 "cpu16+disk",
                 vec![
@@ -1168,7 +1165,7 @@ mod tests {
     #[test]
     fn rejects_bad_requests() {
         assert!(matches!(
-            ConvWorkspace::from_conv(Vec::new(), 1.0, Vec::new()),
+            ConvWorkspace::from_validated(Vec::new(), 1.0, Vec::new()),
             Err(QueueingError::EmptyNetwork)
         ));
         let stations = vec![st("s", 0.1, RateFunction::SingleServer)];

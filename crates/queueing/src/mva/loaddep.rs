@@ -2,11 +2,12 @@
 //!
 //! The textbook-exact treatment of stations whose service *rate* depends on
 //! the local queue length. A multi-server station is the special case
-//! `rate(j) = min(j, C)`, which makes this solver the gold standard the
-//! paper's Algorithm 2 is validated against in the tests and ablation
-//! benches. The paper mentions exactly this capability existing in JMT ("a
-//! load-dependent array of service demands has been proposed and
-//! implemented in … JMT [17]").
+//! `rate(j) = min(j, C)`, so paper Algorithm 2 is this model with every
+//! station lowered from its kind ([`LdStation`]'s `From<&Station>`), and
+//! one solver serves both (`MultiserverMvaSolver::new` and
+//! `::from_stations`). The paper mentions exactly this capability
+//! existing in JMT ("a load-dependent array of service demands has been
+//! proposed and implemented in … JMT [17]").
 //!
 //! The evaluation goes through the normalization-constant (convolution)
 //! route in log-domain (see [`super::convolution`] internals): the naive
@@ -20,11 +21,10 @@
 //! paper's MVASD models *demand* dependence on the **global** population,
 //! which is a different (and weaker-studied) axis — see `mvasd-core`.
 
-use crate::network::StationKind;
+use crate::network::{Station, StationKind};
 use crate::QueueingError;
 
-use super::convolution::{solve, to_mva_solution, ConvStation};
-use super::MvaSolution;
+use super::{ClosedSolver, MultiserverMvaSolver, MvaSolution};
 
 /// How a station's aggregate service rate scales with its queue length.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,13 +119,21 @@ impl LdStation {
     }
 }
 
-/// Validates a load-dependent model and lowers it to the convolution
-/// layer's station form. Shared by the batch solve and the streaming
-/// solver entry point.
-pub(crate) fn validated_conv_stations(
+/// The one lowering of a network station onto the load-dependent model:
+/// demand `V·S`, rate function from its kind.
+impl From<&Station> for LdStation {
+    fn from(s: &Station) -> Self {
+        LdStation::new(&s.name, s.demand(), RateFunction::from(&s.kind))
+    }
+}
+
+/// Checks a load-dependent model: at least one station, finite
+/// non-negative demands and think time, valid rate functions, and some
+/// positive demand or think time.
+pub(crate) fn validate_stations(
     stations: &[LdStation],
     think_time: f64,
-) -> Result<Vec<ConvStation>, QueueingError> {
+) -> Result<(), QueueingError> {
     if stations.is_empty() {
         return Err(QueueingError::EmptyNetwork);
     }
@@ -148,18 +156,12 @@ pub(crate) fn validated_conv_stations(
             what: "network needs positive demand or think time",
         });
     }
-    Ok(stations
-        .iter()
-        .map(|s| ConvStation {
-            name: s.name.clone(),
-            demand: s.demand,
-            rate: s.rate.clone(),
-        })
-        .collect())
+    Ok(())
 }
 
-/// Runs exact load-dependent analysis up to population `n_max`.
-/// `n_max = 0` yields an empty solution (the model is still validated).
+/// Runs exact load-dependent analysis up to population `n_max` (a drain
+/// of [`MultiserverMvaSolver::from_stations`]). `n_max = 0` yields an
+/// empty solution (the model is still validated).
 ///
 /// Complexity `O(N · K · C + N² · H)` log-sum-exp terms and `O(N · K)`
 /// memory, with `C` the largest saturation index (server count or custom
@@ -172,10 +174,7 @@ pub fn load_dependent_mva(
     think_time: f64,
     n_max: usize,
 ) -> Result<MvaSolution, QueueingError> {
-    let conv = validated_conv_stations(stations, think_time)?;
-    let limits = vec![0usize; conv.len()];
-    let sol = solve(&conv, think_time, n_max, &limits)?;
-    Ok(to_mva_solution(&conv, think_time, &sol))
+    MultiserverMvaSolver::from_stations(stations.to_vec(), think_time).solve(n_max)
 }
 
 #[cfg(test)]

@@ -28,10 +28,7 @@ pub use multiserver::{
     multiserver_mva, multiserver_mva_with_marginals, MarginalTrace, PopulationRecursion,
 };
 pub use schweitzer::{schweitzer_mva, SchweitzerIter, SchweitzerOptions};
-pub use solver::{
-    ClosedSolver, ConvolutionSolver, ExactMvaSolver, LoadDependentSolver, MultiserverMvaSolver,
-    SchweitzerSolver,
-};
+pub use solver::{ClosedSolver, ExactMvaSolver, MultiserverMvaSolver, SchweitzerSolver};
 pub use stepping::{
     run_until, MvaPoint, RunOutcome, SolverIter, SolverState, StopCondition, StopReason,
 };

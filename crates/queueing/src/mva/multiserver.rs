@@ -50,9 +50,9 @@ use mvasd_numerics::dd::Dd;
 use crate::network::{ClosedNetwork, StationKind};
 use crate::QueueingError;
 
-use super::convolution::{solve, to_mva_solution, ConvStation, ConvWorkspace};
-use super::loaddep::RateFunction;
-use super::MvaSolution;
+use super::convolution::{point_at, ConvWorkspace};
+use super::loaddep::{LdStation, RateFunction};
+use super::{ClosedSolver, MultiserverMvaSolver, MvaSolution};
 
 /// Snapshot history of the marginal queue-length probabilities of one
 /// station (the entries that drive the eq. 10 correction).
@@ -77,25 +77,11 @@ impl MarginalTrace {
     }
 }
 
-pub(crate) fn conv_stations(net: &ClosedNetwork) -> Vec<ConvStation> {
-    net.stations()
-        .iter()
-        .map(|s| ConvStation {
-            name: s.name.clone(),
-            demand: s.demand(),
-            rate: RateFunction::from(&s.kind),
-        })
-        .collect()
-}
-
-/// Runs exact multi-server MVA (paper Algorithm 2) up to `n_max`. The
-/// series is produced by draining the incremental convolution state (see
-/// [`super::convolution`]); `n_max = 0` yields an empty solution.
+/// Runs exact multi-server MVA (paper Algorithm 2) up to `n_max` (a drain
+/// of [`MultiserverMvaSolver`], which streams the incremental convolution
+/// state of [`ConvWorkspace`]). `n_max = 0` yields an empty solution.
 pub fn multiserver_mva(net: &ClosedNetwork, n_max: usize) -> Result<MvaSolution, QueueingError> {
-    let conv = conv_stations(net);
-    let limits = vec![0usize; conv.len()];
-    let sol = solve(&conv, net.think_time(), n_max, &limits)?;
-    Ok(to_mva_solution(&conv, net.think_time(), &sol))
+    MultiserverMvaSolver::new(net.clone()).solve(n_max)
 }
 
 /// As [`multiserver_mva`], additionally recording the marginal-probability
@@ -112,19 +98,37 @@ pub fn multiserver_mva_with_marginals(
             what: "trace station index out of range",
         });
     }
-    let conv = conv_stations(net);
-    let mut limits = vec![0usize; conv.len()];
-    limits[trace_station] = match &net.stations()[trace_station].kind {
+    let limit = match &net.stations()[trace_station].kind {
         StationKind::Queueing { servers } => *servers,
         StationKind::Delay => 0,
         // Track the whole occupancy table of an aggregated station.
         StationKind::LoadDependent { rates } => rates.len(),
     };
-    let sol = solve(&conv, net.think_time(), n_max, &limits)?;
-    let history = sol.marginals[trace_station].clone();
-    let mva = to_mva_solution(&conv, net.think_time(), &sol);
+    let stations: Vec<LdStation> = net.stations().iter().map(LdStation::from).collect();
+    let mut limits = vec![0usize; stations.len()];
+    limits[trace_station] = limit;
+    let mut ws = ConvWorkspace::from_validated(stations, net.think_time(), limits)?;
+    ws.reserve(n_max);
+    let mut points = Vec::with_capacity(n_max);
+    let mut history = Vec::new();
+    for _ in 0..n_max {
+        ws.advance()?;
+        points.push(point_at(&ws));
+        if limit > 0 {
+            history.push(ws.marginals_of(trace_station).to_vec());
+        }
+    }
+    let station_names = net
+        .stations()
+        .iter()
+        .map(|s| s.name.clone())
+        .collect::<Vec<_>>()
+        .into();
     Ok((
-        mva,
+        MvaSolution {
+            station_names,
+            points,
+        },
         MarginalTrace {
             station: trace_station,
             history,
@@ -132,14 +136,23 @@ pub fn multiserver_mva_with_marginals(
     ))
 }
 
-/// Per-server utilization above which a multi-server station is considered
-/// at risk of entering the unstable region of the carried marginal
-/// recursion; the [`PopulationRecursion`] switches to quasi-static
-/// convolution evaluation from the first step where any station crosses it.
-/// Well inside the provably contractive regime (instability has only been
-/// observed from ≈ 0.9 upward; the carried state at the switch is accurate
-/// to ~1e-28).
+/// Per-server utilization `X·D/C` above which a multi-server station is
+/// considered at risk of entering the unstable region of the carried
+/// marginal recursion near the knee (instability has only been observed
+/// from ≈ 0.9 upward). The [`PopulationRecursion`] switches to quasi-static
+/// convolution evaluation from the first step where any station crosses
+/// it or [`QUASI_STATIC_BUSY_CAP`]. Utilization alone does not make a step
+/// safe: many lightly loaded servers break the closure too.
 const QUASI_STATIC_SWITCH: f64 = 0.5;
+
+/// Mean busy-server count `X·D` above which the carried recursion is
+/// unsafe at any utilization. The busy-server closure leaves
+/// `p(0) ≈ e^{−X·D}` as a difference of `O(1)` terms, so double-double
+/// state (≈ 1e-32) holds it to about `1e-32·e^{X·D}` relative: ~1e-28 at
+/// 8 busy servers, pure noise past ≈ 74. A station with `C ≤ 16` has more
+/// than 8 busy servers only past 50 % utilization, so the cap changes
+/// nothing there; at `C = 256` the 50 % rule alone would carry up to 128.
+const QUASI_STATIC_BUSY_CAP: f64 = 8.0;
 
 /// Shared population-stepping engine of Algorithms 2 and 3.
 ///
@@ -149,8 +162,8 @@ const QUASI_STATIC_SWITCH: f64 = 0.5;
 /// (Algorithm 3), which is how `mvasd-core` uses this type.
 ///
 /// Internally it runs the exact carried recursion (double-double state)
-/// while every multi-server station's utilization stays below
-/// [`QUASI_STATIC_SWITCH`], then switches permanently to per-step
+/// while every multi-server station stays below 50 % per-server
+/// utilization and 8 busy servers, then switches permanently to per-step
 /// quasi-static convolution solves: each step is solved as a constant-
 /// demand network frozen at that step's demand array — the numerically
 /// robust reading of the same algorithm, and the semantically right one
@@ -234,12 +247,15 @@ impl PopulationRecursion {
         let x = (r_total + self.think_time).recip_mul(n as f64);
 
         // Check the stability envelope before committing this step: if any
-        // multi-server station is past the switch utilization, redo the
-        // step quasi-statically and stay there.
+        // multi-server station is past the switch utilization or busy-server
+        // cap, redo the step quasi-statically and stay there.
         for k in 0..k_count {
             let c = self.servers[k];
-            if c != usize::MAX && c > 1 && x.to_f64() * demands[k] / c as f64 > QUASI_STATIC_SWITCH
-            {
+            if c == usize::MAX || c <= 1 {
+                continue;
+            }
+            let busy = x.to_f64() * demands[k];
+            if busy / c as f64 > QUASI_STATIC_SWITCH || busy > QUASI_STATIC_BUSY_CAP {
                 self.quasi_static = true;
                 return self.quasi_static_step(n, demands);
             }
@@ -276,19 +292,18 @@ impl PopulationRecursion {
     /// changes rebuild the carried columns from population 0).
     fn quasi_static_step(&mut self, n: usize, demands: &[f64]) -> (f64, f64, Vec<f64>) {
         if self.ws.is_none() {
-            let conv: Vec<ConvStation> = self
+            let stations: Vec<LdStation> = self
                 .servers
                 .iter()
                 .zip(demands.iter())
                 .enumerate()
-                .map(|(k, (&c, &d))| ConvStation {
-                    name: format!("s{k}"),
-                    demand: d,
-                    rate: match c {
+                .map(|(k, (&c, &d))| {
+                    let rate = match c {
                         usize::MAX => RateFunction::Delay,
                         1 => RateFunction::SingleServer,
                         c => RateFunction::MultiServer(c),
-                    },
+                    };
+                    LdStation::new(&format!("s{k}"), d, rate)
                 })
                 .collect();
             let limits: Vec<usize> = self
@@ -297,7 +312,7 @@ impl PopulationRecursion {
                 .map(|&c| if c != usize::MAX && c > 1 { c } else { 0 })
                 .collect();
             self.ws = Some(
-                ConvWorkspace::from_conv(conv, self.think_time, limits)
+                ConvWorkspace::from_validated(stations, self.think_time, limits)
                     .expect("quasi-static workspace over a validated network"),
             );
         }
@@ -339,7 +354,7 @@ impl PopulationRecursion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mva::{exact_mva, load_dependent_mva, LdStation};
+    use crate::mva::{exact_mva, load_dependent_mva};
     use crate::network::Station;
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
@@ -425,30 +440,32 @@ mod tests {
 
     #[test]
     fn agrees_with_load_dependent_gold_standard() {
-        // Both go through the same convolution machinery now; this guards
-        // the station-kind translation.
+        // Both constructors stream the same convolution engine; this guards
+        // the station-kind lowering on every kind: multi-server,
+        // single-server, delay and rate-table stations.
         let net = ClosedNetwork::new(
             vec![
                 Station::queueing("cpu16", 16, 1.0, 0.02),
                 Station::queueing("disk", 1, 1.0, 0.002),
+                Station::delay("lan", 1.0, 0.003),
+                Station::load_dependent("pool", 1.0, 0.004, vec![1.0, 1.8, 2.5]),
             ],
             1.0,
         )
         .unwrap();
-        let a2 = multiserver_mva(&net, 800).unwrap();
-        let ld = load_dependent_mva(
-            &[
-                LdStation::new("cpu16", 0.02, RateFunction::MultiServer(16)),
-                LdStation::new("disk", 0.002, RateFunction::SingleServer),
-            ],
-            1.0,
-            800,
-        )
-        .unwrap();
-        for (pa, pl) in a2.points.iter().zip(ld.points.iter()) {
-            let rel = (pa.throughput - pl.throughput).abs() / pl.throughput;
-            assert!(rel < 1e-12, "n={}", pa.n);
-        }
+        let stations = vec![
+            LdStation::new("cpu16", 0.02, RateFunction::MultiServer(16)),
+            LdStation::new("disk", 0.002, RateFunction::SingleServer),
+            LdStation::new("lan", 0.003, RateFunction::Delay),
+            LdStation::new("pool", 0.004, RateFunction::Custom(vec![1.0, 1.8, 2.5])),
+        ];
+        let a2 = MultiserverMvaSolver::new(net.clone()).solve(800).unwrap();
+        let ld = MultiserverMvaSolver::from_stations(stations.clone(), 1.0)
+            .solve(800)
+            .unwrap();
+        assert_eq!(a2, ld);
+        assert_eq!(multiserver_mva(&net, 800).unwrap(), a2);
+        assert_eq!(load_dependent_mva(&stations, 1.0, 800).unwrap(), ld);
     }
 
     #[test]

@@ -21,11 +21,10 @@
 
 use super::convolution::ConvIter;
 use super::exact::ExactMvaIter;
-use super::loaddep::validated_conv_stations;
-use super::multiserver::conv_stations;
+use super::loaddep::validate_stations;
 use super::schweitzer::SchweitzerIter;
 use super::stepping::SolverIter;
-use super::{LdStation, MvaSolution, RateFunction, SchweitzerOptions};
+use super::{LdStation, MvaSolution, SchweitzerOptions};
 use crate::network::ClosedNetwork;
 use crate::QueueingError;
 
@@ -109,16 +108,38 @@ impl ClosedSolver for ExactMvaSolver {
     }
 }
 
-/// Exact multi-server MVA (paper Algorithm 2) over a static network.
+/// The exact single-class solver: Buzen's log-domain convolution over
+/// load-dependent stations (see [`ConvWorkspace`](super::ConvWorkspace)).
+///
+/// [`new`](Self::new) is paper Algorithm 2 over a static network;
+/// [`from_stations`](Self::from_stations) is the load-dependent MVA the
+/// paper credits to JMT, over explicit rate functions. Both lower to the
+/// same stations and stream the same engine, so a network and its
+/// hand-written lowering give bit-identical solutions.
 #[derive(Debug, Clone)]
 pub struct MultiserverMvaSolver {
-    net: ClosedNetwork,
+    stations: Vec<LdStation>,
+    think_time: f64,
 }
 
 impl MultiserverMvaSolver {
-    /// Binds the solver to a network.
+    /// Paper Algorithm 2: binds the solver to a network, each station
+    /// lowered to its rate function (one server → `SingleServer`, `C`
+    /// servers → `MultiServer(C)`, delay → `Delay`, rate table → `Custom`).
     pub fn new(net: ClosedNetwork) -> Self {
-        Self { net }
+        Self::from_stations(
+            net.stations().iter().map(LdStation::from).collect(),
+            net.think_time(),
+        )
+    }
+
+    /// Exact load-dependent MVA over explicit stations. The model is
+    /// validated at [`start`](ClosedSolver::start).
+    pub fn from_stations(stations: Vec<LdStation>, think_time: f64) -> Self {
+        Self {
+            stations,
+            think_time,
+        }
     }
 }
 
@@ -128,85 +149,10 @@ impl ClosedSolver for MultiserverMvaSolver {
     }
 
     fn start(&self) -> Result<Box<dyn SolverIter>, QueueingError> {
-        let conv = conv_stations(&self.net);
-        let limits = vec![0usize; conv.len()];
+        validate_stations(&self.stations, self.think_time)?;
         Ok(Box::new(ConvIter::new(
-            conv,
-            self.net.think_time(),
-            limits,
-        )?))
-    }
-}
-
-/// Exact load-dependent MVA over arbitrary per-station rate functions.
-#[derive(Debug, Clone)]
-pub struct LoadDependentSolver {
-    stations: Vec<LdStation>,
-    think_time: f64,
-}
-
-impl LoadDependentSolver {
-    /// Binds the solver to explicit load-dependent stations.
-    pub fn new(stations: Vec<LdStation>, think_time: f64) -> Self {
-        Self {
-            stations,
-            think_time,
-        }
-    }
-
-    /// Derives the rate functions from a static network (single-server /
-    /// multi-server / delay stations).
-    pub fn from_network(net: &ClosedNetwork) -> Self {
-        let stations = net
-            .stations()
-            .iter()
-            .map(|s| LdStation::new(&s.name, s.demand(), RateFunction::from(&s.kind)))
-            .collect();
-        Self {
-            stations,
-            think_time: net.think_time(),
-        }
-    }
-}
-
-impl ClosedSolver for LoadDependentSolver {
-    fn name(&self) -> &str {
-        "load-dependent-mva"
-    }
-
-    fn start(&self) -> Result<Box<dyn SolverIter>, QueueingError> {
-        let conv = validated_conv_stations(&self.stations, self.think_time)?;
-        let limits = vec![0usize; conv.len()];
-        Ok(Box::new(ConvIter::new(conv, self.think_time, limits)?))
-    }
-}
-
-/// Buzen's convolution (normalization-constant) algorithm in log-domain,
-/// driven directly rather than through the load-dependent MVA wrapper.
-#[derive(Debug, Clone)]
-pub struct ConvolutionSolver {
-    net: ClosedNetwork,
-}
-
-impl ConvolutionSolver {
-    /// Binds the solver to a network.
-    pub fn new(net: ClosedNetwork) -> Self {
-        Self { net }
-    }
-}
-
-impl ClosedSolver for ConvolutionSolver {
-    fn name(&self) -> &str {
-        "convolution"
-    }
-
-    fn start(&self) -> Result<Box<dyn SolverIter>, QueueingError> {
-        let conv = conv_stations(&self.net);
-        let limits = vec![0usize; conv.len()];
-        Ok(Box::new(ConvIter::new(
-            conv,
-            self.net.think_time(),
-            limits,
+            self.stations.clone(),
+            self.think_time,
         )?))
     }
 }
@@ -249,7 +195,7 @@ impl ClosedSolver for SchweitzerSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mva::exact_mva;
+    use crate::mva::{exact_mva, RateFunction};
     use crate::network::Station;
 
     fn single_server_net() -> ClosedNetwork {
@@ -267,8 +213,13 @@ mod tests {
         vec![
             Box::new(ExactMvaSolver::new(net.clone())),
             Box::new(MultiserverMvaSolver::new(net.clone())),
-            Box::new(LoadDependentSolver::from_network(net)),
-            Box::new(ConvolutionSolver::new(net.clone())),
+            Box::new(MultiserverMvaSolver::from_stations(
+                vec![
+                    LdStation::new("cpu", 0.01, RateFunction::SingleServer),
+                    LdStation::new("disk", 0.016, RateFunction::SingleServer),
+                ],
+                0.5,
+            )),
         ]
     }
 
@@ -340,28 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn multiserver_network_through_trait() {
-        let net = ClosedNetwork::new(
-            vec![
-                Station::queueing("cpu4", 4, 1.0, 0.02),
-                Station::queueing("disk", 1, 1.0, 0.006),
-            ],
-            1.0,
-        )
-        .unwrap();
-        let ms = MultiserverMvaSolver::new(net.clone()).solve(60).unwrap();
-        let ld = LoadDependentSolver::from_network(&net).solve(60).unwrap();
-        let cv = ConvolutionSolver::new(net).solve(60).unwrap();
-        for n in 1..=60 {
-            let a = ms.at(n).unwrap().throughput;
-            let b = ld.at(n).unwrap().throughput;
-            let c = cv.at(n).unwrap().throughput;
-            assert!((a - b).abs() < 1e-8, "ms vs ld at {n}");
-            assert!((b - c).abs() < 1e-12, "ld vs conv at {n}");
-        }
-    }
-
-    #[test]
     fn names_are_stable() {
         let net = single_server_net();
         assert_eq!(ExactMvaSolver::new(net.clone()).name(), "exact-mva");
@@ -369,17 +298,12 @@ mod tests {
             MultiserverMvaSolver::new(net.clone()).name(),
             "multiserver-mva"
         );
-        assert_eq!(
-            LoadDependentSolver::from_network(&net).name(),
-            "load-dependent-mva"
-        );
-        assert_eq!(ConvolutionSolver::new(net.clone()).name(), "convolution");
         assert_eq!(SchweitzerSolver::new(net).name(), "schweitzer-mva");
     }
 
     #[test]
     fn invalid_models_fail_at_start() {
-        let bad = LoadDependentSolver::new(
+        let bad = MultiserverMvaSolver::from_stations(
             vec![LdStation::new("s", 0.1, RateFunction::MultiServer(0))],
             1.0,
         );

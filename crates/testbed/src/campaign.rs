@@ -5,14 +5,14 @@
 //! monitor utilizations, and extract per-level service demands with the
 //! Service Demand Law. Levels are independent, so the campaign fans out
 //! across the workspace-wide scoped work queue
-//! ([`mvasd_core::sweep::scoped_indexed`]). A panic inside one level's
+//! ([`mvasd_numerics::pool::scoped_indexed`]). A panic inside one level's
 //! load test is caught and surfaced as [`TestbedError::WorkerPanic`]
 //! instead of aborting the whole campaign.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use mvasd_core::sweep::scoped_indexed;
+use mvasd_numerics::pool::scoped_indexed;
 use mvasd_obsv as obsv;
 
 use crate::apps::AppModel;

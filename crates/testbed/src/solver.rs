@@ -2,8 +2,9 @@
 //!
 //! [`SimSolver`] sweeps a [`SimNetwork`] over populations `1..=n_max`
 //! (one independent seeded run per population) and reshapes the reports
-//! into the same [`MvaSolution`] the analytic solvers return, so simulation
-//! ground truth drops into every comparison pipeline unchanged.
+//! into the same [`MvaSolution`](mvasd_queueing::mva::MvaSolution) the
+//! analytic solvers return, so simulation ground truth drops into every
+//! comparison pipeline unchanged.
 //!
 //! The streaming face ([`SimIter`]) runs one simulation per `step()`;
 //! because each population's seed is a pure function of the base seed,

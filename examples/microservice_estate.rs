@@ -13,7 +13,7 @@ use mvasd_suite::queueing::hierarchy::{
     AggregationOptions, HierarchicalNetwork, HierarchicalSolver, NetworkNode, ProfileCache,
     Subsystem,
 };
-use mvasd_suite::queueing::mva::{ClosedSolver, ConvolutionSolver};
+use mvasd_suite::queueing::mva::{ClosedSolver, MultiserverMvaSolver};
 use mvasd_suite::queueing::network::Station;
 
 /// One microservice: a contention-scaled 4-way CPU, a disk, and a LAN
@@ -77,7 +77,7 @@ fn main() {
 
     // The flat exact reference: the identical 62-station product-form
     // network, solved station-by-station through log-domain convolution.
-    let flat = ConvolutionSolver::new(net.flatten())
+    let flat = MultiserverMvaSolver::new(net.flatten())
         .solve(300)
         .expect("flat exact solve");
 

@@ -12,8 +12,8 @@ use mvasd_suite::queueing::hierarchy::{
 };
 use mvasd_suite::queueing::mva::{
     exact_mva, load_dependent_mva, multiclass_mva, multiserver_mva, schweitzer_mva, ClassSpec,
-    ClosedSolver, ConvolutionSolver, ExactMvaSolver, LdStation, LoadDependentSolver, MomSolver,
-    MultiserverMvaSolver, RateFunction, SchweitzerOptions, SchweitzerSolver,
+    ClosedSolver, ExactMvaSolver, LdStation, MomSolver, MultiserverMvaSolver, RateFunction,
+    SchweitzerOptions, SchweitzerSolver,
 };
 use mvasd_suite::queueing::network::{ClosedNetwork, Station, StationKind};
 use mvasd_suite::queueing::open::solve_open;
@@ -222,8 +222,13 @@ fn every_closed_solver_agrees_with_exact_mva_through_the_trait() {
     let exact_family: Vec<Box<dyn ClosedSolver>> = vec![
         Box::new(ExactMvaSolver::new(net.clone())),
         Box::new(MultiserverMvaSolver::new(net.clone())),
-        Box::new(LoadDependentSolver::from_network(&net)),
-        Box::new(ConvolutionSolver::new(net.clone())),
+        Box::new(MultiserverMvaSolver::from_stations(
+            vec![
+                LdStation::new("a", 0.01, RateFunction::SingleServer),
+                LdStation::new("b", 0.016, RateFunction::SingleServer),
+            ],
+            0.5,
+        )),
         Box::new(HierarchicalSolver::new(hier)),
         Box::new(MvasdSolver::new(profile.clone())),
         Box::new(MvasdSingleServerSolver::new(profile.clone())),

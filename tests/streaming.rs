@@ -1,7 +1,8 @@
 //! Cross-backend streaming guarantees: every solver in the workspace —
-//! the five static MVA solvers, the three MVASD variants, the
-//! hierarchical Norton-aggregation solver, and the discrete-event
-//! estimator — exposes a resumable population iterator
+//! the three static MVA solvers (the exact one through both its
+//! constructors), the three MVASD variants, the hierarchical
+//! Norton-aggregation solver, and the discrete-event estimator — exposes
+//! a resumable population iterator
 //! whose stream is bit-for-bit the batch solution, survives
 //! snapshot/restore mid-sweep, and treats `n_max = 0` as an empty (but
 //! validated) sweep. Also proves the early-exit and warm-restart savings
@@ -17,9 +18,9 @@ use mvasd_suite::queueing::hierarchy::{
     AggregationOptions, HierarchicalNetwork, HierarchicalSolver, Subsystem,
 };
 use mvasd_suite::queueing::mva::{
-    load_dependent_mva, run_until, ClassSpec, ClosedSolver, ConvWorkspace, ConvolutionSolver,
-    ExactMvaSolver, LdStation, LoadDependentSolver, MomSolver, MulticlassMvaSolver,
-    MultiserverMvaSolver, RateFunction, SchweitzerSolver, StopCondition, StopReason, Workload,
+    load_dependent_mva, run_until, ClassSpec, ClosedSolver, ConvWorkspace, ExactMvaSolver,
+    LdStation, MomSolver, MulticlassMvaSolver, MultiserverMvaSolver, RateFunction,
+    SchweitzerSolver, StopCondition, StopReason, Workload,
 };
 use mvasd_suite::queueing::network::{ClosedNetwork, Station, StationKind};
 use mvasd_suite::simnet::{Distribution, SimConfig, SimNetwork, SimStation};
@@ -91,7 +92,17 @@ fn hierarchical_network() -> HierarchicalNetwork {
     .unwrap()
 }
 
-/// All ten backends, each paired with a population depth that keeps the
+/// The `network()` stations as load-dependent ones, with a sublinear
+/// rate-table CPU in place of the 4-server queue.
+fn ld_stations() -> Vec<LdStation> {
+    vec![
+        LdStation::new("cpu", 0.020, RateFunction::Custom(vec![1.0, 1.9, 2.7, 3.4])),
+        LdStation::new("disk", 0.012, RateFunction::SingleServer),
+        LdStation::new("lan", 0.004, RateFunction::Delay),
+    ]
+}
+
+/// Every backend, each paired with a population depth that keeps the
 /// suite fast (the DES backend runs one simulation per step).
 fn all_backends() -> Vec<(Box<dyn ClosedSolver>, usize)> {
     let net = network();
@@ -101,8 +112,10 @@ fn all_backends() -> Vec<(Box<dyn ClosedSolver>, usize)> {
             60,
         ),
         (Box::new(MultiserverMvaSolver::new(net.clone())), 60),
-        (Box::new(ConvolutionSolver::new(net.clone())), 60),
-        (Box::new(LoadDependentSolver::from_network(&net)), 60),
+        (
+            Box::new(MultiserverMvaSolver::from_stations(ld_stations(), 1.0)),
+            60,
+        ),
         (Box::new(SchweitzerSolver::new(net)), 60),
         (Box::new(MvasdSolver::new(profile())), 60),
         (Box::new(MvasdSingleServerSolver::new(profile())), 60),
@@ -116,7 +129,7 @@ fn all_backends() -> Vec<(Box<dyn ClosedSolver>, usize)> {
 }
 
 #[test]
-fn streaming_equals_batch_for_all_ten_backends() {
+fn streaming_equals_batch_for_every_backend() {
     for (solver, depth) in all_backends() {
         let batch = solver.solve(depth).unwrap();
         assert_eq!(batch.points.len(), depth, "{}", solver.name());
@@ -492,8 +505,6 @@ fn property_streaming_equals_batch_on_random_networks() {
             let solvers: Vec<Box<dyn ClosedSolver>> = vec![
                 Box::new(ExactMvaSolver::new(net.clone())),
                 Box::new(MultiserverMvaSolver::new(net.clone())),
-                Box::new(ConvolutionSolver::new(net.clone())),
-                Box::new(LoadDependentSolver::from_network(&net)),
                 Box::new(SchweitzerSolver::new(net)),
             ];
             for solver in &solvers {
