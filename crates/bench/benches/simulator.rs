@@ -1,7 +1,10 @@
 //! Discrete-event simulator throughput: simulated load tests per second of
 //! wall clock at the paper's scales.
 //!
-//! The `simulated_load_test_60s` group times single 60 s runs; the
+//! The `simulated_load_test_60s` group times single 60 s runs: three at
+//! the paper's scales, and `wide_1024_servers`, a 1024-server station with
+//! about 750 busy servers, which keeps most queueing completions in the
+//! event list's heap rather than its near-future array. The
 //! `simnet_campaign` group times the measurement campaign of the paper's
 //! Fig. 17 workflow on VINS: 5 Chebyshev levels over [1, 1500], one
 //! worker, 900 simulated seconds per level (90 s in quick mode). Both are
@@ -13,19 +16,39 @@ use mvasd_bench::output::{results_dir, write_text};
 use mvasd_bench::timing::{bench_json, quick_mode, Bench, Plan};
 use mvasd_core::pipeline::PredictionWorkflow;
 use mvasd_queueing::mva::{run_until, ClosedSolver, StopCondition};
-use mvasd_simnet::{SimConfig, Simulation};
+use mvasd_simnet::{Distribution, SimConfig, SimNetwork, SimStation, Simulation};
 use mvasd_testbed::apps::{jpetstore, vins};
 use mvasd_testbed::campaign::{run_campaign, CampaignConfig};
 use mvasd_testbed::solver::SimSolver;
 
 fn main() {
     let mut single = Bench::new("simulated_load_test_60s");
-    for (name, app, users) in [
-        ("vins_50_users", vins::model(), 50usize),
-        ("vins_1500_users", vins::model(), 1500),
-        ("jpetstore_210_users", jpetstore::model(), 210),
+    let wide = SimNetwork::new(
+        vec![
+            SimStation::queueing("wide", 1024, 1.0),
+            SimStation::queueing("disk", 1, 0.0004),
+        ],
+        Distribution::Exponential { mean: 1.0 },
+    )
+    .unwrap();
+    for (name, net, users) in [
+        (
+            "vins_50_users",
+            vins::model().sim_network(50).unwrap(),
+            50usize,
+        ),
+        (
+            "vins_1500_users",
+            vins::model().sim_network(1500).unwrap(),
+            1500,
+        ),
+        (
+            "jpetstore_210_users",
+            jpetstore::model().sim_network(210).unwrap(),
+            210,
+        ),
+        ("wide_1024_servers", wide, 1500),
     ] {
-        let net = app.sim_network(users).unwrap();
         single.measure(name, Plan::heavy(), || {
             Simulation::new(
                 net.clone(),

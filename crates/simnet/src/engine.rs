@@ -5,14 +5,16 @@
 //! fully deterministic for a given configuration.
 //!
 //! An event carries only a customer; the customer's stage says what ends
-//! (a think, or a service at that station). Handling one touches at most
-//! the two stations whose counts change, so its cost does not grow with K.
+//! (a think, or a service at that station). Handling one changes the
+//! counts of at most the two stations involved, so its cost does not grow
+//! with K. Each customer carries its arrival and service-start times, and
+//! a visit's time integrals are added when it ends (see `metrics`).
 
 use mvasd_numerics::rng::Xoshiro256pp;
 use mvasd_obsv as obsv;
 use std::collections::VecDeque;
 
-use crate::event::EventQueue;
+use crate::event::{EventQueue, EVENT_BYTES};
 use crate::metrics::{Accumulators, SimReport, StationStats, SystemStats, TimeSeriesBucket};
 use crate::station::{SimNetwork, StationModel};
 use crate::SimError;
@@ -20,7 +22,9 @@ use crate::SimError;
 /// Run-level configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
-    /// Number of concurrent virtual users `N`.
+    /// Number of concurrent virtual users `N`. Each costs a 32-byte
+    /// record plus one 24-byte pending event; [`Simulation::new`] rejects
+    /// a population whose run state would pass 2^47 bytes (128 TiB).
     pub customers: usize,
     /// Simulated duration (seconds).
     pub horizon: f64,
@@ -32,7 +36,10 @@ pub struct SimConfig {
     /// customers at t = 0; positive values reproduce The Grinder's
     /// `processIncrementInterval`/`initialSleepTime` ramp-up.
     pub stagger: f64,
-    /// Width of the time-series buckets (seconds).
+    /// Width of the time-series buckets (seconds). The time series and
+    /// the per-station busy timeline hold `ceil(horizon / bucket_width) + 1`
+    /// buckets each, `stations + 2` rows of 8-byte values in all;
+    /// [`Simulation::new`] rejects a timeline past 2^47 bytes (128 TiB).
     pub bucket_width: f64,
 }
 
@@ -58,6 +65,35 @@ struct Customer {
     interaction_start: f64,
     /// Time it arrived at the current station (for per-visit sojourn).
     station_arrival: f64,
+    /// Start of its service at the current station; `+∞` while it queues.
+    service_start: f64,
+}
+
+/// A customer's run state: its record plus at most one pending event.
+const BYTES_PER_CUSTOMER: usize = std::mem::size_of::<Customer>() + EVENT_BYTES;
+
+/// Most bytes `Simulation::new` accepts for the customer tables, and
+/// separately for the timeline: 2^47 (128 TiB), the user address space of
+/// an x86-64 Linux process, or the largest allocation Rust allows if that
+/// is smaller. A larger table can never be allocated there, so the limit
+/// refuses no run that could finish; it turns a sizing mistake, such as
+/// a 1e15-bucket timeline, into a typed error instead of a panic or an
+/// aborted process.
+const MAX_RUN_BYTES: f64 = if (isize::MAX as u64) < 1 << 47 {
+    isize::MAX as f64
+} else {
+    (1u64 << 47) as f64
+};
+
+/// One station's live counts.
+#[derive(Debug, Clone, Default)]
+struct StationState {
+    /// Busy servers (customers in service at a delay station).
+    busy: usize,
+    /// Customers at the station (queued + in service).
+    present: usize,
+    /// FCFS queue of customers waiting for a server.
+    waiting: VecDeque<usize>,
 }
 
 /// The mutable state of one run.
@@ -67,23 +103,23 @@ struct Run<'a> {
     events: EventQueue,
     acc: Accumulators,
     customers: Vec<Customer>,
-    /// FCFS queue of customers waiting for a server, per station.
-    waiting: Vec<VecDeque<usize>>,
+    stations: Vec<StationState>,
 }
 
 impl Run<'_> {
     /// Customer `c` arrives at station `k` at time `t`.
     fn enter(&mut self, k: usize, c: usize, t: f64) {
-        self.acc.touch(k, t);
         let customer = &mut self.customers[c];
         customer.stage = k;
         customer.station_arrival = t;
-        let st = &mut self.acc.stations[k];
+        customer.service_start = f64::INFINITY;
+        let st = &mut self.stations[k];
         st.present += 1;
         let spec = &self.net.stations()[k];
         match spec.model {
             StationModel::Delay => {
                 st.busy += 1;
+                customer.service_start = t;
                 let s = spec.service.sample(&mut self.rng);
                 self.events.schedule_infinite(t + s, c);
             }
@@ -91,17 +127,18 @@ impl Run<'_> {
                 st.busy += 1;
                 self.start_service(k, c, t);
             }
-            StationModel::Queueing { .. } => self.waiting[k].push_back(c),
+            StationModel::Queueing { .. } => st.waiting.push_back(c),
         }
     }
 
     /// Starts `c`'s service at queueing station `k`, whose busy count
     /// already includes it.
     fn start_service(&mut self, k: usize, c: usize, t: f64) {
+        self.customers[c].service_start = t;
         let spec = &self.net.stations()[k];
         let mut s = spec.service.sample(&mut self.rng);
         if let Some(m) = &spec.contention {
-            s *= m.factor(self.acc.stations[k].present);
+            s *= m.factor(self.stations[k].present);
         }
         self.events.schedule_queueing(t + s, c);
     }
@@ -113,13 +150,14 @@ impl Run<'_> {
             stage: k,
             interaction_start,
             station_arrival,
+            service_start,
         } = self.customers[c];
-        self.acc.touch(k, t);
-        self.acc.record_visit(k, t, t - station_arrival);
-        self.acc.stations[k].present -= 1;
-        match self.waiting[k].pop_front() {
+        self.acc.record_visit(k, station_arrival, service_start, t);
+        let st = &mut self.stations[k];
+        st.present -= 1;
+        match st.waiting.pop_front() {
             Some(next) => self.start_service(k, next, t),
-            None => self.acc.stations[k].busy -= 1,
+            None => st.busy -= 1,
         }
         let think_stage = self.net.stations().len();
         if k + 1 < think_stage {
@@ -168,6 +206,20 @@ impl Simulation {
                 what: "bucket width must be finite and > 0",
             });
         }
+        // Both operands are finite and positive, so the size is not NaN;
+        // an overflowing ratio is `+∞` and fails here too.
+        let timeline_bytes = Accumulators::bucket_count(cfg.horizon, cfg.bucket_width)
+            * ((net.stations().len() + 2) * std::mem::size_of::<f64>()) as f64;
+        if timeline_bytes > MAX_RUN_BYTES {
+            return Err(SimError::InvalidParameter {
+                what: "horizon / bucket width gives a timeline too large to allocate",
+            });
+        }
+        if cfg.customers as f64 * BYTES_PER_CUSTOMER as f64 > MAX_RUN_BYTES {
+            return Err(SimError::InvalidParameter {
+                what: "too many customers to allocate their run state",
+            });
+        }
         Ok(Self { net, cfg })
     }
 
@@ -192,10 +244,11 @@ impl Simulation {
                     stage: k_count,
                     interaction_start: 0.0,
                     station_arrival: 0.0,
+                    service_start: f64::INFINITY,
                 };
                 self.cfg.customers
             ],
-            waiting: vec![VecDeque::new(); k_count],
+            stations: vec![StationState::default(); k_count],
         };
         // Entering the system for the first time is a think that ends at
         // the customer's staggered start.
@@ -217,8 +270,8 @@ impl Simulation {
             }
         }
         let mut acc = run.acc;
-        for k in 0..k_count {
-            acc.touch(k, self.cfg.horizon);
+        for c in run.customers.iter().filter(|c| c.stage < k_count) {
+            acc.close_open_visit(c.stage, c.station_arrival, c.service_start);
         }
         if obsv::enabled() {
             obsv::counter("simnet.runs", 1);
@@ -522,6 +575,56 @@ mod tests {
         }));
         assert!(bad(SimConfig {
             bucket_width: 0.0,
+            ..SimConfig::default()
+        }));
+    }
+
+    /// Whether `Simulation::new` refuses `cfg` with a typed error.
+    fn rejected(cfg: SimConfig) -> bool {
+        let net = SimNetwork::new(
+            vec![SimStation::queueing("s", 1, 0.02)],
+            Distribution::Exponential { mean: 1.0 },
+        )
+        .unwrap();
+        matches!(
+            Simulation::new(net, cfg),
+            Err(SimError::InvalidParameter { .. })
+        )
+    }
+
+    #[test]
+    fn bucket_count_past_usize_is_rejected() {
+        assert!(rejected(SimConfig {
+            horizon: 1e300,
+            bucket_width: 1e-300,
+            ..SimConfig::default()
+        }));
+    }
+
+    #[test]
+    fn timeline_past_its_limit_is_rejected() {
+        // 1e15 buckets.
+        assert!(rejected(SimConfig {
+            horizon: 1e12,
+            bucket_width: 1e-3,
+            ..SimConfig::default()
+        }));
+        // Just inside the limit: 3 rows of 5.8e12 + 1 values, 1.39e14 bytes.
+        assert!(!rejected(SimConfig {
+            horizon: 5.8e12,
+            ..SimConfig::default()
+        }));
+    }
+
+    #[test]
+    fn customer_table_too_large_to_allocate_is_rejected() {
+        assert!(rejected(SimConfig {
+            customers: usize::MAX / 8,
+            ..SimConfig::default()
+        }));
+        // Just inside the limit: 56 bytes each, 1.12e14 bytes.
+        assert!(!rejected(SimConfig {
+            customers: 2_000_000_000_000,
             ..SimConfig::default()
         }));
     }

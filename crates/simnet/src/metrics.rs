@@ -2,12 +2,15 @@
 //! full-run time series used to reproduce the ramp-up transient of the
 //! paper's Fig. 1.
 //!
-//! Time integrals are kept per station and advanced lazily: the engine
-//! calls [`Accumulators::touch`] for a station just before its counts
-//! change, so an event costs at most two touches whatever the number of
-//! stations. Each station remembers which timeline bucket its last touch
-//! fell in and where that bucket ends; an interval that stays inside the
-//! bucket is one multiply-add with no division.
+//! Time integrals are summed per visit, not per event. When a visit ends,
+//! [`Accumulators::record_visit`] adds its post-warm-up sojourn to the
+//! station's population integral, its post-warm-up service span to the
+//! busy-server integral, and its whole service span to the busy timeline;
+//! at the horizon, [`Accumulators::close_open_visit`] adds the part of each
+//! unfinished visit up to the horizon. By Little's law these are the same
+//! integrals as population and busy servers integrated over time: each
+//! customer present (or in service) contributes one unit for as long as it
+//! stays, so only the order of summation differs.
 
 /// Steady-state statistics of one station.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,18 +107,9 @@ impl SimReport {
     }
 }
 
-/// One station's live counts and integrals.
-#[derive(Debug, Clone)]
+/// One station's post-warm-up integrals and counts.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct StationAcc {
-    /// Busy servers right now (customers in service at a delay station).
-    pub busy: usize,
-    /// Customers at the station right now (queued + in service).
-    pub present: usize,
-    /// Time up to which this station's integrals are complete.
-    last: f64,
-    /// Timeline bucket that holds `last`, and that bucket's end.
-    bucket: usize,
-    bucket_end: f64,
     /// Integral of busy servers over post-warm-up time.
     pub busy_time: f64,
     /// Integral of station population over post-warm-up time.
@@ -144,26 +138,25 @@ pub(crate) struct Accumulators {
     pub bucket_response: Vec<f64>,
     /// Per-station busy server-seconds per bucket (whole run).
     pub bucket_busy: Vec<Vec<f64>>,
+    /// The bucket that holds the latest span end, as `(index, start,
+    /// end)`. Visits end in time order, so most service spans fall inside
+    /// it and need no division.
+    recent_bucket: (usize, f64, f64),
 }
 
 impl Accumulators {
+    /// Number of timeline buckets for a run; the last one holds the
+    /// horizon. Callers bound it first (see `Simulation::new`).
+    pub(crate) fn bucket_count(horizon: f64, bucket_width: f64) -> f64 {
+        (horizon / bucket_width).ceil() + 1.0
+    }
+
     pub(crate) fn new(k: usize, warmup: f64, horizon: f64, bucket_width: f64) -> Self {
-        let buckets = (horizon / bucket_width).ceil() as usize + 1;
-        let station = StationAcc {
-            busy: 0,
-            present: 0,
-            last: 0.0,
-            bucket: 0,
-            bucket_end: bucket_width,
-            busy_time: 0.0,
-            queue_time: 0.0,
-            visits: 0,
-            visit_time_sum: 0.0,
-        };
+        let buckets = Self::bucket_count(horizon, bucket_width) as usize;
         Self {
             warmup,
             horizon,
-            stations: vec![station; k],
+            stations: vec![StationAcc::default(); k],
             completions: 0,
             response_sum: 0.0,
             samples: Vec::new(),
@@ -171,47 +164,8 @@ impl Accumulators {
             bucket_counts: vec![0; buckets],
             bucket_response: vec![0.0; buckets],
             bucket_busy: vec![vec![0.0; buckets]; k],
+            recent_bucket: (0, 0.0, bucket_width),
         }
-    }
-
-    /// Brings station `k`'s integrals up to `now` (clipped at the horizon)
-    /// under its current counts. Call it before changing those counts.
-    pub(crate) fn touch(&mut self, k: usize, now: f64) {
-        let now = now.min(self.horizon);
-        let s = &mut self.stations[k];
-        let last = s.last;
-        if now <= last {
-            return;
-        }
-        s.last = now;
-        let lo = last.max(self.warmup);
-        if now > lo {
-            let dt = now - lo;
-            s.busy_time += dt * s.busy as f64;
-            s.queue_time += dt * s.present as f64;
-        }
-        // Whole-run busy timeline (includes warm-up): split the interval
-        // across the buckets it spans.
-        let row = &mut self.bucket_busy[k];
-        let busy = s.busy as f64;
-        if now <= s.bucket_end {
-            if s.busy > 0 {
-                row[s.bucket] += (now - last) * busy;
-            }
-            return;
-        }
-        let w = self.bucket_width;
-        let b = ((now / w) as usize).clamp(s.bucket, row.len() - 1);
-        let b_start = b as f64 * w;
-        if s.busy > 0 {
-            row[s.bucket] += (s.bucket_end - last) * busy;
-            for full in row.iter_mut().take(b).skip(s.bucket + 1) {
-                *full += w * busy;
-            }
-            row[b] += (now - b_start.max(s.bucket_end)) * busy;
-        }
-        s.bucket = b;
-        s.bucket_end = b_start + w;
     }
 
     /// Records a completed interaction at time `t` with response `r`.
@@ -228,13 +182,67 @@ impl Accumulators {
         }
     }
 
-    /// Records a completed station visit with sojourn `w` at time `t`.
-    pub(crate) fn record_visit(&mut self, k: usize, t: f64, w: f64) {
+    /// Records a visit to station `k` that arrived at `arrival`, started
+    /// service at `service_start` and completed at `t`: its sojourn and
+    /// its time integrals. A visit that ends past the horizon is not
+    /// counted, and its integrals stop at the horizon.
+    pub(crate) fn record_visit(&mut self, k: usize, arrival: f64, service_start: f64, t: f64) {
         if t >= self.warmup && t <= self.horizon {
             let s = &mut self.stations[k];
             s.visits += 1;
-            s.visit_time_sum += w;
+            s.visit_time_sum += t - arrival;
         }
+        self.add_spans(k, arrival, service_start, t.min(self.horizon));
+    }
+
+    /// Adds the part up to the horizon of a visit still open there;
+    /// `service_start` is `+∞` for a customer still queued.
+    pub(crate) fn close_open_visit(&mut self, k: usize, arrival: f64, service_start: f64) {
+        self.add_spans(k, arrival, service_start, self.horizon);
+    }
+
+    /// Adds the sojourn `[arrival, end]` and the service span
+    /// `[service_start, end]` of one visit to station `k`'s integrals;
+    /// either is empty if it starts after `end`.
+    fn add_spans(&mut self, k: usize, arrival: f64, service_start: f64, end: f64) {
+        let warmup = self.warmup;
+        let s = &mut self.stations[k];
+        let from = arrival.max(warmup);
+        if end > from {
+            s.queue_time += end - from;
+            let from = service_start.max(warmup);
+            if end > from {
+                s.busy_time += end - from;
+            }
+        }
+        if service_start < end {
+            self.add_busy_span(k, service_start, end);
+        }
+    }
+
+    /// Spreads one busy server over `[from, to]` across the timeline
+    /// buckets it spans (warm-up included).
+    fn add_busy_span(&mut self, k: usize, from: f64, to: f64) {
+        let w = self.bucket_width;
+        let row = &mut self.bucket_busy[k];
+        let (mut b1, mut start, mut end) = self.recent_bucket;
+        if !(start <= to && to < end) {
+            b1 = ((to / w) as usize).min(row.len() - 1);
+            start = b1 as f64 * w;
+            end = start + w;
+            self.recent_bucket = (b1, start, end);
+        }
+        if from >= start {
+            row[b1] += to - from;
+            return;
+        }
+        // `start > 0` here, so `b1 >= 1`.
+        let b0 = ((from / w) as usize).min(b1 - 1);
+        row[b0] += (b0 + 1) as f64 * w - from;
+        for full in &mut row[b0 + 1..b1] {
+            *full += w;
+        }
+        row[b1] += to - start;
     }
 }
 
@@ -242,31 +250,63 @@ impl Accumulators {
 mod tests {
     use super::*;
 
+    fn close(got: f64, want: f64) -> bool {
+        (got - want).abs() < 1e-12
+    }
+
     #[test]
-    fn touch_respects_warmup_horizon_and_buckets() {
-        let mut a = Accumulators::new(2, 10.0, 100.0, 2.5);
-        a.stations[0].busy = 1;
-        a.stations[0].present = 2;
-        a.touch(0, 1.0);
-        a.touch(0, 2.0); // same bucket: the cached end, no split
-        a.touch(0, 6.0); // crosses two boundaries
-        assert_eq!(a.stations[0].busy_time, 0.0); // all inside warm-up
-        a.stations[0].busy = 2;
-        a.touch(0, 20.0); // 10 post-warm-up seconds
-        assert!((a.stations[0].busy_time - 20.0).abs() < 1e-12);
-        assert!((a.stations[0].queue_time - 20.0).abs() < 1e-12);
-        a.touch(0, 200.0); // clipped at horizon: 80 more seconds
-        assert!((a.stations[0].busy_time - 180.0).abs() < 1e-12);
-        a.touch(1, 50.0); // idle station: nothing recorded
+    fn visits_add_clipped_integrals_and_a_whole_run_timeline() {
+        // Warm-up 10, horizon 100, buckets of 2.5 (41 of them).
+        let mut a = Accumulators::new(3, 10.0, 100.0, 2.5);
+        // Entirely inside the warm-up: timeline only, across three buckets.
+        a.record_visit(0, 1.0, 2.0, 6.0);
+        assert_eq!(a.stations[0].queue_time, 0.0);
+        assert_eq!(a.stations[0].busy_time, 0.0);
+        assert_eq!(a.stations[0].visits, 0);
+        // Arrives and starts in the warm-up, ends after it: clipped at 10.
+        a.record_visit(0, 5.0, 7.0, 11.0);
+        assert!(close(a.stations[0].queue_time, 1.0));
+        assert!(close(a.stations[0].busy_time, 1.0));
+        // Waits across the warm-up end, then serves across four buckets.
+        a.record_visit(0, 8.0, 12.0, 20.0);
+        assert!(close(a.stations[0].queue_time, 1.0 + 10.0));
+        assert!(close(a.stations[0].busy_time, 1.0 + 8.0));
+        assert_eq!(a.stations[0].visits, 2);
+        assert!(close(a.stations[0].visit_time_sum, 6.0 + 12.0));
+        // Still in service at the horizon: closed there, not counted.
+        a.close_open_visit(0, 90.0, 95.0);
+        assert!(close(a.stations[0].queue_time, 11.0 + 10.0));
+        assert!(close(a.stations[0].busy_time, 9.0 + 5.0));
+        assert_eq!(a.stations[0].visits, 2);
+        // Still queued at the horizon: population only.
+        a.close_open_visit(1, 99.0, f64::INFINITY);
+        assert!(close(a.stations[1].queue_time, 1.0));
+        assert_eq!(a.stations[1].busy_time, 0.0);
+        assert!(a.bucket_busy[1].iter().all(|&b| b == 0.0));
+        // Station 2 stays idle.
+        assert_eq!(a.stations[2].queue_time, 0.0);
+        assert!(a.bucket_busy[2].iter().all(|&b| b == 0.0));
 
         // The timeline covers the whole run, warm-up included.
-        let row = &a.bucket_busy[0];
-        let want = [2.5, 2.5, 1.0 + 3.0, 5.0, 5.0, 5.0, 5.0, 5.0];
-        for (b, w) in want.iter().enumerate() {
-            assert!((row[b] - w).abs() < 1e-12, "bucket {b}: {} vs {w}", row[b]);
+        let mut want = [0.0; 41];
+        for (b, v) in [
+            (0, 0.5), // [2, 6]
+            (1, 2.5),
+            (2, 1.0 + 0.5), // [7, 11]
+            (3, 2.5),
+            (4, 1.0 + 0.5), // [12, 20]
+            (5, 2.5),
+            (6, 2.5),
+            (7, 2.5),
+            (38, 2.5), // [95, 100]
+            (39, 2.5),
+        ] {
+            want[b] = v;
         }
-        assert!((row.iter().sum::<f64>() - 194.0).abs() < 1e-12);
-        assert!(a.bucket_busy[1].iter().all(|&b| b == 0.0));
+        for (b, w) in want.iter().enumerate() {
+            let got = a.bucket_busy[0][b];
+            assert!(close(got, *w), "bucket {b}: {got} vs {w}");
+        }
     }
 
     #[test]
@@ -282,10 +322,19 @@ mod tests {
 
     #[test]
     fn visit_recording() {
-        let mut a = Accumulators::new(2, 0.0, 10.0, 1.0);
-        a.record_visit(1, 5.0, 0.05);
-        a.record_visit(1, 20.0, 0.05); // past horizon: ignored
+        let mut a = Accumulators::new(2, 2.0, 10.0, 1.0);
+        a.record_visit(1, 4.95, 4.95, 5.0);
+        a.record_visit(1, 0.95, 0.95, 1.0); // warm-up: not counted
+        a.record_visit(1, 19.95, 19.95, 20.0); // past horizon: ignored
         assert_eq!(a.stations[1].visits, 1);
         assert_eq!(a.stations[0].visits, 0);
+        assert!((a.stations[1].queue_time - 0.05).abs() < 1e-12);
+        assert!((a.bucket_busy[1].iter().sum::<f64>() - 0.1).abs() < 1e-12);
+        // Ends past the horizon: not counted, integrals stop there.
+        a.record_visit(0, 9.0, 9.5, 12.0);
+        assert_eq!(a.stations[0].visits, 0);
+        assert!((a.stations[0].queue_time - 1.0).abs() < 1e-12);
+        assert!((a.stations[0].busy_time - 0.5).abs() < 1e-12);
+        assert!((a.bucket_busy[0].iter().sum::<f64>() - 0.5).abs() < 1e-12);
     }
 }

@@ -1,4 +1,4 @@
-//! Pins the simulator's trajectory: four seeded runs whose observable
+//! Pins the simulator's trajectory: five seeded runs whose observable
 //! outputs are recorded constants.
 //!
 //! Everything that follows from the sequence of events — completions,
@@ -262,6 +262,27 @@ fn contention() -> SimReport {
     )
 }
 
+/// A 256-server station that keeps about a hundred services in flight,
+/// far more than the event list's near-future array holds, in front of a
+/// busy single-server disk: most queueing completions take the spill path.
+fn wide_station() -> SimReport {
+    run(
+        vec![
+            SimStation::queueing("wide", 256, 0.5),
+            SimStation::queueing("disk", 1, 0.004),
+        ],
+        Distribution::Exponential { mean: 0.5 },
+        SimConfig {
+            customers: 200,
+            horizon: 60.0,
+            warmup: 10.0,
+            seed: 57,
+            stagger: 0.0,
+            bucket_width: 1.0,
+        },
+    )
+}
+
 #[test]
 fn vins_shaped_trajectory_is_pinned() {
     assert_pinned(
@@ -369,6 +390,24 @@ fn contention_trajectory_is_pinned() {
             utilization: &[1.0, 0.13306661243000523],
             mean_queue: &[22.602549528226103, 1.0645328994400418],
             busy_sums: &[149.31898417007946, 162.28730827988463],
+        },
+    );
+}
+
+#[test]
+fn wide_station_trajectory_is_pinned() {
+    assert_pinned(
+        "wide_station",
+        &wide_station(),
+        &Pin {
+            completions: 9878,
+            throughput: 197.56,
+            mean_response: 0.5156293136253777,
+            p95_response: 1.4993917130343515,
+            trajectory_hash: 0x5ad0_9053_39dc_28af,
+            utilization: &[0.3834308981434612, 0.8006620751950817],
+            mean_queue: &[98.15830992472607, 3.68182118646116],
+            busy_sums: &[5932.610156868527, 48.03690484275708],
         },
     );
 }
