@@ -6,7 +6,7 @@
 //! (contention-scaled 8-way CPU, RAID-pair disk, LAN delay, bonded NIC),
 //! plus two load-balancer stations at the root. The CPUs are genuinely
 //! load-dependent (sublinear core scaling), so the flat exact reference is
-//! the log-domain convolution over their rate tables — a plain `C`-server
+//! the convolution over their rate tables — a plain `C`-server
 //! queue cannot express these stations at all. Two cost models are
 //! compared:
 //!

@@ -476,6 +476,55 @@ mod tests {
     }
 
     #[test]
+    fn station_with_at_least_n_servers_equals_a_delay_station_past_the_switch() {
+        // With C ≥ N no customer ever queues, so a C-server station is a
+        // delay station with the same demand. Its 0.8 s demand keeps more
+        // than 8 servers busy from n ≈ 14 on, so MVASD switches to the
+        // quasi-static workspace, where the wide station (after the
+        // 16-core CPU) reads its queue off a tangent column.
+        let delay_net = ClosedNetwork::new(
+            vec![
+                Station::queueing("s0", 16, 1.0, 0.05),
+                Station::delay("s1", 1.0, 0.8),
+                Station::queueing("s2", 1, 1.0, 0.004),
+            ],
+            0.5,
+        )
+        .unwrap();
+        for c in [64usize, 300] {
+            let samples = constant_samples(&[(16, 0.05), (c, 0.8), (1, 0.004)], 0.5);
+            let profile = ServiceDemandProfile::from_samples(
+                &samples,
+                InterpolationKind::CubicNotAKnot,
+                DemandAxis::Concurrency,
+            )
+            .unwrap();
+            let mut it = MvasdIter::new(&profile);
+            let points: Vec<MvaPoint> = (0..c).map(|_| it.step().unwrap()).collect();
+            assert!(it.rec.is_quasi_static(), "C={c}: never switched");
+            let exact = multiserver_mva(&delay_net, c).unwrap();
+            for (ps, pd) in points.iter().zip(exact.points.iter()) {
+                assert!(
+                    close(ps.throughput, pd.throughput, 1e-9 * pd.throughput),
+                    "C={c} n={}: {} vs {}",
+                    ps.n,
+                    ps.throughput,
+                    pd.throughput
+                );
+                for (k, (ss, sd)) in ps.stations.iter().zip(&pd.stations).enumerate() {
+                    assert!(
+                        close(ss.queue, sd.queue, 1e-9 * sd.queue.max(1.0)),
+                        "C={c} n={} q[{k}]: {} vs {}",
+                        ps.n,
+                        ss.queue,
+                        sd.queue
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn littles_law_holds_with_varying_demands() {
         let samples = DemandSamples {
             station_names: vec!["cpu".into(), "disk".into()],

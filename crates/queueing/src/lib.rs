@@ -15,8 +15,8 @@
 //!   [`mva::multiserver_mva`] (paper Algorithm 2) together with
 //!   [`mva::load_dependent_mva`] — both drains of the one exact
 //!   single-class solver, [`mva::MultiserverMvaSolver`], which evaluates
-//!   Buzen's normalization-constant algorithm in log-domain, the
-//!   numerically robust exact form (the naive marginal recursion diverges
+//!   Buzen's normalization-constant algorithm over extended-exponent
+//!   numbers, the numerically robust exact form (the naive marginal recursion diverges
 //!   near multi-server saturation; see the `multiserver` module docs). The
 //!   shared stepping engine [`mva::PopulationRecursion`] powers MVASD, and
 //!   [`mva::multiclass_mva`] adds the exact multiclass extension. All of

@@ -1,5 +1,5 @@
 //! Normalization-constant (convolution) evaluation of closed networks —
-//! Buzen's algorithm in log-domain.
+//! Buzen's algorithm over extended-exponent numbers.
 //!
 //! The exact MVA population recursion for multi-server / load-dependent
 //! stations closes the marginal distribution with `p(0) = 1 − Σ…`, which
@@ -8,7 +8,8 @@
 //! hardware — produces percent-level errors and Bottleneck-Law violations
 //! even in double-double arithmetic). The normalization-constant route has
 //! no subtraction anywhere: every quantity is a ratio of sums of positive
-//! terms, evaluated here with log-sum-exp so magnitudes like `Zⁿ/n!` never
+//! terms, evaluated here on `f64` mantissas that carry their own binary
+//! exponent ([`kernel`]'s `Ext`), so magnitudes like `Zⁿ/n!` never
 //! overflow. This is the numerically definitive evaluation used by
 //! [`super::multiserver_mva`] (paper Algorithm 2) and
 //! [`super::load_dependent_mva`], and by the quasi-static phase of the
@@ -36,13 +37,16 @@
 //! `multiserver_mva_with_marginals`, the hierarchy levels and the
 //! per-population `solve_at` of the quasi-static MVASD phase — runs on the
 //! incremental [`ConvWorkspace`] in [`workspace`] over the one station
-//! type, [`LdStation`]: carried log-domain columns extended one cell per
-//! population, flat pre-allocated buffers, O(1) telescoped updates for
-//! single-server stages and O(C) head-plus-geometric-tail cells for
-//! `C`-server and custom-rate stages. Per population that is `O(K·C)` work
-//! plus one O(n) complement cell per heavy station but the last. The
-//! pre-workspace from-scratch evaluation survives in [`scratch`] as the
-//! independent reference (propcheck oracle and benchmark baseline).
+//! type, [`LdStation`]: carried extended-exponent columns extended one cell
+//! per population, flat pre-allocated buffers, O(1) telescoped updates for
+//! single-server stages, O(C) head-plus-geometric-tail cells for `C`-server
+//! and custom-rate stages, and O(1) tangent columns for the queues of
+//! `C`-server stations. Per population that is `O(K·C)` multiply-adds with
+//! no libm call, one O(n) output cell per multi-server station, and one
+//! O(n) complement cell per extension only for stations that track
+//! marginals. The pre-workspace from-scratch evaluation survives in
+//! [`scratch`] as the independent log-domain reference (propcheck oracle
+//! and benchmark baseline).
 
 pub mod kernel;
 pub(crate) mod scratch;
@@ -376,7 +380,7 @@ mod tests {
     #[test]
     fn huge_population_no_overflow() {
         // Zⁿ/n! for n = 3000 spans hundreds of orders of magnitude; the
-        // log-domain evaluation must sail through.
+        // extended exponents must sail through.
         let stations = vec![st("s", 0.01, RateFunction::SingleServer)];
         let x = series(&stations, 10.0, 3000, &[0])[2999].0;
         assert!(x.is_finite());

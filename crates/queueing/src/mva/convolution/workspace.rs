@@ -1,10 +1,14 @@
 //! The incremental convolution workspace: Buzen's algorithm with carried
-//! state, zero heap allocation per step once warm, and no O(n) cell on the
-//! prefix or suffix chains.
+//! state, zero heap allocation per step once warm, no libm call per cell,
+//! and no O(n) cell on the prefix or suffix chains.
 //!
 //! [`ConvWorkspace`] owns every array the recursion touches as a flat,
-//! stride-indexed buffer ([`Grid`]). The network runs as a chain of
-//! **stages** whose order is re-derived whenever the demands change:
+//! stride-indexed buffer ([`Grid`]) of extended-exponent values
+//! ([`Ext`]: an `f64` mantissa with its own binary exponent). Buzen's
+//! recursion only multiplies and adds positive terms, so every cell is a
+//! multiply-add with exponent alignment and no column ever leaves the
+//! linear domain. The network runs as a chain of **stages** whose order is
+//! re-derived whenever the demands change:
 //!
 //! 1. stage 0, one merged infinite-server stage `Poisson(Z + Σ D)` over the
 //!    think time and every delay station that tracks no marginals (Poisson
@@ -15,62 +19,72 @@
 //!
 //! The ascending prefix chain `prefix[i] = f_0 ⊛ … ⊛ f_{i−1}` ends in `G`.
 //! The descending suffix chain `suffix[i] = f_i ⊛ … ⊛ f_{total−1}` exists
-//! only inside the heavy group, where it feeds the complements
-//! `G₍₋ₖ₎ = prefix[k] ⊛ suffix[k+1]`. The last heavy stage needs no
-//! complement cell: its `G₍₋ₖ₎` is `prefix[total−1]`. Light single-server
-//! stations carry O(1)-state queue accumulators instead. One [`advance`]
-//! appends exactly one cell to each live column; nothing already written is
-//! ever mutated, which is what makes the incremental, snapshot/resume, and
-//! rebuild paths **bit-for-bit identical** — they all execute the same
-//! per-cell code in the same order.
+//! only inside the heavy group. A heavy station `k` at stage `i` reads its
+//! queue off `G₍₋ₖ₎ = prefix[i] ⊛ suffix[i+1]` in one of three ways:
+//!
+//! * The last heavy stage needs no column of its own: its `G₍₋ₖ₎` is
+//!   `prefix[total−1]`, and its queue and marginals are one O(n) sum at
+//!   output time.
+//! * A station that tracks marginals carries the complement column
+//!   `G₍₋ₖ₎` itself, one O(m) cell per extension.
+//! * Every other rate-table station carries a **tangent column**
+//!   `T(m) = Σ_j j·f(j)·P(m−j)` with `P = prefix[i]`, and its queue is
+//!   `Q_k(n) = (T ⊛ suffix[i+1])(n) / G(n)`: one O(n) cell per output.
+//!   With `C` servers `j·f(j) = D·f(j−1)` up to `j = C`, so
+//!   `T(m) = D·prefix[i+1](m−1) + ρ·Y(m−1)` with the carried
+//!   `Y(m) = f(C)·P(m−C) + ρ·(Y(m−1) + V(m−1))`, where `ρ = D/C`, `V` is
+//!   the stage's own prefix tail and `Y = 0` below `C`: O(1) per
+//!   extension. A custom rate table of length `L` has no such identity and
+//!   pays an `L`-wide head plus the carried
+//!   `W(m) = L·f(L)·P(m−L) + ρ·(W(m−1) + V(m−1))`.
+//!
+//! Light single-server stations carry O(1)-state queue accumulators
+//! instead. One [`advance`] appends exactly one cell to each live column;
+//! nothing already written is ever mutated, which is what makes the
+//! incremental, snapshot/resume, and rebuild paths **bit-for-bit
+//! identical** — they all execute the same per-cell code in the same order.
 //!
 //! Per-stage work is specialized by [`StageKind`]:
 //!
 //! * `Zero` — zero demand: the factor column is the convolution identity,
 //!   so chain cells are plain copies.
 //! * `Geo` — single-server-like (`f(j) = D^j`): the convolution with a
-//!   geometric column telescopes, `(A ⊛ f)(n) = A(n) ⊕ (ln D + (A ⊛ f)(n−1))`
-//!   (`⊕` = log-sum-exp), one O(1) update. A light single-server station
-//!   also skips `G₍₋ₖ₎`: its queue satisfies `h(n) = D·(G(n−1) + h(n−1))`,
-//!   `Q(n) = h(n)/G(n)`, carried as one log-domain scalar per population.
-//! * `Exp` — infinite-server (`f(j) = D^j/j!`), with `ln j` read from a
-//!   table. As stage 0 it convolves with the identity, so its prefix cell is
-//!   its factor cell; a delay station that tracks marginals keeps a full
-//!   O(n) cell.
-//! * `Table` — multi-server / custom rate, `f(j) = D^j / ∏ α(i)`, with
-//!   `ln α(j)` precomputed per station. From the saturation index `C` on
-//!   (`C` servers, or the custom table length, past which the rate clamps)
-//!   the factor is geometric: `f(j) = f(C)·ρ^{j−C}` with `ρ = D/α(C)`. So
-//!   the tail sum `T(m) = Σ_{j≥C} f(j)·A(m−j)` carries as
-//!   `T(m) = f(C)·A(m−C) + ρ·T(m−1)`, and a cell past `C` is a `C`-wide
-//!   head plus one tail term ([`kernel::head_tail_cell`]): O(C), not O(m).
-//!   Below `C` the cell is the full O(m) convolution.
+//!   geometric column telescopes, `(A ⊛ f)(n) = A(n) + D·(A ⊛ f)(n−1)`, one
+//!   O(1) update. A light single-server station also skips `G₍₋ₖ₎`: its
+//!   queue satisfies `h(n) = D·(G(n−1) + h(n−1))`, `Q(n) = h(n)/G(n)`.
+//! * `Exp` — infinite-server (`f(j) = D^j/j!`). As stage 0 it convolves
+//!   with the identity, so its prefix cell is its factor cell; a delay
+//!   station that tracks marginals keeps a full O(n) cell.
+//! * `Table` — multi-server / custom rate, `f(j) = D^j / ∏ α(i)`. From the
+//!   saturation index `C` on (`C` servers, or the custom table length,
+//!   past which the rate clamps) the factor is geometric:
+//!   `f(j) = f(C)·ρ^{j−C}` with `ρ = D/α(C)`. So the tail sum
+//!   `V(m) = Σ_{j≥C} f(j)·A(m−j)` carries as
+//!   `V(m) = f(C)·A(m−C) + ρ·V(m−1)`, and a cell past `C` is a `C`-wide
+//!   head plus one tail term: O(C), not O(m). Below `C` the cell is the
+//!   full O(m) convolution.
 //!
-//! Every column is scaled by `sᵐ` with `s = min_k(α_k(∞)/D_k)` over the
-//! queueing stations, i.e. every stage runs on the demand `s·D`. The
-//! bottleneck's tail ratio becomes 1 and every other ratio is at most 1,
-//! so no carried recurrence grows with the population and the log values
-//! stay small enough to keep their low-order bits. Throughput takes the
-//! scale back out, `X = s·G′(n−1)/G′(n)`; queues and marginals are ratios
-//! of equal powers of `s` and need no correction. The `conv.lse` health
-//! probe still watches the unscaled `ln G(n) = ln G′(n) − n·ln s`.
+//! A cell adds its terms at the largest term's exponent
+//! ([`kernel::dot_rev`]), so no magnitude overflows however deep the sweep
+//! runs, and the column needs no scaling. The `conv.lse` health probe
+//! samples `ln G(n)` once per extension while instrumentation is on; that
+//! is the recursion's only transcendental call, and every output is a
+//! ratio of two extended values ([`Ext::ratio`]).
 //!
-//! What remains O(m) per population: the `H − 1` complement cells of the
-//! heavy stations other than the last ([`kernel::conv_cell`]), table cells
-//! below their saturation index, and delay stations that track marginals.
-//! Those cells run on the batched kernel, whose [`kernel::CellScratch`] the
-//! workspace carries and sizes alongside every other buffer.
+//! What remains O(m) per population: the complement cells of stations
+//! that track marginals (but the last heavy one), table cells below their
+//! saturation index, and delay stations that track marginals.
 //!
 //! Changing the demand vector ([`solve_at`]) re-runs the recursion from
-//! population 0 inside the same buffers — zero allocation and zero `ln()`
-//! calls beyond one `ln D` per station — which is what the quasi-static
-//! MVASD phase does at every population step.
+//! population 0 inside the same buffers — zero allocation and no libm call
+//! — which is what the quasi-static MVASD phase does at every population
+//! step.
 //!
 //! [`advance`]: ConvWorkspace::advance
 //! [`solve_at`]: ConvWorkspace::solve_at
 
 use super::super::loaddep::{validate_stations, LdStation, RateFunction};
-use super::kernel::{self, lse2};
+use super::kernel::{self, dot_rev, pow2, Ext};
 use crate::QueueingError;
 use mvasd_obsv as obsv;
 
@@ -94,13 +108,13 @@ struct Stage {
     kind: StageKind,
     /// Station index; [`NO_ROW`] for the merged infinite-server stage.
     station: usize,
-    /// `ln(s·D)`, the scaled demand (`−∞` when zero).
-    ln_d: f64,
+    /// The demand `D` (0 when zero).
+    d: f64,
     /// Table stages: the saturation index `C` where the tail starts.
     width: usize,
-    /// Table stages: `ln ρ = ln(s·D) − ln α(C)`.
-    ln_ratio: f64,
-    /// Table stages: row in `ln_rate` and in both tail grids.
+    /// Table stages: the tail ratio `ρ = D/α(C)`.
+    ratio: f64,
+    /// Table stages: row in `rate` and in both tail grids.
     row: usize,
 }
 
@@ -109,24 +123,24 @@ impl Stage {
     const IDENTITY: Stage = Stage {
         kind: StageKind::Zero,
         station: NO_ROW,
-        ln_d: f64::NEG_INFINITY,
+        d: 0.0,
         width: 0,
-        ln_ratio: f64::NEG_INFINITY,
+        ratio: 0.0,
         row: NO_ROW,
     };
 }
 
-/// A fixed number of equally-long `f64` rows in one flat allocation.
-/// `cap` is the per-row stride; rows grow together and keep their first
-/// `keep` entries on reallocation.
+/// A fixed number of equally-long rows in one flat allocation. `cap` is
+/// the per-row stride; rows grow together and keep their first `keep`
+/// entries on reallocation.
 #[derive(Debug, Clone)]
-struct Grid {
-    buf: Vec<f64>,
+struct Grid<T> {
+    buf: Vec<T>,
     rows: usize,
     cap: usize,
 }
 
-impl Grid {
+impl<T: Copy> Grid<T> {
     fn new(rows: usize) -> Self {
         Self {
             buf: Vec::new(),
@@ -136,24 +150,25 @@ impl Grid {
     }
 
     #[inline]
-    fn row(&self, r: usize) -> &[f64] {
+    fn row(&self, r: usize) -> &[T] {
         &self.buf[r * self.cap..(r + 1) * self.cap]
     }
 
     #[inline]
-    fn at(&self, r: usize, j: usize) -> f64 {
+    fn at(&self, r: usize, j: usize) -> T {
         self.buf[r * self.cap + j]
     }
 
     #[inline]
-    fn set(&mut self, r: usize, j: usize, v: f64) {
+    fn set(&mut self, r: usize, j: usize, v: T) {
         self.buf[r * self.cap + j] = v;
     }
 
-    fn grow(&mut self, new_cap: usize, keep: usize) {
+    /// Regrows to `new_cap` per row, filling new cells with `poison` so
+    /// any read of a never-written cell is loudly wrong.
+    fn grow(&mut self, new_cap: usize, keep: usize, poison: T) {
         debug_assert!(new_cap > self.cap);
-        // NaN poison: any read of a never-written cell is loudly wrong.
-        let mut next = vec![f64::NAN; self.rows * new_cap];
+        let mut next = vec![poison; self.rows * new_cap];
         for r in 0..self.rows {
             next[r * new_cap..r * new_cap + keep]
                 .copy_from_slice(&self.buf[r * self.cap..r * self.cap + keep]);
@@ -163,7 +178,7 @@ impl Grid {
     }
 
     fn bytes(&self) -> usize {
-        self.buf.len() * std::mem::size_of::<f64>()
+        self.buf.len() * std::mem::size_of::<T>()
     }
 }
 
@@ -173,8 +188,8 @@ const NO_ROW: usize = usize::MAX;
 /// The merged infinite-server stage always heads the chain.
 const IS_STAGE: usize = 0;
 
-/// Incremental log-domain convolution engine. See the module docs for the
-/// layout and the per-kind update rules.
+/// Incremental extended-exponent convolution engine. See the module docs
+/// for the layout and the per-kind update rules.
 ///
 /// Cloning snapshots the entire recursion state (a handful of `memcpy`s),
 /// which is what makes solver snapshots cheap.
@@ -194,43 +209,46 @@ pub struct ConvWorkspace {
     first_heavy: usize,
     /// Whether station `k` currently needs the `G₍₋ₖ₎` marginal path.
     heavy: Vec<bool>,
-    /// `ln s`, the per-population column scale (module docs).
-    ln_s: f64,
-    /// Prefix, suffix and complement cells written per extension.
+    /// Prefix, suffix and complement or tangent cells written per
+    /// extension.
     cells_per_step: u64,
 
     /// Saturation index `C` of each rate-table station (0 otherwise).
     sat_index: Vec<usize>,
-    /// `ln α_k(C)`, the saturated rate (0 for single servers).
-    ln_top_rate: Vec<f64>,
-    /// Row of `ln_g_minus` for stations that can ever be heavy (else NO_ROW).
+    /// Row of `g_minus` for stations that track marginals (else NO_ROW).
     g_row: Vec<usize>,
-    /// Row of `ln_lq` for light single-server-like stations (else NO_ROW).
+    /// Row of the tangent grids for rate-table stations that track no
+    /// marginals (else NO_ROW).
+    t_row: Vec<usize>,
+    /// Row of `lq` for light single-server-like stations (else NO_ROW).
     lq_row: Vec<usize>,
-    /// Row of `ln_rate` and the tail grids for rate-table stations.
+    /// Row of `rate` and the tail grids for rate-table stations.
     rate_row: Vec<usize>,
 
-    /// `ln j` for `j = 1..cap` (index 0 unused), shared by all Exp stages.
-    ln_int: Vec<f64>,
-    /// `ln α_k(j)` per rate-table station, computed once per growth.
-    ln_rate: Grid,
+    /// `α_k(j)` per rate-table station, filled once per growth.
+    rate: Grid<f64>,
 
-    /// `ln_factors[i][j] = ln f_i(j)` per stage (scaled).
-    ln_factors: Grid,
-    /// `ln_prefix[i] = f_0 ⊛ … ⊛ f_{i−1}`; the last row is `ln G′`.
-    /// `ln_prefix[0]` is the identity and is never read past `j = 0`.
-    ln_prefix: Grid,
+    /// `factors[i][j] = f_i(j)` per stage.
+    factors: Grid<Ext>,
+    /// `prefix[i] = f_0 ⊛ … ⊛ f_{i−1}`; the last row is `G`.
+    /// `prefix[0]` is the identity and is never read past `j = 0`.
+    prefix: Grid<Ext>,
     /// `suffix[i] = f_i ⊛ … ⊛ f_{total−1}` (`suffix[total]` = identity),
     /// maintained only past the first heavy stage.
-    suffix: Grid,
-    /// Carried tails `T(m)` of the table stages' prefix cells.
-    ln_tail_prefix: Grid,
-    /// Carried tails `T(m)` of the table stages' suffix cells.
-    ln_tail_suffix: Grid,
-    /// `ln_g_minus[row] = ln G₍₋ₖ₎` for heavy stations but the last.
-    ln_g_minus: Grid,
-    /// `ln_lq[row][n]`: the light single-server queue numerator `h(n)`.
-    ln_lq: Grid,
+    suffix: Grid<Ext>,
+    /// Carried tails `V(m)` of the table stages' prefix cells.
+    tail_prefix: Grid<Ext>,
+    /// Carried tails of the table stages' suffix cells.
+    tail_suffix: Grid<Ext>,
+    /// `g_minus[row] = G₍₋ₖ₎` for stations that track marginals, written
+    /// while they are heavy but not last.
+    g_minus: Grid<Ext>,
+    /// Tangent columns `T(m) = Σ_j j·f(j)·prefix[i](m−j)`.
+    tangent: Grid<Ext>,
+    /// Their carried tails: `Y(m)` (multi-server) or `W(m)` (custom).
+    tangent_tail: Grid<Ext>,
+    /// `lq[row][n]`: the light single-server queue numerator `h(n)`.
+    lq: Grid<Ext>,
 
     // Per-population outputs, overwritten in place by `compute_outputs`.
     out_x: f64,
@@ -240,16 +258,11 @@ pub struct ConvWorkspace {
     /// Offset of station `k`'s marginal block in `out_marginals`.
     marg_off: Vec<usize>,
 
-    /// Scratch for the batched log-sum-exp kernel, sized alongside the
-    /// grids so full cells never allocate.
-    cell: kernel::CellScratch,
-
     extend_ctr: obsv::CounterBatch,
     cells_ctr: obsv::CounterBatch,
-    /// Watches the unscaled `ln G` per extension (log-sum-exp dynamic
-    /// range, NaN-poison trips) and counts marginal-term underflows.
-    /// Locally buffered; flushed by [`flush_metrics`](Self::flush_metrics)
-    /// and on drop.
+    /// Watches `ln G` per extension (dynamic range, NaN-poison trips) and
+    /// counts marginal terms below the `f64` range. Locally buffered;
+    /// flushed by [`flush_metrics`](Self::flush_metrics) and on drop.
     health: obsv::HealthProbe,
 }
 
@@ -280,11 +293,11 @@ impl ConvWorkspace {
         limits.resize(k_count, 0);
 
         let mut sat_index = vec![0usize; k_count];
-        let mut ln_top_rate = vec![0.0f64; k_count];
         let mut g_row = vec![NO_ROW; k_count];
+        let mut t_row = vec![NO_ROW; k_count];
         let mut lq_row = vec![NO_ROW; k_count];
         let mut rate_row = vec![NO_ROW; k_count];
-        let (mut g_rows, mut lq_rows, mut rate_rows) = (0, 0, 0);
+        let (mut g_rows, mut t_rows, mut lq_rows, mut rate_rows) = (0, 0, 0, 0);
         for (k, s) in stations.iter().enumerate() {
             let sat = match &s.rate {
                 RateFunction::MultiServer(c) if *c >= 2 => *c,
@@ -293,13 +306,15 @@ impl ConvWorkspace {
             };
             if sat > 0 {
                 sat_index[k] = sat;
-                ln_top_rate[k] = s.rate.rate(sat).ln();
                 rate_row[k] = rate_rows;
                 rate_rows += 1;
             }
-            if limits[k] > 0 || sat > 0 {
+            if limits[k] > 0 {
                 g_row[k] = g_rows;
                 g_rows += 1;
+            } else if sat > 0 {
+                t_row[k] = t_rows;
+                t_rows += 1;
             } else if !matches!(s.rate, RateFunction::Delay) {
                 lq_row[k] = lq_rows;
                 lq_rows += 1;
@@ -328,27 +343,26 @@ impl ConvWorkspace {
             stage_of: vec![NO_ROW; k_count],
             first_heavy: total,
             heavy: vec![false; k_count],
-            ln_s: 0.0,
             cells_per_step: 0,
             sat_index,
-            ln_top_rate,
             g_row,
+            t_row,
             lq_row,
             rate_row,
-            ln_int: Vec::new(),
-            ln_rate: Grid::new(rate_rows),
-            ln_factors: Grid::new(total),
-            ln_prefix: Grid::new(total + 1),
+            rate: Grid::new(rate_rows),
+            factors: Grid::new(total),
+            prefix: Grid::new(total + 1),
             suffix: Grid::new(total + 1),
-            ln_tail_prefix: Grid::new(rate_rows),
-            ln_tail_suffix: Grid::new(rate_rows),
-            ln_g_minus: Grid::new(g_rows),
-            ln_lq: Grid::new(lq_rows),
+            tail_prefix: Grid::new(rate_rows),
+            tail_suffix: Grid::new(rate_rows),
+            g_minus: Grid::new(g_rows),
+            tangent: Grid::new(t_rows),
+            tangent_tail: Grid::new(t_rows),
+            lq: Grid::new(lq_rows),
             out_x: 0.0,
             out_queues: vec![0.0; k_count],
             out_marginals: vec![0.0; off],
             marg_off,
-            cell: kernel::CellScratch::new(),
             extend_ctr: obsv::CounterBatch::new("conv.workspace.extend", 64),
             cells_ctr: obsv::CounterBatch::new("convolution.cells", 64),
             health: obsv::HealthProbe::new("conv.lse"),
@@ -407,11 +421,9 @@ impl ConvWorkspace {
     }
 
     /// Re-derives the stage chain from the current demands: kinds, order
-    /// (stage 0, light, heavy), the column scale and the scaled demands
-    /// and tail ratios. Allocation-free.
+    /// (stage 0, light, heavy) and the tail ratios. Allocation-free.
     fn refresh_kinds(&mut self) {
         let total = self.stages.len();
-        let mut ln_s = f64::INFINITY;
         let mut is_demand = self.think_time;
         // Light stages fill upward from 1, heavy stages downward from the end.
         let (mut lo, mut hi) = (1, total);
@@ -421,19 +433,14 @@ impl ConvWorkspace {
                 is_demand += s.demand;
                 continue;
             }
-            let (kind, ld) = if s.demand <= 0.0 {
-                (StageKind::Zero, f64::NEG_INFINITY)
+            let kind = if s.demand <= 0.0 {
+                StageKind::Zero
             } else {
-                let kind = match s.rate {
+                match s.rate {
                     RateFunction::Delay => StageKind::Exp,
                     RateFunction::SingleServer | RateFunction::MultiServer(1) => StageKind::Geo,
                     _ => StageKind::Table,
-                };
-                let ln_demand = s.demand.ln();
-                if kind != StageKind::Exp {
-                    ln_s = ln_s.min(self.ln_top_rate[k] - ln_demand);
                 }
-                (kind, ln_demand)
             };
             let heavy = self.limits[k] > 0 || kind == StageKind::Table;
             let i = if heavy {
@@ -443,123 +450,120 @@ impl ConvWorkspace {
                 lo += 1;
                 lo - 1
             };
+            let width = self.sat_index[k];
             self.heavy[k] = heavy;
             self.stage_of[k] = i;
             self.stages[i] = Stage {
                 kind,
                 station: k,
-                ln_d: ld,
-                width: self.sat_index[k],
-                ln_ratio: f64::NEG_INFINITY,
+                d: s.demand,
+                width,
+                ratio: if kind == StageKind::Table {
+                    s.demand / s.rate.rate(width)
+                } else {
+                    0.0
+                },
                 row: self.rate_row[k],
             };
         }
         debug_assert_eq!(lo, hi);
         self.first_heavy = hi;
-        // Delay stages alone never saturate: nothing to balance.
-        let ln_s = if ln_s.is_finite() { ln_s } else { 0.0 };
-        self.ln_s = ln_s;
         self.stages[IS_STAGE] = if is_demand > 0.0 {
-            let ln_is_demand = is_demand.ln();
             Stage {
                 kind: StageKind::Exp,
-                ln_d: ln_is_demand,
+                d: is_demand,
                 ..Stage::IDENTITY
             }
         } else {
             Stage::IDENTITY
         };
-        for st in self.stages.iter_mut() {
-            if st.kind == StageKind::Zero {
-                continue;
-            }
-            st.ln_d += ln_s;
-            if st.kind == StageKind::Table {
-                st.ln_ratio = st.ln_d - self.ln_top_rate[st.station];
-            }
-        }
         let complements = (total - self.first_heavy).saturating_sub(1);
         self.cells_per_step = (total + 2 * complements) as u64;
     }
 
-    /// Grows every grid so populations `0..len` fit, extending the `ln`
+    /// Grows every grid so populations `0..len` fit, extending the rate
     /// tables for the new range. Growth is the only allocation the
     /// workspace ever performs after construction.
     fn ensure_capacity(&mut self, len: usize) {
-        if len <= self.ln_factors.cap {
+        if len <= self.factors.cap {
             return;
         }
-        let new_cap = len.next_power_of_two().max(self.ln_factors.cap * 2).max(64);
-        let old_cap = self.ln_factors.cap;
+        let new_cap = len.next_power_of_two().max(self.factors.cap * 2).max(64);
+        let old_cap = self.factors.cap;
         let keep = (self.n + 1).min(old_cap);
         for grid in [
-            &mut self.ln_factors,
-            &mut self.ln_prefix,
+            &mut self.factors,
+            &mut self.prefix,
             &mut self.suffix,
-            &mut self.ln_tail_prefix,
-            &mut self.ln_tail_suffix,
-            &mut self.ln_g_minus,
-            &mut self.ln_lq,
+            &mut self.tail_prefix,
+            &mut self.tail_suffix,
+            &mut self.g_minus,
+            &mut self.tangent,
+            &mut self.tangent_tail,
+            &mut self.lq,
         ] {
-            grid.grow(new_cap, keep);
+            grid.grow(new_cap, keep, Ext::POISON);
         }
-        self.cell.ensure(new_cap);
 
-        self.ln_int.resize(new_cap, 0.0);
-        let from = old_cap.max(1);
-        for j in from..new_cap {
-            self.ln_int[j] = (j as f64).ln();
-        }
-        self.ln_rate.grow(new_cap, old_cap);
+        // j = 0 is never read and stays poisoned.
+        self.rate.grow(new_cap, old_cap, f64::NAN);
         for (k, s) in self.stations.iter().enumerate() {
             let r = self.rate_row[k];
             if r == NO_ROW {
                 continue;
             }
-            if old_cap == 0 {
-                self.ln_rate.set(r, 0, 0.0); // j = 0 is never read
-            }
-            for j in from..new_cap {
-                self.ln_rate.set(r, j, s.rate.rate(j).ln());
+            for j in old_cap.max(1)..new_cap {
+                self.rate.set(r, j, s.rate.rate(j));
             }
         }
 
         if obsv::enabled() {
-            let bytes = self.ln_factors.bytes()
-                + self.ln_prefix.bytes()
-                + self.suffix.bytes()
-                + self.ln_tail_prefix.bytes()
-                + self.ln_tail_suffix.bytes()
-                + self.ln_g_minus.bytes()
-                + self.ln_lq.bytes()
-                + self.ln_rate.bytes()
-                + self.ln_int.len() * std::mem::size_of::<f64>();
+            let ext_bytes: usize = [
+                &self.factors,
+                &self.prefix,
+                &self.suffix,
+                &self.tail_prefix,
+                &self.tail_suffix,
+                &self.g_minus,
+                &self.tangent,
+                &self.tangent_tail,
+                &self.lq,
+            ]
+            .iter()
+            .map(|g| g.bytes())
+            .sum();
             obsv::counter("conv.workspace.alloc", 1);
-            obsv::gauge("conv.workspace.bytes", bytes as f64);
+            obsv::gauge(
+                "conv.workspace.bytes",
+                (ext_bytes + self.rate.bytes()) as f64,
+            );
         }
     }
 
     /// Rewinds to population 0, re-initializing only the `j = 0` cells:
-    /// `f(0) = G(0) = G₍₋ₖ₎(0) = 1`, `h(0) = T(0) = 0`.
+    /// `f(0) = G(0) = G₍₋ₖ₎(0) = 1`, `h(0) = V(0) = T(0) = Y(0) = 0`.
     fn reset(&mut self) {
         self.n = 0;
-        let total = self.stages.len();
-        for i in 0..total {
-            self.ln_factors.set(i, 0, 0.0);
+        for i in 0..self.factors.rows {
+            self.factors.set(i, 0, Ext::ONE);
         }
-        for i in 0..=total {
-            self.ln_prefix.set(i, 0, 0.0);
-            self.suffix.set(i, 0, 0.0);
+        for i in 0..self.prefix.rows {
+            self.prefix.set(i, 0, Ext::ONE);
+            self.suffix.set(i, 0, Ext::ONE);
         }
-        for r in 0..self.ln_g_minus.rows {
-            self.ln_g_minus.set(r, 0, 0.0);
+        for r in 0..self.g_minus.rows {
+            self.g_minus.set(r, 0, Ext::ONE);
         }
-        for r in 0..self.ln_lq.rows {
-            self.ln_lq.set(r, 0, f64::NEG_INFINITY);
+        for r in 0..self.lq.rows {
+            self.lq.set(r, 0, Ext::ZERO);
         }
-        for r in 0..self.ln_tail_prefix.rows {
-            self.ln_tail_prefix.set(r, 0, f64::NEG_INFINITY);
-            self.ln_tail_suffix.set(r, 0, f64::NEG_INFINITY);
+        for r in 0..self.tail_prefix.rows {
+            self.tail_prefix.set(r, 0, Ext::ZERO);
+            self.tail_suffix.set(r, 0, Ext::ZERO);
+        }
+        for r in 0..self.tangent.rows {
+            self.tangent.set(r, 0, Ext::ZERO);
+            self.tangent_tail.set(r, 0, Ext::ZERO);
         }
     }
 
@@ -573,65 +577,64 @@ impl ConvWorkspace {
         let total = self.stages.len();
 
         for (i, st) in self.stages.iter().enumerate() {
-            let prev = self.ln_factors.at(i, m - 1);
+            let prev = self.factors.at(i, m - 1);
             let v = match st.kind {
-                StageKind::Zero => f64::NEG_INFINITY,
-                StageKind::Geo => prev + st.ln_d,
-                StageKind::Exp => prev + (st.ln_d - self.ln_int[m]),
-                StageKind::Table => prev + (st.ln_d - self.ln_rate.at(st.row, m)),
+                StageKind::Zero => Ext::ZERO,
+                StageKind::Geo => prev.scale(st.d),
+                StageKind::Exp => prev.scale(st.d / m as f64),
+                StageKind::Table => prev.scale(st.d / self.rate.at(st.row, m)),
             };
-            self.ln_factors.set(i, m, v);
+            self.factors.set(i, m, v);
         }
 
         // Stage 0 convolves with the identity `prefix[0]`: its prefix cell
         // is its factor cell.
-        self.ln_prefix
-            .set(IS_STAGE + 1, m, self.ln_factors.at(IS_STAGE, m));
+        self.prefix
+            .set(IS_STAGE + 1, m, self.factors.at(IS_STAGE, m));
         for i in IS_STAGE + 1..total {
             let v = chain_cell(
                 &self.stages[i],
-                self.ln_prefix.row(i),
-                self.ln_factors.row(i),
-                self.ln_prefix.at(i + 1, m - 1),
-                &mut self.ln_tail_prefix,
+                self.prefix.row(i),
+                self.factors.row(i),
+                self.prefix.at(i + 1, m - 1),
+                &mut self.tail_prefix,
                 m,
-                &mut self.cell,
             );
-            self.ln_prefix.set(i + 1, m, v);
+            self.prefix.set(i + 1, m, v);
         }
 
-        let g_m = self.ln_prefix.at(total, m);
-        let ln_g = g_m - m as f64 * self.ln_s;
-        self.health.watch(ln_g);
-        if g_m == f64::NEG_INFINITY && self.ln_prefix.at(total, m - 1) != f64::NEG_INFINITY {
+        let g = self.prefix.at(total, m);
+        if g.is_zero() && !self.prefix.at(total, m - 1).is_zero() {
             return Err(QueueingError::InvalidParameter {
                 what: "normalization constant vanished (all-zero demands?)",
             });
         }
 
         if self.first_heavy < total {
-            self.suffix.set(total, m, f64::NEG_INFINITY); // identity
+            self.suffix.set(total, m, Ext::ZERO); // identity
             for i in (self.first_heavy + 1..total).rev() {
                 let v = chain_cell(
                     &self.stages[i],
                     self.suffix.row(i + 1),
-                    self.ln_factors.row(i),
+                    self.factors.row(i),
                     self.suffix.at(i, m - 1),
-                    &mut self.ln_tail_suffix,
+                    &mut self.tail_suffix,
                     m,
-                    &mut self.cell,
                 );
                 self.suffix.set(i, m, v);
             }
             for i in self.first_heavy..total - 1 {
-                let v = kernel::conv_cell(
-                    self.ln_prefix.row(i),
-                    self.suffix.row(i + 1),
-                    m,
-                    &mut self.cell,
-                );
-                self.ln_g_minus
-                    .set(self.g_row[self.stages[i].station], m, v);
+                let r = self.g_row[self.stages[i].station];
+                if r == NO_ROW {
+                    self.extend_tangent(i, m);
+                } else {
+                    let v = dot_rev(
+                        &self.prefix.row(i)[..=m],
+                        &self.suffix.row(i + 1)[..=m],
+                        Ext::ZERO,
+                    );
+                    self.g_minus.set(r, m, v);
+                }
             }
         }
 
@@ -641,18 +644,64 @@ impl ConvWorkspace {
             }
             let st = &self.stages[self.stage_of[k]];
             if st.kind == StageKind::Geo {
-                let v = st.ln_d + lse2(self.ln_lq.at(r, m - 1), self.ln_prefix.at(total, m - 1));
-                self.ln_lq.set(r, m, v);
+                let v = self
+                    .lq
+                    .at(r, m - 1)
+                    .add(self.prefix.at(total, m - 1))
+                    .scale(st.d);
+                self.lq.set(r, m, v);
             }
         }
 
         self.n = m;
         self.extend_ctr.add(1);
         if obsv::enabled() {
+            // The recursion's one transcendental call: `ln G` for the probe.
+            let ln_g = g.ln();
+            self.health.watch(ln_g);
             self.cells_ctr.add(self.cells_per_step);
             obsv::gauge("convolution.ln_g", ln_g);
         }
         Ok(())
+    }
+
+    /// Appends `T(m)` and its carried tail to the tangent column of the
+    /// rate-table stage `i` (module docs): O(1) for `C` servers, an
+    /// `L`-wide head for a custom table of length `L`.
+    // lint: no-alloc
+    fn extend_tangent(&mut self, i: usize, m: usize) {
+        let st = &self.stages[i];
+        let r = self.t_row[st.station];
+        let c = st.width;
+        let p = self.prefix.row(i);
+        let f = self.factors.row(i);
+        let tail_prev = self.tangent_tail.at(r, m - 1);
+        let servers = matches!(self.stations[st.station].rate, RateFunction::MultiServer(_));
+        let tail = if m < c {
+            Ext::ZERO
+        } else {
+            // Y(m) = f(C)·P(m−C) + ρ·(Y(m−1) + V(m−1)); W's first term
+            // carries the weight j = L.
+            let first = f[c].mul(p[m - c]);
+            let first = if servers {
+                first
+            } else {
+                first.scale(c as f64)
+            };
+            let carried = tail_prev.add(self.tail_prefix.at(st.row, m - 1));
+            first.add(carried.scale(st.ratio))
+        };
+        let t = if servers {
+            self.prefix
+                .at(i + 1, m - 1)
+                .scale(st.d)
+                .add(tail_prev.scale(st.ratio))
+        } else {
+            let head = m.min(c - 1);
+            kernel::dot_rev_weighted(&f[1..=head], &p[m - head..m], 1, tail)
+        };
+        self.tangent_tail.set(r, m, tail);
+        self.tangent.set(r, m, t);
     }
 
     /// Fills the output slots (`throughput`/`queues`/`marginals_of`) for
@@ -662,49 +711,53 @@ impl ConvWorkspace {
     fn compute_outputs(&mut self, n: usize) {
         debug_assert!(n >= 1 && n <= self.n);
         let total = self.stages.len();
-        let g_n = self.ln_prefix.at(total, n);
-        let x = (self.ln_s + (self.ln_prefix.at(total, n - 1) - g_n)).exp();
+        let g = self.prefix.at(total, n);
+        let x = self.prefix.at(total, n - 1).ratio(g);
         self.out_x = x;
         for k in 0..self.stations.len() {
             let i = self.stage_of[k];
-            if self.heavy[k] {
-                let limit = self.limits[k];
+            self.out_queues[k] = if self.heavy[k] {
                 let off = self.marg_off[k];
-                self.out_marginals[off..off + limit].fill(0.0);
-                // The last heavy stage's complement is the prefix before it.
-                let ln_g_minus = if i + 1 == total {
-                    self.ln_prefix.row(i)
+                let marginals = &mut self.out_marginals[off..off + self.limits[k]];
+                if i + 1 == total {
+                    // The last heavy stage's complement is the prefix before it.
+                    occupancy(
+                        self.factors.row(i),
+                        self.prefix.row(i),
+                        n,
+                        g,
+                        marginals,
+                        &mut self.health,
+                    )
+                } else if self.g_row[k] == NO_ROW {
+                    dot_rev(
+                        &self.tangent.row(self.t_row[k])[..=n],
+                        &self.suffix.row(i + 1)[..=n],
+                        Ext::ZERO,
+                    )
+                    .ratio(g)
                 } else {
-                    self.ln_g_minus.row(self.g_row[k])
-                };
-                let mut q = 0.0;
-                for j in 0..=n {
-                    let lp = self.ln_factors.at(i, j) + ln_g_minus[n - j] - g_n;
-                    if lp > -700.0 {
-                        let p = lp.exp();
-                        q += j as f64 * p;
-                        if j < limit {
-                            self.out_marginals[off + j] = p;
-                        }
-                    } else if lp != f64::NEG_INFINITY {
-                        // A finite marginal term too small for exp():
-                        // dropped, which is safe but worth counting.
-                        self.health.count_underflow();
-                    }
+                    occupancy(
+                        self.factors.row(i),
+                        self.g_minus.row(self.g_row[k]),
+                        n,
+                        g,
+                        marginals,
+                        &mut self.health,
+                    )
                 }
-                self.out_queues[k] = q;
             } else if i == NO_ROW {
                 // Folded into the infinite-server stage: Q = X·D (Little).
-                self.out_queues[k] = x * self.stations[k].demand;
+                x * self.stations[k].demand
             } else {
-                self.out_queues[k] = match self.stages[i].kind {
+                match self.stages[i].kind {
                     StageKind::Zero => 0.0,
-                    StageKind::Geo => (self.ln_lq.at(self.lq_row[k], n) - g_n).exp(),
+                    StageKind::Geo => self.lq.at(self.lq_row[k], n).ratio(g),
                     StageKind::Exp | StageKind::Table => {
                         unreachable!("delay stages are merged or heavy; table stages are heavy")
                     }
-                };
-            }
+                }
+            };
         }
     }
 
@@ -773,33 +826,67 @@ fn folds_into_stage_0(s: &LdStation, limit: usize) -> bool {
 /// One chain cell `(a ⊛ f)(m)` of stage `st`: `a` is the chain row the
 /// stage extends (prefix before it, or suffix after it) and `own_prev` the
 /// stage's own chain cell at `m − 1`. Table stages also append their
-/// carried tail `T(m)` to their row of `tails`.
+/// carried tail `V(m)` to their row of `tails`.
 // lint: no-alloc
 fn chain_cell(
     st: &Stage,
-    a: &[f64],
-    f: &[f64],
-    own_prev: f64,
-    tails: &mut Grid,
+    a: &[Ext],
+    f: &[Ext],
+    own_prev: Ext,
+    tails: &mut Grid<Ext>,
     m: usize,
-    cell: &mut kernel::CellScratch,
-) -> f64 {
+) -> Ext {
     match st.kind {
         StageKind::Zero => a[m],
-        StageKind::Geo => lse2(a[m], st.ln_d + own_prev),
-        StageKind::Exp => kernel::conv_cell(a, f, m, cell),
+        StageKind::Geo => a[m].add(own_prev.scale(st.d)),
+        StageKind::Exp => dot_rev(&f[..=m], &a[..=m], Ext::ZERO),
         StageKind::Table => {
             let c = st.width;
             if m < c {
-                tails.set(st.row, m, f64::NEG_INFINITY);
-                kernel::conv_cell(a, f, m, cell)
+                tails.set(st.row, m, Ext::ZERO);
+                dot_rev(&f[..=m], &a[..=m], Ext::ZERO)
             } else {
-                let ln_tail = lse2(f[c] + a[m - c], st.ln_ratio + tails.at(st.row, m - 1));
-                tails.set(st.row, m, ln_tail);
-                kernel::head_tail_cell(f, a, m, c, ln_tail)
+                let tail = f[c]
+                    .mul(a[m - c])
+                    .add(tails.at(st.row, m - 1).scale(st.ratio));
+                tails.set(st.row, m, tail);
+                dot_rev(&f[..c], &a[m + 1 - c..=m], tail)
             }
         }
     }
+}
+
+/// Queue length `Σ_j j·p(j)` of a station with factor column `f` and
+/// complement column `g_minus`, where `p(j) = f(j)·G₍₋ₖ₎(n−j)/G(n)`; the
+/// first `marginals.len()` probabilities land in `marginals`. Every term
+/// is at most `G(n)`, so each is scaled straight to `G(n)`'s exponent. A
+/// nonzero term below the `f64` range reads as zero and is counted.
+// lint: no-alloc
+fn occupancy(
+    f: &[Ext],
+    g_minus: &[Ext],
+    n: usize,
+    g: Ext,
+    marginals: &mut [f64],
+    health: &mut obsv::HealthProbe,
+) -> f64 {
+    marginals.fill(0.0);
+    let inv_g = 1.0 / g.m;
+    let mut q = 0.0;
+    for j in 0..=n {
+        let (a, b) = (f[j], g_minus[n - j]);
+        let d = a.e + b.e - g.e;
+        let mantissa = a.m * b.m * inv_g;
+        let p = mantissa * pow2(d);
+        q += j as f64 * p;
+        if let Some(slot) = marginals.get_mut(j) {
+            *slot = p;
+        }
+        if d < -1022 && mantissa > 0.0 {
+            health.count_underflow();
+        }
+    }
+    q
 }
 
 #[cfg(test)]
@@ -1057,7 +1144,8 @@ mod tests {
     /// nearly all the work: every rate-table shape (C = 2, 16, 64, clamped
     /// custom tables), heavy single-server and delay stations, zero-demand
     /// stations and Z = 0. The first case is the 16-core model whose
-    /// bottleneck tail drifts past the queue bar without column scaling.
+    /// bottleneck tail drifted past the queue bar in unscaled log-domain
+    /// columns (DESIGN §15).
     #[test]
     fn deep_saturating_populations_match_scratch() {
         let cases: Vec<(&str, Vec<LdStation>, f64, Vec<usize>)> = vec![
@@ -1143,6 +1231,101 @@ mod tests {
         }
     }
 
+    /// Range stress: a 16-core CPU to N = 1500, a think-dominated network
+    /// (Z = 1000), demands from 1e-7 down to 3e-9, and demands around 4e3.
+    /// The extended exponents carry each of them unscaled. The tiny-demand
+    /// case stops at N = 400: deeper, the oracle's own `|ln G|` passes 2e4,
+    /// whose ulp (3.6e-12) is above the X bar, and the oracle is the side
+    /// that drifts (DESIGN §19).
+    #[test]
+    fn range_stress_networks_match_scratch() {
+        /// Label, stations, think time, marginal limits, populations.
+        type Case = (&'static str, Vec<LdStation>, f64, Vec<usize>, Vec<usize>);
+        let cases: Vec<Case> = vec![
+            (
+                "cpu16+disk-1500",
+                vec![
+                    st("cpu", 0.16, RateFunction::MultiServer(16)),
+                    st("disk", 0.004, RateFunction::SingleServer),
+                ],
+                1.0,
+                vec![16, 0],
+                vec![1500],
+            ),
+            (
+                "think-1000",
+                vec![
+                    st("cpu", 0.05, RateFunction::MultiServer(8)),
+                    st("app", 0.02, RateFunction::MultiServer(4)),
+                    st("disk", 0.01, RateFunction::SingleServer),
+                    st("lan", 0.3, RateFunction::Delay),
+                ],
+                1000.0,
+                vec![0, 4, 0, 0],
+                vec![200, 900],
+            ),
+            (
+                "tiny-demands",
+                vec![
+                    st("cpu", 1e-7, RateFunction::MultiServer(4)),
+                    st("app", 5e-8, RateFunction::MultiServer(16)),
+                    st("disk", 3e-9, RateFunction::SingleServer),
+                    st("lan", 2e-8, RateFunction::Delay),
+                ],
+                1e-6,
+                vec![4, 0, 0, 0],
+                vec![100, 400],
+            ),
+            (
+                "demands-4e3",
+                vec![
+                    st("cpu", 4.2e3, RateFunction::MultiServer(16)),
+                    st("app", 3.9e3, RateFunction::MultiServer(8)),
+                    st("disk", 4.0e2, RateFunction::SingleServer),
+                    st("lan", 4.1e3, RateFunction::Delay),
+                ],
+                4e4,
+                vec![0, 8, 0, 0],
+                vec![300, 900],
+            ),
+        ];
+        for (label, stations, z, limits, populations) in &cases {
+            let demands: Vec<f64> = stations.iter().map(|s| s.demand).collect();
+            let mut ws = ws_of(stations, *z, limits);
+            for &n in populations {
+                ws.solve_at(n, &demands).unwrap();
+                assert_matches_scratch(&ws, stations, *z, n, limits, label);
+            }
+        }
+    }
+
+    /// The large-H extreme on tangent columns: 90 16-core CPUs, each with
+    /// a single-server disk, and one CPU the bottleneck. The first CPU is
+    /// the last heavy stage; the other 89, the bottleneck among them, read
+    /// their queues off tangent columns. One population below the knee
+    /// (N* ≈ 84) and one well past it.
+    #[test]
+    fn ninety_heavy_stations_match_the_reference() {
+        let mut stations = Vec::new();
+        for i in 0..90 {
+            let cpu = if i == 45 {
+                0.4
+            } else {
+                0.002 + 0.0001 * i as f64
+            };
+            stations.push(st(&format!("cpu{i}"), cpu, RateFunction::MultiServer(16)));
+            let disk = 0.0004 + 0.00001 * i as f64;
+            stations.push(st(&format!("disk{i}"), disk, RateFunction::SingleServer));
+        }
+        let limits = vec![0usize; stations.len()];
+        let demands: Vec<f64> = stations.iter().map(|s| s.demand).collect();
+        let mut ws = ws_of(&stations, 1.0, &limits);
+        for n in [40usize, 150] {
+            ws.solve_at(n, &demands).unwrap();
+            assert_matches_scratch(&ws, &stations, 1.0, n, &limits, "h90");
+        }
+    }
+
     #[test]
     fn growth_preserves_carried_columns() {
         let stations = vec![
@@ -1205,7 +1388,7 @@ mod tests {
         assert!(snap.counter("conv.workspace.alloc") >= 1);
         assert!(snap.gauge("conv.workspace.bytes").unwrap_or(0.0) > 0.0);
         // Numeric-health probe: one ln G watched per extension, no NaN
-        // reads, and a nonzero log-sum-exp envelope.
+        // reads, and a nonzero ln G envelope.
         assert_eq!(snap.counter("health.conv.lse.samples"), 15);
         assert_eq!(snap.counter("health.conv.lse.nan_poison"), 0);
         let lo = snap.gauge("health.conv.lse.lo").expect("lse lo");

@@ -10,7 +10,7 @@
 //! proposed and implemented in … JMT [17]").
 //!
 //! The evaluation goes through the normalization-constant (convolution)
-//! route in log-domain (see [`super::convolution`] internals): the naive
+//! route (see [`super::convolution`] internals): the naive
 //! population recursion for load-dependent stations is numerically unstable
 //! near saturation — its `p(0) = 1 − Σ…` closure cancels catastrophically
 //! and the recursion amplifies round-off exponentially — while the
@@ -163,12 +163,13 @@ pub(crate) fn validate_stations(
 /// of [`MultiserverMvaSolver::from_stations`]). `n_max = 0` yields an
 /// empty solution (the model is still validated).
 ///
-/// Complexity `O(N · K · C + N² · H)` log-sum-exp terms and `O(N · K)`
+/// Complexity `O(N · K · C + N² · H)` multiply-add terms and `O(N · K)`
 /// memory, with `C` the largest saturation index (server count or custom
 /// table length) and `H` the number of rate-table stations: each one is
-/// geometric past `C`, and only `H − 1` of them keep an `O(N)` complement
-/// cell per population (see [`super::ConvWorkspace`]). Single-server and
-/// delay stations cost `O(1)` per population.
+/// geometric past `C` and reads its queue off one `O(N)` cell per
+/// population, all but the last through a carried tangent column (see
+/// [`super::ConvWorkspace`]). Single-server and delay stations cost `O(1)`
+/// per population.
 pub fn load_dependent_mva(
     stations: &[LdStation],
     think_time: f64,

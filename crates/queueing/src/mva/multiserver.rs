@@ -21,7 +21,7 @@
 //! `f64` breaks a few dozen populations past the knee, and even
 //! double-double state only delays the blow-up. [`multiserver_mva`]
 //! therefore evaluates the network through the normalization-constant
-//! (convolution) form in log-domain — mathematically identical for
+//! (convolution) form — mathematically identical for
 //! constant demands, and a ratio of sums of positive terms, hence stable
 //! at every population (validated against the machine-repair closed form
 //! to 1e-9 in the tests).
@@ -38,12 +38,14 @@
 //! demand array changes between steps (the MVASD case) the workspace
 //! rebuilds its columns from population 0: `n` extensions of `O(K·C)`
 //! each (`C` the largest server count; multi-server factors are geometric
-//! past `C`) plus one `O(n)` complement cell per multi-server station but
-//! the last. When it does not (constant-demand Algorithm 2 driven through
-//! the recursion) each step is a single extension. The old path rebuilt
-//! everything from scratch at `O(K·n²)` per step either way. The
-//! workspace's buffers are allocated once and reused for the rest of the
-//! sweep.
+//! past `C`), then one `O(n)` output cell per multi-server station. The
+//! workspace tracks no marginals, so every multi-server station but the
+//! last reads its queue off an O(1) tangent column instead of an `O(n)`
+//! complement cell per extension. When the demands do not change
+//! (constant-demand Algorithm 2 driven through the recursion) each step is
+//! a single extension. The old path rebuilt everything from scratch at
+//! `O(K·n²)` per step either way. The workspace's buffers are allocated
+//! once and reused for the rest of the sweep.
 
 use mvasd_numerics::dd::Dd;
 
@@ -176,7 +178,8 @@ pub struct PopulationRecursion {
     think_time: f64,
     /// Queue lengths (double-double while in carried mode).
     q: Vec<Dd>,
-    /// Marginals p(0..C−1) per multi-server station (empty otherwise).
+    /// Marginals p(0..C−1) per multi-server station (empty otherwise),
+    /// carried until the quasi-static switch and unused after it.
     p: Vec<Vec<Dd>>,
     /// Once true, every step is evaluated quasi-statically.
     quasi_static: bool,
@@ -306,13 +309,10 @@ impl PopulationRecursion {
                     LdStation::new(&format!("s{k}"), d, rate)
                 })
                 .collect();
-            let limits: Vec<usize> = self
-                .servers
-                .iter()
-                .map(|&c| if c != usize::MAX && c > 1 { c } else { 0 })
-                .collect();
+            // No marginals: nothing reads them after the switch, and a
+            // station without them takes the O(1) tangent column.
             self.ws = Some(
-                ConvWorkspace::from_validated(stations, self.think_time, limits)
+                ConvWorkspace::from_validated(stations, self.think_time, Vec::new())
                     .expect("quasi-static workspace over a validated network"),
             );
         }
@@ -321,15 +321,9 @@ impl PopulationRecursion {
             .expect("quasi-static solve of a validated network");
         let x = ws.throughput();
         let queues = ws.queues();
-        // Refresh the carried state so marginals()/queue() stay meaningful.
-        for (k, &qk) in queues.iter().enumerate().take(self.servers.len()) {
-            self.q[k] = Dd::from_f64(qk);
-            if !self.p[k].is_empty() {
-                let marg = ws.marginals_of(k);
-                for (j, slot) in self.p[k].iter_mut().enumerate() {
-                    *slot = Dd::from_f64(marg.get(j).copied().unwrap_or(0.0));
-                }
-            }
+        // Refresh the carried queues so queue() stays meaningful.
+        for (q, &qk) in self.q.iter_mut().zip(queues) {
+            *q = Dd::from_f64(qk);
         }
         let residences: Vec<f64> = queues
             .iter()
@@ -337,12 +331,6 @@ impl PopulationRecursion {
             .collect();
         let r_total: f64 = residences.iter().sum();
         (x, r_total, residences)
-    }
-
-    /// Current marginal snapshot of station `k` (empty for single-server
-    /// and delay stations), rounded to `f64`.
-    pub fn marginals(&self, k: usize) -> Vec<f64> {
-        self.p[k].iter().map(|d| d.to_f64()).collect()
     }
 
     /// Current queue length of station `k`.
@@ -620,6 +608,43 @@ mod tests {
         // The switch must have fired well before the knee (~116).
         let s = switched_at.expect("must switch for a saturating CPU");
         assert!(s < 116, "switched at {s}");
+    }
+
+    #[test]
+    fn station_with_at_least_n_servers_equals_a_delay_station() {
+        // With C ≥ N no customer ever queues, so a C-server station is a
+        // delay station with the same demand. The wide station follows the
+        // 16-core CPU, so it reads its queue off a tangent column, while
+        // the delay network folds it into the think-time stage.
+        let net = |wide: Station| {
+            ClosedNetwork::new(
+                vec![
+                    Station::queueing("cpu", 16, 1.0, 0.05),
+                    wide,
+                    Station::queueing("disk", 1, 1.0, 0.004),
+                ],
+                0.5,
+            )
+            .unwrap()
+        };
+        for (c, n_max) in [(64usize, 64usize), (300, 300)] {
+            let wide =
+                multiserver_mva(&net(Station::queueing("wide", c, 1.0, 0.8)), n_max).unwrap();
+            let delay = multiserver_mva(&net(Station::delay("wide", 1.0, 0.8)), n_max).unwrap();
+            for (pw, pd) in wide.points.iter().zip(&delay.points) {
+                let rel = (pw.throughput - pd.throughput).abs() / pd.throughput;
+                assert!(rel < 1e-12, "C={c} n={}: X rel {rel:e}", pw.n);
+                for (k, (sw, sd)) in pw.stations.iter().zip(&pd.stations).enumerate() {
+                    assert!(
+                        close(sw.queue, sd.queue, 1e-11 * sd.queue.max(1.0)),
+                        "C={c} n={} q[{k}]: {} vs {}",
+                        pw.n,
+                        sw.queue,
+                        sd.queue
+                    );
+                }
+            }
+        }
     }
 
     #[test]

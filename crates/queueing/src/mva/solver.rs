@@ -108,8 +108,8 @@ impl ClosedSolver for ExactMvaSolver {
     }
 }
 
-/// The exact single-class solver: Buzen's log-domain convolution over
-/// load-dependent stations (see [`ConvWorkspace`](super::ConvWorkspace)).
+/// The exact single-class solver: Buzen's convolution over load-dependent
+/// stations (see [`ConvWorkspace`](super::ConvWorkspace)).
 ///
 /// [`new`](Self::new) is paper Algorithm 2 over a static network;
 /// [`from_stations`](Self::from_stations) is the load-dependent MVA the

@@ -76,7 +76,7 @@ fn main() {
     let agg = solver.solve(300).expect("aggregated solve");
 
     // The flat exact reference: the identical 62-station product-form
-    // network, solved station-by-station through log-domain convolution.
+    // network, solved station-by-station through convolution.
     let flat = MultiserverMvaSolver::new(net.flatten())
         .solve(300)
         .expect("flat exact solve");

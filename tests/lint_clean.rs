@@ -127,14 +127,11 @@ fn codes(path: &str, src: &str) -> Vec<String> {
 /// with teeth on the code they guard, not just on synthetic snippets.
 #[test]
 fn seeded_mutations_of_real_sources_fire_l7_l8_l9() {
-    // L7: the convolution workspace discharges its log-domain tables
-    // through a ln-named binding; squaring the log value is log-as-linear.
+    // L7: the convolution workspace binds its one logarithm, the health
+    // probe's `ln G`, to a ln-named binding; squaring it is log-as-linear.
     let (path, src) = real_source("crates/queueing/src/mva/convolution/workspace.rs");
     assert!(!codes(&path, &src).iter().any(|c| c.starts_with("L7")));
-    let mutated = src.replace(
-        "let ln_demand = s.demand.ln();",
-        "let ln_demand = s.demand.ln() * s.demand.ln();",
-    );
+    let mutated = src.replace("let ln_g = g.ln();", "let ln_g = g.ln() * g.ln();");
     assert_ne!(
         mutated, src,
         "L7 mutation anchor vanished from workspace.rs"

@@ -185,9 +185,9 @@ fn sweep_cache_metrics_land_in_collector_snapshot() {
 
 /// The hierarchical aggregation layer is observable end to end: isolation
 /// solves, profile-cache hits, profile growth, per-subsystem spans and the
-/// batched log-sum-exp kernel span all land in the collector — and, as
-/// everywhere else, recorders observe without perturbing a single bit of
-/// the numerics.
+/// convolution workspace's counters and health probe all land in the
+/// collector — and, as everywhere else, recorders observe without
+/// perturbing a single bit of the numerics.
 #[test]
 fn aggregation_metrics_land_in_collector_snapshot() {
     let _guard = lock();
@@ -252,10 +252,10 @@ fn aggregation_metrics_land_in_collector_snapshot() {
     );
     assert_eq!(snap.spans_named("hierarchy.step"), 60);
     assert_eq!(snap.counter("solver.steps"), 60);
-    assert!(
-        snap.spans_named("kernel.lse.batch") > 0,
-        "the batched kernel opens its span on the convolution hot path"
-    );
+    // The convolution hot path reports its work and its `ln G` probe.
+    assert!(snap.counter("conv.workspace.extend") >= 60);
+    assert!(snap.counter("convolution.cells") > snap.counter("conv.workspace.extend"));
+    assert!(snap.counter("health.conv.lse.samples") > 0);
 
     // Second-level memoization in sweeps is observable too: two scenarios
     // over the same topology (one rescaled) re-solve every distinct
@@ -420,8 +420,8 @@ fn seeded_run_produces_clean_health_report() {
     let _scope = obsv::scoped(collector.clone());
 
     let app = vins::model();
-    // Multiserver MVA at a real demand point drives the log-domain
-    // convolution workspace (the lse probe's home).
+    // Multiserver MVA at a real demand point drives the convolution
+    // workspace (the lse probe's home).
     let solver = mvasd_suite::queueing::mva::MultiserverMvaSolver::new(
         app.closed_network_at(1500.0).expect("calibrated network"),
     );
