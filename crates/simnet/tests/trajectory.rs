@@ -1,4 +1,4 @@
-//! Pins the simulator's trajectory: five seeded runs whose observable
+//! Pins the simulator's trajectory: six seeded runs whose observable
 //! outputs are recorded constants.
 //!
 //! Everything that follows from the sequence of events — completions,
@@ -283,6 +283,37 @@ fn wide_station() -> SimReport {
     )
 }
 
+/// The draws no other pin makes: Grinder-style normal think times
+/// (`sleep_time_variation`), uniform service, and two stations whose
+/// draws take no random word, a zero-width uniform and a zero-mean
+/// exponential.
+fn uniform_and_free_draws() -> SimReport {
+    run(
+        vec![
+            SimStation::queueing("cpu", 2, 0.02)
+                .with_service(Distribution::Uniform { lo: 0.01, hi: 0.03 }),
+            SimStation::queueing("fixed", 1, 0.004).with_service(Distribution::Uniform {
+                lo: 0.004,
+                hi: 0.004,
+            }),
+            SimStation::queueing("free", 1, 0.0),
+            SimStation::queueing("disk", 1, 0.012),
+        ],
+        Distribution::NormalClamped {
+            mean: 1.0,
+            std_dev: 0.3,
+        },
+        SimConfig {
+            customers: 50,
+            horizon: 150.0,
+            warmup: 10.0,
+            seed: 73,
+            stagger: 0.0,
+            bucket_width: 1.0,
+        },
+    )
+}
+
 #[test]
 fn vins_shaped_trajectory_is_pinned() {
     assert_pinned(
@@ -408,6 +439,39 @@ fn wide_station_trajectory_is_pinned() {
             utilization: &[0.3834308981434612, 0.8006620751950817],
             mean_queue: &[98.15830992472607, 3.68182118646116],
             busy_sums: &[5932.610156868527, 48.03690484275708],
+        },
+    );
+}
+
+#[test]
+fn uniform_and_free_draw_trajectory_is_pinned() {
+    assert_pinned(
+        "uniform_and_free_draws",
+        &uniform_and_free_draws(),
+        &Pin {
+            completions: 6625,
+            throughput: 47.32142857142857,
+            mean_response: 0.05220836919174885,
+            p95_response: 0.10903238102897034,
+            trajectory_hash: 0x9fb8_8f7c_3ef4_a234,
+            utilization: &[
+                0.4707669248859254,
+                0.18931428571430448,
+                0.0,
+                0.5601793001685974,
+            ],
+            mean_queue: &[
+                1.0902863584758558,
+                0.20089059180130567,
+                0.0,
+                1.1800933367358166,
+            ],
+            busy_sums: &[
+                141.19828919430512,
+                28.412000000002504,
+                0.0,
+                84.96933294497182,
+            ],
         },
     );
 }
