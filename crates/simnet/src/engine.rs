@@ -10,13 +10,13 @@
 //! with K. Each customer carries its arrival and service-start times, and
 //! a visit's time integrals are added when it ends (see `metrics`).
 
-use mvasd_numerics::rng::Xoshiro256pp;
 use mvasd_obsv as obsv;
 use std::collections::VecDeque;
 
 use crate::event::{EventQueue, EVENT_BYTES};
 use crate::metrics::{Accumulators, SimReport, StationStats, SystemStats, TimeSeriesBucket};
 use crate::station::{SimNetwork, StationModel};
+use crate::stream::VariateStream;
 use crate::SimError;
 
 /// Run-level configuration.
@@ -99,7 +99,7 @@ struct StationState {
 /// The mutable state of one run.
 struct Run<'a> {
     net: &'a SimNetwork,
-    rng: Xoshiro256pp,
+    variates: VariateStream,
     events: EventQueue,
     acc: Accumulators,
     customers: Vec<Customer>,
@@ -120,7 +120,7 @@ impl Run<'_> {
             StationModel::Delay => {
                 st.busy += 1;
                 customer.service_start = t;
-                let s = spec.service.sample(&mut self.rng);
+                let s = spec.service.sample(&mut self.variates);
                 self.events.schedule_infinite(t + s, c);
             }
             StationModel::Queueing { servers } if st.busy < servers => {
@@ -136,7 +136,7 @@ impl Run<'_> {
     fn start_service(&mut self, k: usize, c: usize, t: f64) {
         self.customers[c].service_start = t;
         let spec = &self.net.stations()[k];
-        let mut s = spec.service.sample(&mut self.rng);
+        let mut s = spec.service.sample(&mut self.variates);
         if let Some(m) = &spec.contention {
             s *= m.factor(self.stations[k].present);
         }
@@ -165,7 +165,7 @@ impl Run<'_> {
         } else {
             self.customers[c].stage = think_stage;
             self.acc.record_completion(t, t - interaction_start);
-            let z = self.net.think().sample(&mut self.rng);
+            let z = self.net.think().sample(&mut self.variates);
             self.events.schedule_infinite(t + z, c);
         }
     }
@@ -231,7 +231,7 @@ impl Simulation {
         let k_count = self.net.stations().len();
         let mut run = Run {
             net: &self.net,
-            rng: Xoshiro256pp::seed_from_u64(self.cfg.seed),
+            variates: VariateStream::seed_from_u64(self.cfg.seed),
             events: EventQueue::new(),
             acc: Accumulators::new(
                 k_count,

@@ -59,6 +59,7 @@ mod event;
 mod metrics;
 mod rng;
 mod station;
+mod stream;
 
 pub use contention::ContentionModel;
 pub use engine::{SimConfig, Simulation};

@@ -6,7 +6,7 @@
 //! [`Distribution::NormalClamped`]. Deterministic and Erlang-k cover the
 //! low-variance end for robustness studies.
 
-use mvasd_numerics::rng::Xoshiro256pp;
+use crate::stream::VariateStream;
 
 /// A non-negative random-variate family with a configurable mean.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,10 +114,10 @@ impl Distribution {
         }
     }
 
-    /// Draws one variate.
-    pub fn sample(&self, rng: &mut Xoshiro256pp) -> f64 {
+    /// Draws one variate from the run's stream.
+    pub(crate) fn sample(&self, s: &mut VariateStream) -> f64 {
         match self {
-            Distribution::Exponential { mean } => rng.exponential(*mean),
+            Distribution::Exponential { mean } => s.exponential(*mean),
             Distribution::Deterministic { value } => *value,
             Distribution::Erlang { k, mean } => {
                 // lint: float-eq-ok zero mean is an exact degenerate-input sentinel
@@ -125,10 +125,10 @@ impl Distribution {
                     return 0.0;
                 }
                 let stage_mean = mean / *k as f64;
-                (0..*k).map(|_| rng.exponential(stage_mean)).sum()
+                (0..*k).map(|_| s.exponential(stage_mean)).sum()
             }
-            Distribution::Uniform { lo, hi } => rng.uniform(*lo, *hi),
-            Distribution::NormalClamped { mean, std_dev } => rng.normal(*mean, *std_dev).max(0.0),
+            Distribution::Uniform { lo, hi } => s.uniform(*lo, *hi),
+            Distribution::NormalClamped { mean, std_dev } => s.normal(*mean, *std_dev).max(0.0),
         }
     }
 }
@@ -138,8 +138,8 @@ mod tests {
     use super::*;
 
     fn sample_mean(d: &Distribution, n: usize, seed: u64) -> f64 {
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        (0..n).map(|_| d.sample(&mut rng)).sum::<f64>() / n as f64
+        let mut s = VariateStream::seed_from_u64(seed);
+        (0..n).map(|_| d.sample(&mut s)).sum::<f64>() / n as f64
     }
 
     #[test]
@@ -152,9 +152,9 @@ mod tests {
     #[test]
     fn deterministic_is_constant() {
         let d = Distribution::Deterministic { value: 3.5 };
-        let mut rng = Xoshiro256pp::seed_from_u64(2);
+        let mut s = VariateStream::seed_from_u64(2);
         for _ in 0..10 {
-            assert_eq!(d.sample(&mut rng), 3.5);
+            assert_eq!(d.sample(&mut s), 3.5);
         }
     }
 
@@ -162,10 +162,10 @@ mod tests {
     fn erlang_mean_and_lower_variance() {
         let e1 = Distribution::Exponential { mean: 1.0 };
         let e4 = Distribution::Erlang { k: 4, mean: 1.0 };
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
+        let mut s = VariateStream::seed_from_u64(3);
         let n = 100_000;
-        let s1: Vec<f64> = (0..n).map(|_| e1.sample(&mut rng)).collect();
-        let s4: Vec<f64> = (0..n).map(|_| e4.sample(&mut rng)).collect();
+        let s1: Vec<f64> = (0..n).map(|_| e1.sample(&mut s)).collect();
+        let s4: Vec<f64> = (0..n).map(|_| e4.sample(&mut s)).collect();
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         let var = |v: &[f64]| {
             let m = mean(v);
@@ -181,9 +181,9 @@ mod tests {
     #[test]
     fn uniform_bounds_respected() {
         let d = Distribution::Uniform { lo: 1.0, hi: 2.0 };
-        let mut rng = Xoshiro256pp::seed_from_u64(4);
+        let mut s = VariateStream::seed_from_u64(4);
         for _ in 0..1000 {
-            let x = d.sample(&mut rng);
+            let x = d.sample(&mut s);
             assert!((1.0..=2.0).contains(&x));
         }
         assert!((sample_mean(&d, 100_000, 5) - 1.5).abs() < 0.01);
@@ -195,9 +195,9 @@ mod tests {
             mean: 0.1,
             std_dev: 0.5,
         };
-        let mut rng = Xoshiro256pp::seed_from_u64(6);
+        let mut s = VariateStream::seed_from_u64(6);
         for _ in 0..1000 {
-            assert!(d.sample(&mut rng) >= 0.0);
+            assert!(d.sample(&mut s) >= 0.0);
         }
     }
 
@@ -220,15 +220,9 @@ mod tests {
 
     #[test]
     fn zero_mean_samples_zero() {
-        let mut rng = Xoshiro256pp::seed_from_u64(7);
-        assert_eq!(
-            Distribution::Exponential { mean: 0.0 }.sample(&mut rng),
-            0.0
-        );
-        assert_eq!(
-            Distribution::Erlang { k: 2, mean: 0.0 }.sample(&mut rng),
-            0.0
-        );
+        let mut s = VariateStream::seed_from_u64(7);
+        assert_eq!(Distribution::Exponential { mean: 0.0 }.sample(&mut s), 0.0);
+        assert_eq!(Distribution::Erlang { k: 2, mean: 0.0 }.sample(&mut s), 0.0);
     }
 
     #[test]
