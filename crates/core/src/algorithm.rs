@@ -481,7 +481,8 @@ mod tests {
         // delay station with the same demand. Its 0.8 s demand keeps more
         // than 8 servers busy from n ≈ 14 on, so MVASD switches to the
         // quasi-static workspace, where the wide station (after the
-        // 16-core CPU) reads its queue off a tangent column.
+        // 16-core CPU) reads its queue off a tangent column. C = 2^40 is
+        // far more servers than the carried marginals could hold.
         let delay_net = ClosedNetwork::new(
             vec![
                 Station::queueing("s0", 16, 1.0, 0.05),
@@ -491,7 +492,8 @@ mod tests {
             0.5,
         )
         .unwrap();
-        for c in [64usize, 300] {
+        for c in [64usize, 300, 1 << 40] {
+            let n_max = c.min(300);
             let samples = constant_samples(&[(16, 0.05), (c, 0.8), (1, 0.004)], 0.5);
             let profile = ServiceDemandProfile::from_samples(
                 &samples,
@@ -500,9 +502,9 @@ mod tests {
             )
             .unwrap();
             let mut it = MvasdIter::new(&profile);
-            let points: Vec<MvaPoint> = (0..c).map(|_| it.step().unwrap()).collect();
+            let points: Vec<MvaPoint> = (0..n_max).map(|_| it.step().unwrap()).collect();
             assert!(it.rec.is_quasi_static(), "C={c}: never switched");
-            let exact = multiserver_mva(&delay_net, c).unwrap();
+            let exact = multiserver_mva(&delay_net, n_max).unwrap();
             for (ps, pd) in points.iter().zip(exact.points.iter()) {
                 assert!(
                     close(ps.throughput, pd.throughput, 1e-9 * pd.throughput),
