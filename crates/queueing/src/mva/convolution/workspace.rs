@@ -78,7 +78,11 @@
 //! Changing the demand vector ([`solve_at`]) re-runs the recursion from
 //! population 0 inside the same buffers — zero allocation and no libm call
 //! — which is what the quasi-static MVASD phase does at every population
-//! step.
+//! step. A rebuild keeps the leading light stages whose kind, station and
+//! demand bits did not change, with their factor and prefix cells: those
+//! cells are exactly what a fresh workspace would compute, so extension
+//! recomputes only the stages from the first changed one on, for the
+//! populations the kept cells cover.
 //!
 //! [`advance`]: ConvWorkspace::advance
 //! [`solve_at`]: ConvWorkspace::solve_at
@@ -119,6 +123,15 @@ struct Stage {
 }
 
 impl Stage {
+    /// Whether this stage computes the same factor cells as `other`, and
+    /// so the same prefix cells after an unchanged chain: same kind,
+    /// station and demand bits (the other fields follow from the station).
+    fn same_cells(&self, other: &Stage) -> bool {
+        self.kind == other.kind
+            && self.station == other.station
+            && self.d.to_bits() == other.d.to_bits()
+    }
+
     /// A zero-demand stage with no station behind it.
     const IDENTITY: Stage = Stage {
         kind: StageKind::Zero,
@@ -209,9 +222,14 @@ pub struct ConvWorkspace {
     first_heavy: usize,
     /// Whether station `k` currently needs the `G₍₋ₖ₎` marginal path.
     heavy: Vec<bool>,
-    /// Prefix, suffix and complement or tangent cells written per
-    /// extension.
+    /// Prefix, suffix and complement or tangent cells per extension,
+    /// kept prefix cells included.
     cells_per_step: u64,
+    /// Leading light stages kept by the last rebuild: their factor and
+    /// prefix cells hold for the current demands up to `kept_upto`.
+    kept: usize,
+    /// Population up to which the kept stages' cells hold.
+    kept_upto: usize,
 
     /// Saturation index `C` of each rate-table station (0 otherwise).
     sat_index: Vec<usize>,
@@ -259,7 +277,10 @@ pub struct ConvWorkspace {
     marg_off: Vec<usize>,
 
     extend_ctr: obsv::CounterBatch,
+    /// Cells written.
     cells_ctr: obsv::CounterBatch,
+    /// Kept prefix cells read instead of written.
+    reused_ctr: obsv::CounterBatch,
     /// Watches `ln G` per extension (dynamic range, NaN-poison trips) and
     /// counts marginal terms below the `f64` range. Locally buffered;
     /// flushed by [`flush_metrics`](Self::flush_metrics) and on drop.
@@ -344,6 +365,8 @@ impl ConvWorkspace {
             first_heavy: total,
             heavy: vec![false; k_count],
             cells_per_step: 0,
+            kept: 0,
+            kept_upto: 0,
             sat_index,
             g_row,
             t_row,
@@ -365,6 +388,7 @@ impl ConvWorkspace {
             marg_off,
             extend_ctr: obsv::CounterBatch::new("conv.workspace.extend", 64),
             cells_ctr: obsv::CounterBatch::new("convolution.cells", 64),
+            reused_ctr: obsv::CounterBatch::new("conv.workspace.reused", 64),
             health: obsv::HealthProbe::new("conv.lse"),
         };
         ws.refresh_kinds();
@@ -417,16 +441,23 @@ impl ConvWorkspace {
     pub fn flush_metrics(&mut self) {
         self.extend_ctr.flush();
         self.cells_ctr.flush();
+        self.reused_ctr.flush();
         self.health.flush();
     }
 
     /// Re-derives the stage chain from the current demands: kinds, order
-    /// (stage 0, light, heavy) and the tail ratios. Allocation-free.
-    fn refresh_kinds(&mut self) {
+    /// (stage 0, light, heavy) and the tail ratios. Returns how many
+    /// leading stages compute the same cells as the stage at the same
+    /// index before ([`Stage::same_cells`]); the run never reaches into the
+    /// heavy group, whose tangent, suffix and complement columns read later
+    /// stages. Allocation-free: each stage is compared as it is written.
+    fn refresh_kinds(&mut self) -> usize {
         let total = self.stages.len();
         let mut is_demand = self.think_time;
         // Light stages fill upward from 1, heavy stages downward from the end.
         let (mut lo, mut hi) = (1, total);
+        // Light stages 1..=same_light are unchanged.
+        let mut same_light = 0;
         for (k, s) in self.stations.iter().enumerate() {
             self.heavy[k] = false;
             if folds_into_stage_0(s, self.limits[k]) {
@@ -451,9 +482,7 @@ impl ConvWorkspace {
                 lo - 1
             };
             let width = self.sat_index[k];
-            self.heavy[k] = heavy;
-            self.stage_of[k] = i;
-            self.stages[i] = Stage {
+            let stage = Stage {
                 kind,
                 station: k,
                 d: s.demand,
@@ -465,10 +494,16 @@ impl ConvWorkspace {
                 },
                 row: self.rate_row[k],
             };
+            if !heavy && same_light + 1 == i && stage.same_cells(&self.stages[i]) {
+                same_light = i;
+            }
+            self.heavy[k] = heavy;
+            self.stage_of[k] = i;
+            self.stages[i] = stage;
         }
         debug_assert_eq!(lo, hi);
         self.first_heavy = hi;
-        self.stages[IS_STAGE] = if is_demand > 0.0 {
+        let stage_0 = if is_demand > 0.0 {
             Stage {
                 kind: StageKind::Exp,
                 d: is_demand,
@@ -477,20 +512,28 @@ impl ConvWorkspace {
         } else {
             Stage::IDENTITY
         };
+        let same = if stage_0.same_cells(&self.stages[IS_STAGE]) {
+            1 + same_light
+        } else {
+            0
+        };
+        self.stages[IS_STAGE] = stage_0;
         let complements = (total - self.first_heavy).saturating_sub(1);
         self.cells_per_step = (total + 2 * complements) as u64;
+        same
     }
 
     /// Grows every grid so populations `0..len` fit, extending the rate
     /// tables for the new range. Growth is the only allocation the
-    /// workspace ever performs after construction.
+    /// workspace ever performs after construction. It copies the kept
+    /// stages' cells past the current population too.
     fn ensure_capacity(&mut self, len: usize) {
         if len <= self.factors.cap {
             return;
         }
         let new_cap = len.next_power_of_two().max(self.factors.cap * 2).max(64);
         let old_cap = self.factors.cap;
-        let keep = (self.n + 1).min(old_cap);
+        let keep = (self.n.max(self.kept_upto) + 1).min(old_cap);
         for grid in [
             &mut self.factors,
             &mut self.prefix,
@@ -575,13 +618,18 @@ impl ConvWorkspace {
         let m = self.n + 1;
         self.ensure_capacity(m + 1);
         let total = self.stages.len();
+        // The kept stages already hold their factor and prefix cells at m.
+        let reused = if m <= self.kept_upto { self.kept } else { 0 };
 
-        for (i, st) in self.stages.iter().enumerate() {
+        for (i, st) in self.stages.iter().enumerate().skip(reused) {
             let prev = self.factors.at(i, m - 1);
             let v = match st.kind {
                 StageKind::Zero => Ext::ZERO,
                 StageKind::Geo => prev.scale(st.d),
                 StageKind::Exp => prev.scale(st.d / m as f64),
+                // The rate clamps at the saturation index, where the
+                // quotient is the stored ratio, bit for bit.
+                StageKind::Table if m >= st.width => prev.scale(st.ratio),
                 StageKind::Table => prev.scale(st.d / self.rate.at(st.row, m)),
             };
             self.factors.set(i, m, v);
@@ -589,9 +637,11 @@ impl ConvWorkspace {
 
         // Stage 0 convolves with the identity `prefix[0]`: its prefix cell
         // is its factor cell.
-        self.prefix
-            .set(IS_STAGE + 1, m, self.factors.at(IS_STAGE, m));
-        for i in IS_STAGE + 1..total {
+        if reused == 0 {
+            self.prefix
+                .set(IS_STAGE + 1, m, self.factors.at(IS_STAGE, m));
+        }
+        for i in reused.max(IS_STAGE + 1)..total {
             let v = chain_cell(
                 &self.stages[i],
                 self.prefix.row(i),
@@ -659,7 +709,8 @@ impl ConvWorkspace {
             // The recursion's one transcendental call: `ln G` for the probe.
             let ln_g = g.ln();
             self.health.watch(ln_g);
-            self.cells_ctr.add(self.cells_per_step);
+            self.cells_ctr.add(self.cells_per_step - reused as u64);
+            self.reused_ctr.add(reused as u64);
             obsv::gauge("convolution.ln_g", ln_g);
         }
         Ok(())
@@ -780,11 +831,14 @@ impl ConvWorkspace {
     /// * same demands, `n > population()` — incremental extension;
     /// * same demands, `n ≤ population()` — pure read-back, zero cells;
     /// * changed demands — in-buffer rebuild (reset + extend to `n`),
-    ///   counted as `conv.workspace.rebuild`.
+    ///   counted as `conv.workspace.rebuild`. The leading light stages
+    ///   that did not change keep their cells, counted as
+    ///   `conv.workspace.reused` while extension reads them.
     ///
     /// Demand equality is bitwise: the quasi-static caller hands back the
     /// exact floats it got from the interpolator, so an epsilon would only
     /// blur the rebuild accounting.
+    // lint: no-alloc
     pub fn solve_at(&mut self, n: usize, demands: &[f64]) -> Result<(), QueueingError> {
         if n == 0 {
             return Err(QueueingError::InvalidParameter {
@@ -805,7 +859,16 @@ impl ConvWorkspace {
             for (s, &d) in self.stations.iter_mut().zip(demands) {
                 s.demand = d;
             }
-            self.refresh_kinds();
+            let same = self.refresh_kinds();
+            // A run no longer than the last one holds what that one held;
+            // a stage kept for the first time was last computed for this
+            // demand up to the current population only.
+            self.kept_upto = if same > self.kept {
+                self.n
+            } else {
+                self.kept_upto.max(self.n)
+            };
+            self.kept = same;
             obsv::counter("conv.workspace.rebuild", 1);
             self.reset();
         }
@@ -1044,35 +1107,8 @@ mod tests {
             &Config::default().cases(24),
             |g: &mut Gen| {
                 let k_count = g.usize_in(1, 4);
-                let mut stations = Vec::new();
-                let mut limits = Vec::new();
-                for i in 0..k_count {
-                    let rate = match g.usize_in(0, 3) {
-                        0 => RateFunction::SingleServer,
-                        1 => RateFunction::MultiServer(g.usize_in(2, 8)),
-                        2 => RateFunction::Delay,
-                        _ => {
-                            let len = g.usize_in(1, 4);
-                            RateFunction::Custom(
-                                (0..len)
-                                    .map(|j| 1.0 + j as f64 * g.f64_in(0.1, 1.0))
-                                    .collect(),
-                            )
-                        }
-                    };
-                    let limit = match &rate {
-                        RateFunction::MultiServer(c) if g.bool() => *c,
-                        _ => {
-                            if g.bool() {
-                                g.usize_in(0, 3)
-                            } else {
-                                0
-                            }
-                        }
-                    };
-                    stations.push(st(&format!("s{i}"), g.f64_in(0.001, 0.2), rate));
-                    limits.push(limit);
-                }
+                let (stations, limits): (Vec<_>, Vec<_>) =
+                    (0..k_count).map(|i| random_station(g, i)).unzip();
                 let z = g.f64_in(0.0, 2.0);
                 if z <= 0.0 && stations.iter().all(|s| s.demand <= 0.0) {
                     return;
@@ -1105,6 +1141,116 @@ mod tests {
                 }
             },
         );
+    }
+
+    /// A random station of any rate kind with a random marginal limit.
+    fn random_station(g: &mut Gen, i: usize) -> (LdStation, usize) {
+        let rate = match g.usize_in(0, 3) {
+            0 => RateFunction::SingleServer,
+            1 => RateFunction::MultiServer(g.usize_in(2, 8)),
+            2 => RateFunction::Delay,
+            _ => {
+                let len = g.usize_in(1, 4);
+                RateFunction::Custom(
+                    (0..len)
+                        .map(|j| 1.0 + j as f64 * g.f64_in(0.1, 1.0))
+                        .collect(),
+                )
+            }
+        };
+        let limit = match &rate {
+            RateFunction::MultiServer(c) if g.bool() => *c,
+            _ => {
+                if g.bool() {
+                    g.usize_in(0, 3)
+                } else {
+                    0
+                }
+            }
+        };
+        (st(&format!("s{i}"), g.f64_in(0.001, 0.2), rate), limit)
+    }
+
+    /// Rebuilds that keep a leading run of stages are bit-identical to a
+    /// fresh workspace. Random networks, half their stations light single
+    /// servers so that runs of light stages form, under a walk of
+    /// `solve_at` calls over one workspace: at each call a random leading
+    /// subset of stations keeps its demand and the rest are redrawn,
+    /// sometimes to zero (a rate-table station then turns light). The
+    /// population walks up and down and sometimes jumps to 150–400, and a
+    /// `reserve` after some steps down grows the grids while kept cells
+    /// lie past the current population.
+    #[test]
+    fn propcheck_kept_prefix_rebuild_equals_fresh_workspace() {
+        check(
+            "propcheck_kept_prefix_rebuild_equals_fresh_workspace",
+            &Config::default().cases(32),
+            |g: &mut Gen| {
+                let k_count = g.usize_in(1, 6);
+                let (stations, limits): (Vec<_>, Vec<_>) = (0..k_count)
+                    .map(|i| {
+                        if g.bool() {
+                            let d = g.f64_in(0.001, 0.2);
+                            (st(&format!("s{i}"), d, RateFunction::SingleServer), 0)
+                        } else {
+                            random_station(g, i)
+                        }
+                    })
+                    .unzip();
+                // Z > 0 keeps G positive when every demand is drawn zero.
+                let z = g.f64_in(0.1, 2.0);
+                let mut ws = ws_of(&stations, z, &limits);
+                let mut demands: Vec<f64> = stations.iter().map(|s| s.demand).collect();
+                let mut n = 1;
+                for _ in 0..g.usize_in(4, 12) {
+                    let fixed = g.usize_in(0, k_count);
+                    for d in &mut demands[fixed..] {
+                        *d = if g.usize_in(0, 7) == 0 {
+                            0.0
+                        } else {
+                            g.f64_in(0.001, 0.2)
+                        };
+                    }
+                    let next = match g.usize_in(0, 3) {
+                        0 => g.usize_in(150, 400),
+                        1 => g.usize_in(1, n),
+                        _ => (n + g.usize_in(1, 40)).min(400),
+                    };
+                    ws.solve_at(next, &demands).unwrap();
+                    if next < n && g.bool() {
+                        ws.reserve(g.usize_in(400, 4000));
+                    }
+                    n = next;
+
+                    let mut fresh_sts = stations.clone();
+                    for (s, &d) in fresh_sts.iter_mut().zip(&demands) {
+                        s.demand = d;
+                    }
+                    let mut fresh = ws_of(&fresh_sts, z, &limits);
+                    fresh.solve_at(n, &demands).unwrap();
+                    assert_bitwise_equal(&ws, &fresh, n);
+                    assert_matches_scratch(&ws, &fresh_sts, z, n, &limits, "kept prefix");
+                }
+            },
+        );
+    }
+
+    /// Asserts bit-identical outputs of two workspaces at population `n`.
+    fn assert_bitwise_equal(a: &ConvWorkspace, b: &ConvWorkspace, n: usize) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            a.throughput().to_bits(),
+            b.throughput().to_bits(),
+            "x at n={n}"
+        );
+        assert_eq!(bits(a.queues()), bits(b.queues()), "queues at n={n}");
+        for k in 0..a.queues().len() {
+            assert_eq!(
+                bits(a.marginals_of(k)),
+                bits(b.marginals_of(k)),
+                "marginals[{k}] at n={n}"
+            );
+        }
     }
 
     /// Asserts the workspace's outputs at population `n` against the

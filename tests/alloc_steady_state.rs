@@ -1,6 +1,6 @@
 //! Proves the zero-allocation steady state of the incremental convolution
-//! workspace: after `reserve` and a warm-up, advancing populations performs
-//! no heap allocation at all.
+//! workspace: after `reserve` and a warm-up, advancing populations and
+//! rebuilding on changed demands perform no heap allocation at all.
 //!
 //! The whole file holds exactly one test so the counting allocator sees no
 //! interference from parallel test threads.
@@ -67,6 +67,7 @@ fn workspace_steady_state_allocates_nothing() {
         ws.advance().unwrap();
     }
     let mut sink = 0.0f64;
+    let mut changed = demands.clone();
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for _ in 0..900 {
@@ -78,6 +79,17 @@ fn workspace_steady_state_allocates_nothing() {
     ws.solve_at(1550, &demands).unwrap();
     ws.solve_at(800, &demands).unwrap();
     sink += ws.throughput();
+    // Demand-changing rebuilds (the quasi-static MVASD shape) too: the CPU
+    // changes at every call and the disk at every third, so the kept
+    // prefix of stages shrinks and grows again.
+    for i in 0..30 {
+        changed[0] = demands[0] * (1.01 + 0.01 * i as f64);
+        if i % 3 == 0 {
+            changed[1] = demands[1] * (1.0 - 0.01 * i as f64);
+        }
+        ws.solve_at(700 + 10 * i, &changed).unwrap();
+        sink += ws.throughput() + ws.queues()[1];
+    }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
 
     assert!(sink.is_finite());

@@ -487,6 +487,46 @@ fn seeded_run_produces_clean_health_report() {
     assert_eq!(report, round_tripped);
 }
 
+/// A quasi-static rebuild reads the kept stages' cells instead of writing
+/// them. MVASD on the saturating model (think, disk, 16-core CPU: three
+/// cells per extension) to N = 300: only the CPU's demand changes past
+/// the switch, so the cells written plus the cells reused are three per
+/// extension, and most of them are reused.
+#[test]
+fn kept_prefix_cells_are_counted_as_reused() {
+    let _guard = lock();
+    let samples = DemandSamples {
+        station_names: vec!["db-cpu16".into(), "disk".into()],
+        server_counts: vec![16, 1],
+        think_time: 1.0,
+        levels: vec![1.0, 750.0, 1500.0],
+        demands: vec![vec![0.165, 0.160, 0.158], vec![0.004, 0.004, 0.004]],
+    };
+    let profile = mvasd_suite::core::profile::ServiceDemandProfile::from_samples(
+        &samples,
+        InterpolationKind::CubicNotAKnot,
+        DemandAxis::Concurrency,
+    )
+    .expect("saturating profile");
+    let collector = Arc::new(obsv::Collector::new());
+    {
+        let _scope = obsv::scoped(collector.clone());
+        MvasdSolver::new(profile)
+            .solve(300)
+            .expect("saturating solve");
+    }
+    let snap = collector.snapshot();
+    let extend = snap.counter("conv.workspace.extend");
+    let cells = snap.counter("convolution.cells");
+    let reused = snap.counter("conv.workspace.reused");
+    assert!(
+        snap.counter("conv.workspace.rebuild") > 0,
+        "quasi-static rebuilds ran"
+    );
+    assert_eq!(cells + reused, 3 * extend);
+    assert!(reused > cells, "{reused} reused, {cells} written");
+}
+
 /// Satellite: two snapshots of the same collector diff cleanly — the delta
 /// of a run against itself is all zeros, and new work shows up as exactly
 /// its own counts.
