@@ -488,10 +488,12 @@ fn seeded_run_produces_clean_health_report() {
 }
 
 /// A quasi-static rebuild reads the kept stages' cells instead of writing
-/// them. MVASD on the saturating model (think, disk, 16-core CPU: three
-/// cells per extension) to N = 300: only the CPU's demand changes past
-/// the switch, so the cells written plus the cells reused are three per
-/// extension, and most of them are reused.
+/// them. MVASD on the saturating model (think, disk, 16-core CPU) to
+/// N = 300: only the CPU's demand changes past the switch. Each extension
+/// writes or reuses the two prefix cells before the CPU, and each solve
+/// point-evaluates the CPU's stage as two cells, `G(n)` and `G(n − 1)`,
+/// sampling `ln G(n)` once. So the cells written plus the cells reused are
+/// two per extension and two per `conv.lse` sample, and most are reused.
 #[test]
 fn kept_prefix_cells_are_counted_as_reused() {
     let _guard = lock();
@@ -523,7 +525,8 @@ fn kept_prefix_cells_are_counted_as_reused() {
         snap.counter("conv.workspace.rebuild") > 0,
         "quasi-static rebuilds ran"
     );
-    assert_eq!(cells + reused, 3 * extend);
+    let points = snap.counter("health.conv.lse.samples");
+    assert_eq!(cells + reused, 2 * extend + 2 * points);
     assert!(reused > cells, "{reused} reused, {cells} written");
 }
 
