@@ -48,6 +48,10 @@ pub struct CubicSpline {
     ys: Vec<f64>,
     /// Second derivatives (moments) at the knots.
     m: Vec<f64>,
+    /// Per segment `i`, the coefficients `(c1, c2, c3)` of
+    /// `S(x) = y_i + c1·t + c2·t² + c3·t³` with `t = x − x_i`, computed
+    /// once here so an evaluation is a segment search and a Horner step.
+    coef: Vec<[f64; 3]>,
     extrapolation: Extrapolation,
 }
 
@@ -101,10 +105,23 @@ impl CubicSpline {
             Self::solve_moments(xs, ys, bc)?
         };
 
+        let coef = (0..n - 1)
+            .map(|i| {
+                let h = xs[i + 1] - xs[i];
+                let (y0, y1) = (ys[i], ys[i + 1]);
+                let (m0, m1) = (m[i], m[i + 1]);
+                [
+                    (y1 - y0) / h - h * (2.0 * m0 + m1) / 6.0,
+                    m0 / 2.0,
+                    (m1 - m0) / (6.0 * h),
+                ]
+            })
+            .collect();
         Ok(Self {
             xs: xs.to_vec(),
             ys: ys.to_vec(),
             m,
+            coef,
             extrapolation: Extrapolation::Clamp,
         })
     }
@@ -260,18 +277,22 @@ impl CubicSpline {
     /// of Scilab's `(yq, yq1, yq2, yq3)` from paper eq. 13.
     pub fn eval_all(&self, x: f64) -> (f64, f64, f64, f64) {
         let i = segment_index(&self.xs, x);
-        let h = self.xs[i + 1] - self.xs[i];
         let t = x - self.xs[i];
-        let (y0, y1) = (self.ys[i], self.ys[i + 1]);
-        let (m0, m1) = (self.m[i], self.m[i + 1]);
-        let c1 = (y1 - y0) / h - h * (2.0 * m0 + m1) / 6.0;
-        let c2 = m0 / 2.0;
-        let c3 = (m1 - m0) / (6.0 * h);
-        let s = y0 + t * (c1 + t * (c2 + t * c3));
+        let [c1, c2, c3] = self.coef[i];
+        let s = self.ys[i] + t * (c1 + t * (c2 + t * c3));
         let s1 = c1 + t * (2.0 * c2 + t * 3.0 * c3);
         let s2 = 2.0 * c2 + 6.0 * c3 * t;
         let s3 = 6.0 * c3;
         (s, s1, s2, s3)
+    }
+
+    /// `S(x)` alone off the polynomial piece containing `x`: the first
+    /// component of [`eval_all`](Self::eval_all), bit for bit.
+    fn value(&self, x: f64) -> f64 {
+        let i = segment_index(&self.xs, x);
+        let t = x - self.xs[i];
+        let [c1, c2, c3] = self.coef[i];
+        self.ys[i] + t * (c1 + t * (c2 + t * c3))
     }
 
     /// Second derivative at `x` (within the domain; extrapolated consistently
@@ -308,7 +329,7 @@ impl Interpolant for CubicSpline {
         if x < lo {
             return match self.extrapolation {
                 Extrapolation::Clamp => *self.ys.first().expect("non-empty"),
-                Extrapolation::Extend => self.eval_all(x).0,
+                Extrapolation::Extend => self.value(x),
                 Extrapolation::Linear => {
                     let s1 = self.eval_all(lo).1;
                     self.ys.first().expect("non-empty") + s1 * (x - lo)
@@ -318,14 +339,14 @@ impl Interpolant for CubicSpline {
         if x > hi {
             return match self.extrapolation {
                 Extrapolation::Clamp => *self.ys.last().expect("non-empty"),
-                Extrapolation::Extend => self.eval_all(x).0,
+                Extrapolation::Extend => self.value(x),
                 Extrapolation::Linear => {
                     let s1 = self.eval_all(hi).1;
                     self.ys.last().expect("non-empty") + s1 * (x - hi)
                 }
             };
         }
-        self.eval_all(x).0
+        self.value(x)
     }
 
     fn deriv(&self, x: f64) -> f64 {
@@ -372,6 +393,39 @@ mod tests {
             for (x, y) in xs.iter().zip(ys.iter()) {
                 assert!(close(s.eval(*x), *y, 1e-10), "bc {bc:?} at x={x}");
             }
+        }
+    }
+
+    #[test]
+    fn coefficient_table_matches_the_moment_form_bit_for_bit() {
+        // The segment coefficients computed at construction give the same
+        // bits as forming them from the moments at every evaluation.
+        let xs = [1.0, 14.0, 28.0, 70.0, 140.0, 210.0];
+        let ys = [0.016, 0.0145, 0.0138, 0.0127, 0.0121, 0.0119];
+        let s = CubicSpline::new(&xs, &ys, BoundaryCondition::NotAKnot)
+            .unwrap()
+            .with_extrapolation(Extrapolation::Extend);
+        let m = s.moments();
+        for step in -20..=460 {
+            let x = 0.5 * step as f64;
+            let i = segment_index(&xs, x);
+            let h = xs[i + 1] - xs[i];
+            let t = x - xs[i];
+            let c1 = (ys[i + 1] - ys[i]) / h - h * (2.0 * m[i] + m[i + 1]) / 6.0;
+            let c2 = m[i] / 2.0;
+            let c3 = (m[i + 1] - m[i]) / (6.0 * h);
+            let want = (
+                ys[i] + t * (c1 + t * (c2 + t * c3)),
+                c1 + t * (2.0 * c2 + t * 3.0 * c3),
+                2.0 * c2 + 6.0 * c3 * t,
+                6.0 * c3,
+            );
+            let got = s.eval_all(x);
+            assert_eq!(got.0.to_bits(), want.0.to_bits(), "S at x={x}");
+            assert_eq!(got.1.to_bits(), want.1.to_bits(), "S' at x={x}");
+            assert_eq!(got.2.to_bits(), want.2.to_bits(), "S'' at x={x}");
+            assert_eq!(got.3.to_bits(), want.3.to_bits(), "S''' at x={x}");
+            assert_eq!(s.eval(x).to_bits(), want.0.to_bits(), "eval at x={x}");
         }
     }
 
