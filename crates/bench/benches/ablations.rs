@@ -19,25 +19,25 @@ fn net(cpu_demand: f64) -> ClosedNetwork {
     .unwrap()
 }
 
+/// Steps a 16-core CPU and a disk to N = 300 at constant demands; returns
+/// whether the switch fired and the sum of every step's outputs.
+fn sweep_300(demands: &[f64]) -> (bool, f64) {
+    let mut rec = PopulationRecursion::new(vec![16, 1], 1.0);
+    let mut sum = 0.0;
+    for n in 1..=300usize {
+        let (x, r) = rec.step(n, demands);
+        sum += x + r + rec.residences()[0];
+    }
+    (rec.is_quasi_static(), sum)
+}
+
 fn main() {
     let mut g = Bench::new("population_recursion_300_steps");
     // Low-utilization CPU: carried double-double recursion throughout.
-    g.measure("carried_dd", Plan::light(10), || {
-        let mut rec = PopulationRecursion::new(vec![16, 1], 1.0);
-        let demands = [0.01, 0.004];
-        for n in 1..=300usize {
-            rec.step(n, &demands);
-        }
-        rec.is_quasi_static()
-    });
+    g.measure("carried_dd", Plan::light(10), || sweep_300(&[0.01, 0.004]));
     // Saturating CPU: switches to per-step quasi-static convolution.
     g.measure("quasi_static_switch", Plan::heavy(), || {
-        let mut rec = PopulationRecursion::new(vec![16, 1], 1.0);
-        let demands = [0.16, 0.004];
-        for n in 1..=300usize {
-            rec.step(n, &demands);
-        }
-        rec.is_quasi_static()
+        sweep_300(&[0.16, 0.004])
     });
     println!("{}", g.report());
 

@@ -74,6 +74,8 @@ pub struct MvasdIter {
     profile: ServiceDemandProfile,
     names: std::sync::Arc<[String]>,
     rec: PopulationRecursion,
+    /// The step's demand array `SSⁿ`, refilled in place at every step.
+    ss: Vec<f64>,
     x_prev: f64,
     n: usize,
 }
@@ -98,6 +100,7 @@ impl MvasdIter {
             profile: profile.clone(),
             names,
             rec,
+            ss: vec![0.0; stations.len()],
             x_prev: 0.0,
             n: 0,
         }
@@ -122,20 +125,24 @@ impl SolverIter for MvasdIter {
         obsv::counter("solver.steps", 1);
         let n = self.n + 1;
         let stations = self.profile.stations();
-        let k_count = stations.len();
         let z = self.profile.think_time();
 
         let abscissa = lookup_abscissa(&self.profile, n, self.x_prev);
-        let ss: Vec<f64> = stations.iter().map(|s| s.demand_at(abscissa)).collect();
+        for (d, s) in self.ss.iter_mut().zip(stations) {
+            *d = s.demand_at(abscissa);
+        }
 
-        let (x, r_total, residence) = self.rec.step(n, &ss);
+        let (x, r_total) = self.rec.step(n, &self.ss);
         self.x_prev = x;
 
-        let station_points = (0..k_count)
-            .map(|k| StationPoint {
+        let residence = self.rec.residences();
+        let station_points = stations
+            .iter()
+            .enumerate()
+            .map(|(k, s)| StationPoint {
                 queue: self.rec.queue(k),
                 residence: residence[k],
-                utilization: x * ss[k] / stations[k].servers as f64,
+                utilization: x * self.ss[k] / s.servers as f64,
             })
             .collect();
 
@@ -759,6 +766,120 @@ mod tests {
             let d_n = profile.demands_at(p.n as f64)[0];
             assert!(close(p.stations[0].utilization, p.throughput * d_n, 1e-9));
             assert!(p.stations[0].utilization <= 1.0 + 1e-9);
+        }
+    }
+
+    /// VINS-shaped samples: three tiers of a 16-core CPU, a disk and two
+    /// network links, at the paper's VINS levels, with demands that fall
+    /// with load over the first few hundred users (paper Fig. 5).
+    fn vins_shaped_samples() -> DemandSamples {
+        let base = [
+            0.0040, 0.0085, 0.0012, 0.0018, 0.0120, 0.0022, 0.0015, 0.0015, 0.0550, 0.0098, 0.0014,
+            0.0012,
+        ];
+        let levels = vec![1.0, 10.0, 52.0, 103.0, 203.0, 406.0, 812.0, 1218.0, 1500.0];
+        DemandSamples {
+            station_names: (0..base.len()).map(|k| format!("s{k}")).collect(),
+            server_counts: (0..base.len())
+                .map(|k| if k % 4 == 0 { 16 } else { 1 })
+                .collect(),
+            think_time: 1.0,
+            demands: base
+                .iter()
+                .map(|&b| {
+                    levels
+                        .iter()
+                        .map(|&l| b * (1.0 + 20.0 / (l + 99.0)))
+                        .collect()
+                })
+                .collect(),
+            levels,
+        }
+    }
+
+    /// MVASD to `n_max` on the carried recursion alone.
+    fn carried_points(samples: &DemandSamples, n_max: usize) -> Vec<MvaPoint> {
+        let profile = ServiceDemandProfile::from_samples(
+            samples,
+            InterpolationKind::CubicNotAKnot,
+            DemandAxis::Concurrency,
+        )
+        .unwrap();
+        let mut it = MvasdIter::new(&profile);
+        let points = (0..n_max).map(|_| it.step().unwrap()).collect();
+        assert!(
+            !it.rec.is_quasi_static(),
+            "must stay on the carried recursion"
+        );
+        points
+    }
+
+    #[test]
+    fn scaling_every_demand_and_z_scales_time_through_carried_mvasd() {
+        // Time units are arbitrary: with every demand sample and Z scaled
+        // by s, R scales by s, X by 1/s, and every queue and utilization
+        // stays put.
+        let s = 1.7;
+        let base = vins_shaped_samples();
+        let mut scaled = base.clone();
+        for d in scaled.demands.iter_mut().flatten() {
+            *d *= s;
+        }
+        scaled.think_time *= s;
+        let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(f64::MIN_POSITIVE);
+        for (a, b) in carried_points(&base, 1500)
+            .iter()
+            .zip(&carried_points(&scaled, 1500))
+        {
+            let n = a.n;
+            assert!(rel(b.response, s * a.response) <= 1e-12, "n={n}: R");
+            assert!(rel(b.cycle_time, s * a.cycle_time) <= 1e-12, "n={n}: R + Z");
+            assert!(rel(b.throughput, a.throughput / s) <= 1e-12, "n={n}: X");
+            for (k, (sa, sb)) in a.stations.iter().zip(&b.stations).enumerate() {
+                assert!(rel(sb.queue, sa.queue) <= 1e-12, "n={n} k={k}: Q");
+                assert!(
+                    rel(sb.residence, s * sa.residence) <= 1e-12,
+                    "n={n} k={k}: R_k"
+                );
+                assert!(
+                    rel(sb.utilization, sa.utilization) <= 1e-12,
+                    "n={n} k={k}: U"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_demand_station_is_transparent_to_carried_mvasd() {
+        // A 16-core station with zero demand adds exact zeros to the
+        // double-double sums, so it changes no other output bit, wherever
+        // it sits.
+        let bits = |p: &MvaPoint, skip: Option<usize>| {
+            let mut v = vec![p.throughput.to_bits(), p.response.to_bits()];
+            for (k, s) in p.stations.iter().enumerate() {
+                if Some(k) != skip {
+                    v.extend([s.queue, s.residence, s.utilization].map(f64::to_bits));
+                }
+            }
+            v
+        };
+        let base = vins_shaped_samples();
+        let reference = carried_points(&base, 1500);
+        for pos in 0..=base.station_names.len() {
+            let mut with_zero = base.clone();
+            with_zero.station_names.insert(pos, "idle".into());
+            with_zero.server_counts.insert(pos, 16);
+            with_zero.demands.insert(pos, vec![0.0; base.levels.len()]);
+            for (a, b) in reference.iter().zip(&carried_points(&with_zero, 1500)) {
+                assert_eq!(bits(a, None), bits(b, Some(pos)), "pos={pos} n={}", a.n);
+                let idle = &b.stations[pos];
+                assert_eq!(
+                    (idle.queue, idle.residence, idle.utilization),
+                    (0.0, 0.0, 0.0),
+                    "pos={pos} n={}",
+                    a.n
+                );
+            }
         }
     }
 }

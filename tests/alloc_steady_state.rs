@@ -1,6 +1,8 @@
 //! Proves the zero-allocation steady state of the incremental convolution
 //! workspace: after `reserve` and a warm-up, advancing populations and
-//! rebuilding on changed demands perform no heap allocation at all.
+//! rebuilding on changed demands perform no heap allocation at all. The
+//! hierarchical and multiclass workspaces and MVASD's carried population
+//! recursion make the same promise.
 //!
 //! The whole file holds exactly one test so the counting allocator sees no
 //! interference from parallel test threads.
@@ -14,7 +16,8 @@ use mvasd_suite::queueing::hierarchy::{
     AggregationOptions, HierarchicalNetwork, HierarchicalWorkspace, Subsystem,
 };
 use mvasd_suite::queueing::mva::{
-    ClassSpec, ConvWorkspace, LdStation, MulticlassWorkspace, RateFunction, Workload,
+    ClassSpec, ConvWorkspace, LdStation, MulticlassWorkspace, PopulationRecursion, RateFunction,
+    Workload,
 };
 use mvasd_suite::queueing::network::{Station, StationKind};
 
@@ -200,6 +203,43 @@ fn workspace_steady_state_allocates_nothing() {
         after - before,
         0,
         "multiclass steady-state advance allocated {} times",
+        after - before
+    );
+
+    // A carried MVASD step (Algorithm 3 below the quasi-static switch)
+    // allocates nothing once every marginal vector has grown to its `C`
+    // entries: VINS-shaped demands on 12 stations, three of them 16-core
+    // CPUs, redrawn at every step as the interpolated profile does.
+    let servers = vec![16, 1, 1, 1, 16, 1, 1, 1, 16, 1, 1, 1];
+    let vins = [
+        0.0040, 0.0085, 0.0012, 0.0018, 0.0120, 0.0022, 0.0015, 0.0015, 0.0550, 0.0098, 0.0014,
+        0.0012,
+    ];
+    let mut rec = PopulationRecursion::new(servers, 1.0);
+    let warmup = 40;
+    for n in 1..=warmup {
+        rec.step(n, &vins);
+    }
+    let mut demands = vins.to_vec();
+    let mut rsink = 0.0f64;
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for n in warmup + 1..=600 {
+        let scale = 1.0 + 10.0 / n as f64;
+        for (d, &v) in demands.iter_mut().zip(&vins) {
+            *d = v * scale;
+        }
+        let (x, r) = rec.step(n, &demands);
+        rsink += x + r + rec.residences()[8] + rec.queue(8);
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert!(rsink.is_finite());
+    assert!(!rec.is_quasi_static(), "the window must stay carried");
+    assert_eq!(
+        after - before,
+        0,
+        "carried population steps allocated {} times",
         after - before
     );
 }
