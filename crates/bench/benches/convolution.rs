@@ -6,14 +6,13 @@
 //!
 //! - `workspace_sweep/N` — one [`ConvWorkspace`] carried across the whole
 //!   sweep: `O(K·n)` per step, zero steady-state allocation.
-//! - `per_step_scratch_sweep/N` — the pre-workspace quasi-static path:
-//!   every population rebuilt from scratch (`O(K·n²)` per step), exactly
-//!   what `PopulationRecursion::quasi_static_step` used to do.
+//! - `scratch_solve_at/N` — [`reference_solve_at`], the from-scratch
+//!   log-domain reference, at the last population alone (`O(K·n²)`): the
+//!   oracle the `saturating_600` benchmark gate calls.
 //!
 //! Beyond the text table the bench emits
 //! `results/BENCH_convolution.json` (schema `mvasd-bench/1`, documented in
-//! `EXPERIMENTS.md`) so CI can diff the quantiles and the recorded speedup
-//! stays auditable.
+//! `EXPERIMENTS.md`) so CI can diff the quantiles.
 
 use mvasd_bench::output::{results_dir, write_text};
 use mvasd_bench::timing::{bench_json, quick_mode, Bench, Plan};
@@ -69,15 +68,6 @@ fn workspace_sweep(stations: &[LdStation], limits: &[usize], n_max: usize) -> f6
     ws.throughput()
 }
 
-fn per_step_scratch_sweep(stations: &[LdStation], limits: &[usize], n_max: usize) -> f64 {
-    let mut x = 0.0;
-    for n in 1..=n_max {
-        let (xn, _, _) = reference_solve_at(stations, 1.0, n, limits).expect("valid VINS network");
-        x = xn;
-    }
-    x
-}
-
 fn main() {
     let stations = vins_stations();
     let limits = marginal_limits();
@@ -96,35 +86,7 @@ fn main() {
             reference_solve_at(&stations, 1.0, n_cap, &limits).expect("valid VINS network");
         x
     });
-    b.measure(
-        &format!("per_step_scratch_sweep/{n_mid}"),
-        Plan::heavy(),
-        || per_step_scratch_sweep(&stations, &limits, n_mid),
-    );
-    // The full-depth from-scratch sweep is the honest pre-workspace cost
-    // model at paper scale; it is seconds-per-call, so sample it sparsely.
-    b.measure(
-        &format!("per_step_scratch_sweep/{n_cap}"),
-        Plan {
-            warmup: 0,
-            samples: 3,
-            iters: 1,
-        },
-        || per_step_scratch_sweep(&stations, &limits, n_cap),
-    );
     println!("{}", b.report());
-
-    let results = b.results();
-    let find = |name: &str| {
-        results
-            .iter()
-            .find(|m| m.name == name)
-            .expect("measured above")
-    };
-    let ws_cap = find(&format!("workspace_sweep/{n_cap}")).median();
-    let scratch_cap = find(&format!("per_step_scratch_sweep/{n_cap}")).median();
-    let speedup = scratch_cap.as_secs_f64() / ws_cap.as_secs_f64().max(1e-12);
-    println!("workspace speedup over per-step scratch at n={n_cap}: {speedup:.1}x");
 
     let json = bench_json(&[&b]);
     let path = write_text(&results_dir(), "BENCH_convolution.json", &json)

@@ -1,8 +1,7 @@
-//! Multiclass streaming core vs per-step lattice recompute, and the
-//! Arrival-Theorem lattice vs the Method of Moments backend.
+//! Multiclass streaming core vs per-step lattice recompute.
 //!
 //! The workload is the calibrated three-class VINS mix (renew / browse /
-//! api; see `mvasd_testbed::apps::vins::workload_mix`). Three cost models
+//! api; see `mvasd_testbed::apps::vins::workload_mix`). Two cost models
 //! are compared:
 //!
 //! - `carried_walk/N` — [`MulticlassIter`]: the carried per-class
@@ -11,20 +10,15 @@
 //! - `full_lattice_per_step/N` — the naive streaming emulation: at every
 //!   population prefix along the same path, re-run the full-lattice
 //!   recursion ([`multiclass_mva`]) from scratch.
-//! - `mom_solve/N` — [`MomSolver`]: normalizing-constant recurrences in
-//!   the log domain, an arithmetically independent exact backend.
 //!
 //! Beyond the text table the bench emits `results/BENCH_multiclass.json`
 //! (schema `mvasd-bench/1` plus a `multiclass` block, documented in
-//! `EXPERIMENTS.md`): the carried-vs-recompute speedup and the max
-//! relative per-step deviation between the two exact backends.
+//! `EXPERIMENTS.md`): the carried-vs-recompute speedup.
 
 use mvasd_bench::output::{results_dir, write_text};
 use mvasd_bench::timing::{bench_json, quick_mode, Bench, Plan};
 use mvasd_obsv as obsv;
-use mvasd_queueing::mva::{
-    multiclass_mva, ClassSpec, MomIter, MomSolver, MulticlassIter, MulticlassStepper, Workload,
-};
+use mvasd_queueing::mva::{multiclass_mva, ClassSpec, MulticlassIter, Workload};
 use mvasd_testbed::apps::vins;
 
 /// Walks the carried workspace over the full path; returns the final
@@ -60,27 +54,6 @@ fn full_lattice_per_step(workload: &Workload, path: &[Vec<usize>]) -> f64 {
     last
 }
 
-/// Max relative per-step deviation between the carried lattice walk and
-/// the Method of Moments walk, over every class throughput and response.
-fn mom_vs_lattice_max_rel_err(workload: &Workload) -> f64 {
-    let mut lat = MulticlassIter::new(workload).expect("lattice iterator");
-    let mut mom = MomIter::new(workload).expect("mom iterator");
-    let mut worst = 0.0f64;
-    while lat.steps_done() < lat.steps_total() {
-        let a = lat.step_classes().expect("lattice step");
-        let b = mom.step_classes().expect("mom step");
-        for (ca, cb) in a.classes.iter().zip(&b.classes) {
-            if ca.population > 0 {
-                worst = worst
-                    .max((ca.throughput - cb.throughput).abs() / ca.throughput.abs().max(1e-300));
-                worst =
-                    worst.max((ca.response - cb.response).abs() / ca.response.abs().max(1e-300));
-            }
-        }
-    }
-    worst
-}
-
 fn main() {
     let total = if quick_mode() { 30 } else { 54 };
     let workload = vins::workload_mix(total).expect("VINS mix");
@@ -100,20 +73,9 @@ fn main() {
     });
     b.measure(
         &format!("full_lattice_per_step/{total}"),
-        Plan {
-            warmup: 0,
-            samples: 3,
-            iters: 1,
-        },
+        Plan::default(),
         || full_lattice_per_step(&workload, &path),
     );
-    b.measure(&format!("mom_solve/{total}"), Plan::default(), || {
-        MomSolver::new(workload.clone())
-            .solve_classes()
-            .expect("mom solve")
-            .classes
-            .len()
-    });
     println!("{}", b.report());
 
     let results = b.results();
@@ -128,20 +90,13 @@ fn main() {
     let speedup = recompute.as_secs_f64() / carried.as_secs_f64().max(1e-12);
     println!("carried-workspace speedup over per-step recompute at n={total}: {speedup:.1}x");
 
-    let err = mom_vs_lattice_max_rel_err(&workload);
-    println!(
-        "max per-step relative deviation, MoM vs lattice oracle: {err:.2e} \
-         ({nclasses} classes, {total} customers)"
-    );
-
-    // Splice the accuracy block into the standard schema and check the
+    // Splice the metrics block into the standard schema and check the
     // result still parses before committing it to disk.
     let json = bench_json(&[&b]);
     let trimmed = json.trim_end().trim_end_matches('}');
     let json = format!(
         "{trimmed},\"multiclass\":{{\"classes\":{nclasses},\"total\":{total},\
-         \"speedup_carried_vs_recompute\":{speedup:.2},\
-         \"mom_vs_lattice_max_rel_err\":{err:.3e}}}}}\n"
+         \"speedup_carried_vs_recompute\":{speedup:.2}}}}}\n"
     );
     obsv::json::parse(&json).expect("spliced report is valid JSON");
     let path =

@@ -99,17 +99,9 @@ fn main() {
     )
     .unwrap();
     let sat = MvasdSolver::new(sat_profile);
-    // The interpolated demands force a rebuild every step (~1400 of
-    // them), so sample it sparsely.
-    g.measure(
-        "saturating_quasi_static_1500",
-        Plan {
-            warmup: 0,
-            samples: 3,
-            iters: 1,
-        },
-        || sat.solve(1500).unwrap(),
-    );
+    g.measure("saturating_quasi_static_1500", Plan::default(), || {
+        sat.solve(1500).unwrap()
+    });
     println!("{}", g.report());
     let path = write_text(&results_dir(), "BENCH_mvasd.json", &bench_json(&[&g]))
         .expect("results directory is writable");

@@ -2,10 +2,11 @@
 //! verdicts, plus the empty-history ergonomics — every broken-input path
 //! must exit 2 with an actionable message, never panic.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::Output;
 
-use mvasd_bench::doctor::{load_baseline, write_baseline, BenchFile};
+use mvasd_bench::doctor::{load_baseline, load_bench_dir, write_baseline, BenchFile};
 use mvasd_obsv::json::{self, Json};
 
 fn doctor(args: &[&str]) -> Output {
@@ -289,4 +290,49 @@ fn unknown_flag_exits_two_with_usage() {
     let out = doctor(&["--frobnicate"]);
     assert_eq!(exit_code(&out), 2, "{out:?}");
     assert!(stderr(&out).contains("usage:"), "{out:?}");
+}
+
+/// `group/row/300` → `group/row`: quick mode shrinks the population a row
+/// is named after. Keys without a numeric last segment stay as they are.
+fn strip_population(key: &str) -> &str {
+    match key.rsplit_once('/') {
+        Some((head, n)) if !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()) => head,
+        _ => key,
+    }
+}
+
+/// The committed baseline holds exactly the committed numbers: its full
+/// section has one reference per key the committed `BENCH_*.json` files
+/// report and none for a row they no longer report, and its quick section
+/// names the same rows. `merge_baseline` only extends and `evaluate` only
+/// visits reported rows, so nothing else catches a retired key.
+#[test]
+fn committed_baseline_keys_match_the_committed_bench_files() {
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let benches = load_bench_dir(&results).expect("committed bench files load");
+    assert!(
+        benches.iter().all(|b| !b.quick),
+        "committed bench files are full runs"
+    );
+    let baseline = load_baseline(&results.join("BASELINE.json")).expect("baseline loads");
+    let full = baseline.full.expect("full section");
+    let quick = baseline.quick.expect("quick section");
+
+    let keys = |m: &BTreeMap<String, f64>| m.keys().cloned().collect::<BTreeSet<_>>();
+    let committed = |pick: fn(&BenchFile) -> &BTreeMap<String, f64>| {
+        benches
+            .iter()
+            .flat_map(|b| pick(b).keys().cloned())
+            .collect::<BTreeSet<_>>()
+    };
+    assert_eq!(keys(&full.timings), committed(|b| &b.timings));
+    assert_eq!(keys(&full.metrics), committed(|b| &b.metrics));
+
+    let stripped = |m: &BTreeMap<String, f64>| {
+        m.keys()
+            .map(|k| strip_population(k).to_string())
+            .collect::<BTreeSet<_>>()
+    };
+    assert_eq!(stripped(&quick.timings), stripped(&full.timings));
+    assert_eq!(stripped(&quick.metrics), stripped(&full.metrics));
 }

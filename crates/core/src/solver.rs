@@ -15,12 +15,11 @@
 //! and [`crate::sweep::ScenarioSweep`] campaigns as every other backend.
 //!
 //! Likewise the first-class multiclass model: a [`Workload`] is a set of
-//! [`ClassSpec`]s over a shared station list, and the class-aware solvers
-//! ([`MulticlassMvaSolver`] streaming the carried lattice workspace,
-//! [`MomSolver`] on normalizing-constant recurrences) stream per-class
-//! [`MulticlassPoint`]s along a population *path* through the class
-//! lattice — single-class is literally the 1-class special case (bit-for-bit
-//! against the exact backend; see `tests/properties.rs`).
+//! [`ClassSpec`]s over a shared station list, and the class-aware
+//! [`MulticlassMvaSolver`] streams per-class [`MulticlassPoint`]s along a
+//! population *path* through the class lattice on the carried lattice
+//! workspace — single-class is literally the 1-class special case
+//! (bit-for-bit against the exact backend; see `tests/properties.rs`).
 
 use mvasd_queueing::mva::{ClosedSolver, SolverIter};
 use mvasd_queueing::QueueingError;
@@ -31,8 +30,8 @@ pub use mvasd_queueing::hierarchy::{
 };
 pub use mvasd_queueing::mva::{
     multiclass_mva, run_until_classes, ClassMetrics, ClassPoint, ClassRunOutcome, ClassSpec,
-    ClassStopReason, MomIter, MomSolver, MulticlassIter, MulticlassMvaSolver, MulticlassPoint,
-    MulticlassSolution, MulticlassStepper, MulticlassWorkspace, Workload,
+    ClassStopReason, MulticlassIter, MulticlassMvaSolver, MulticlassPoint, MulticlassSolution,
+    MulticlassWorkspace, Workload,
 };
 
 use crate::algorithm::{MvasdIter, MvasdSchweitzerIter, MvasdSingleServerIter};
@@ -234,45 +233,6 @@ mod tests {
             let tail = snap.resume().drain(40).unwrap();
             assert_eq!(tail.points, batch.points[15..], "{}", s.name());
         }
-    }
-
-    #[test]
-    fn multiclass_backends_agree_through_the_trait() {
-        use mvasd_queueing::network::StationKind;
-        let w = Workload::new(
-            vec!["cpu".into(), "disk".into()],
-            vec![
-                StationKind::Queueing { servers: 2 },
-                StationKind::Queueing { servers: 1 },
-            ],
-            vec![
-                ClassSpec {
-                    name: "browse".into(),
-                    population: 6,
-                    think_time: 1.0,
-                    demands: vec![0.02, 0.01],
-                },
-                ClassSpec {
-                    name: "checkout".into(),
-                    population: 4,
-                    think_time: 0.5,
-                    demands: vec![0.008, 0.03],
-                },
-            ],
-        )
-        .unwrap();
-        let total = w.total_population();
-        let family: Vec<Box<dyn ClosedSolver>> = vec![
-            Box::new(MulticlassMvaSolver::new(w.clone())),
-            Box::new(MomSolver::new(w)),
-        ];
-        let mut finals = Vec::new();
-        for s in &family {
-            let sol = s.solve(total).unwrap();
-            assert_eq!(sol.points.len(), total, "{}", s.name());
-            finals.push(sol.points.last().unwrap().throughput);
-        }
-        assert!((finals[0] - finals[1]).abs() <= 1e-8 * finals[0]);
     }
 
     #[test]

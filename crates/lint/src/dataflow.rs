@@ -7,10 +7,9 @@
 //! magnitude). This pass walks each function body once, in source
 //! order, and tracks which bindings hold log-domain values:
 //!
-//! - **Producers**: `.ln()`-family calls, calls to the log-sum-exp
-//!   helpers (`lse2`, `conv_cell`, `scalar_reference`), and anything
-//!   read from an `ln_*`/`log_*`-named binding, field, or parameter
-//!   (the naming discipline the convolution workspace already follows).
+//! - **Producers**: `.ln()`-family calls, and any call, binding, field,
+//!   or parameter with an `ln_*`/`log_*` name (the naming discipline the
+//!   convolution workspace and its scratch reference already follow).
 //! - **Propagation**: `+`/`-` keep the log domain (log-space products
 //!   and quotients), simple copies via `let`, and `-x` negation.
 //! - **Discharge**: `.exp()` on a log-domain value returns to the
@@ -35,7 +34,7 @@ use crate::lexer::Token;
 /// The abstract value a binding can hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Domain {
-    /// A logarithm of a magnitude (`d.ln()`, `lse2(..)`, `ln_*` names).
+    /// A logarithm of a magnitude (`d.ln()`, `log_conv_cell(..)`, `ln_*` names).
     Log,
     /// A sum of `exp(..)` terms awaiting its `.ln()` re-entry.
     ExpSum,
@@ -76,8 +75,6 @@ impl FlowReport {
 
 const EXP_FAMILY: &[&str] = &["exp", "exp_m1", "exp2"];
 const LN_FAMILY: &[&str] = &["ln", "ln_1p", "log", "log2", "log10"];
-/// Workspace functions whose return value is a log-domain magnitude.
-const LOG_PRODUCER_FNS: &[&str] = &["lse2", "conv_cell", "scalar_reference"];
 
 fn log_named(name: &str) -> bool {
     name.starts_with("ln_") || name.starts_with("log_")
@@ -237,7 +234,7 @@ impl Analyzer<'_> {
                 self.eval(callee);
                 if let ExprKind::Path(segs) = &callee.kind {
                     if let Some(last) = segs.last() {
-                        if LOG_PRODUCER_FNS.contains(&last.as_str()) || log_named(last) {
+                        if log_named(last) {
                             return Domain::Log;
                         }
                     }
@@ -301,7 +298,8 @@ impl Analyzer<'_> {
                                 message: format!(
                                     "`{op}` between two log-domain values: log-space \
                                      products are *sums*; `exp()` back to the linear \
-                                     domain first, or use `lse2`/the kernel helpers"
+                                     domain first, or keep the magnitude in the \
+                                     workspace's extended-exponent cells"
                                 ),
                             });
                             Domain::Unknown
@@ -580,8 +578,9 @@ mod tests {
 
     #[test]
     fn split_lane_accumulators_stay_unsanctioned() {
-        // conv_cell's shape: lanes feed a second accumulator; the lane
-        // exps are beyond one-step reasoning and need annotations.
+        // A four-lane log-sum-exp's shape: lanes feed a second
+        // accumulator; the lane exps are beyond one-step reasoning and
+        // need annotations.
         let r = analyze(
             "fn cell(t: &[f64], m: f64) -> f64 {\n\
                  let mut a0 = 0.0;\n\

@@ -1,7 +1,7 @@
 //! `mvasd-lint`: in-house static analysis for the MVASD workspace.
 //!
-//! The MVASD hot path depends on invariants the compiler cannot see: log
-//! domain arithmetic must stay inside the compensated log-sum-exp helpers
+//! The MVASD hot path depends on invariants the compiler cannot see:
+//! magnitudes stay in extended-exponent cells or in tracked logarithms
 //! (naked `exp()`/`ln()` underflows the PAPER.md Alg. 2/3 recursions near
 //! n = 1500), steady-state stepping must not allocate, and library crates
 //! must not panic. Instead of pulling in dylint/clippy plugins — the

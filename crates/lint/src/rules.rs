@@ -7,7 +7,7 @@
 //! | `L3:unwrap` etc. | no `unwrap()`/non-literal `expect()`/`panic!`/literal indexing in library `src/` trees (baseline-ratcheted) |
 //! | `L4:no-alloc`    | functions marked `// lint: no-alloc` contain no allocating tokens |
 //! | `L5:allow-justify` | every `#[allow(...)]` carries a trailing justification comment |
-//! | `L6:kernel-ratchet`, `L6:sweep-ratchet` | `convolution/kernel.rs` keeps `// lint: no-alloc` on `conv_cell`; `core/src/sweep.rs` keeps `// lint: bit-identical` on `run` |
+//! | `L6:kernel-ratchet`, `L6:sweep-ratchet` | `convolution/kernel.rs` keeps `// lint: no-alloc` on `dot_rev`; `core/src/sweep.rs` keeps `// lint: bit-identical` on `run` |
 //! | `L7:log-domain dataflow` | tracked log-domain values never flow into linear-domain arithmetic (see [`crate::dataflow`]) |
 //! | `L8:parallel-interference` | pool closures do not mutate captured state, touch interior mutability, or commit mid-plan |
 //! | `L9:reduction-order` | `// lint: bit-identical` fns contain no completion-order-dependent float reductions |
@@ -106,7 +106,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "L6" => {
             "L6 ratchets: structural markers that may never disappear.\n\
              kernel-ratchet — convolution/kernel.rs keeps `// lint: no-alloc` on\n\
-             conv_cell (the zero-allocation steady state).\n\
+             dot_rev (the zero-allocation steady state).\n\
              sweep-ratchet — core/src/sweep.rs keeps `// lint: bit-identical` on\n\
              run (the scenario sweep's model-group fan-out promises bitwise\n\
              equality with serial; the interleaving explorer in numerics::pool\n\
@@ -172,10 +172,10 @@ enum AnnKey {
     BitIdentical,
 }
 
-/// `.exp()`-family methods banned on the MVA hot path (L2); the batched
-/// log-sum-exp kernel (`convolution/kernel.rs`) and the workspace that
-/// drives it (`convolution/workspace.rs`) are the only sanctioned homes
-/// for them.
+/// `.exp()`-family methods banned on the MVA hot path (L2) unless the L7
+/// dataflow pass sanctions the site or an annotation covers it; the
+/// convolution workspace keeps its magnitudes in the extended-exponent
+/// cells of `convolution/kernel.rs` instead.
 const LOG_DOMAIN_METHODS: &[&str] = &[
     "exp", "ln", "powf", "ln_1p", "exp_m1", "exp2", "log", "log2", "log10",
 ];
@@ -619,8 +619,8 @@ fn check_log_domain(ctx: &Ctx, sanctioned: &HashSet<usize>, out: &mut Vec<Findin
                      cannot sanction: raw exp/ln underflows the Alg. 2/3 \
                      recursions near n=1500; keep the log-domain provenance \
                      visible (bind to an `ln_*` name, discharge a tracked log \
-                     value, accumulate-then-`.ln()`), route through the \
-                     kernel in `convolution/kernel.rs`, or annotate \
+                     value, accumulate-then-`.ln()`), use the extended-\
+                     exponent cells in `convolution/kernel.rs`, or annotate \
                      `// lint: log-domain-ok <reason>`"
                 ),
             );
@@ -776,11 +776,11 @@ fn check_no_alloc(ctx: &Ctx, annotations: &[Annotation], out: &mut Vec<Finding>)
     }
 }
 
-/// L6: the batched log-sum-exp kernel is exempt from L2 precisely because
-/// it *is* the sanctioned exp/ln home — in exchange its `conv_cell` entry
-/// point must keep the `// lint: no-alloc` ratchet (the L4 marker) so the
-/// steady-state allocation contract can never silently regress. Not
-/// baselineable: the marker either precedes `conv_cell` or the tree fails.
+/// L6: the kernel's extended-exponent cells run inside the zero-allocation
+/// steady state of every convolution sweep, so its `dot_rev` entry point
+/// must keep the `// lint: no-alloc` ratchet (the L4 marker) and that
+/// contract can never silently regress. Not baselineable: the marker
+/// either precedes `dot_rev` or the tree fails.
 fn check_kernel_ratchet(ctx: &Ctx, annotations: &[Annotation], out: &mut Vec<Finding>) {
     let covered = annotations.iter().any(|ann| {
         ann.key == AnnKey::NoAlloc
@@ -788,7 +788,7 @@ fn check_kernel_ratchet(ctx: &Ctx, annotations: &[Annotation], out: &mut Vec<Fin
                 .sig
                 .iter()
                 .position(|t| t.line > ann.line && t.kind == TokKind::Ident && ctx.text(t) == "fn")
-                .is_some_and(|fn_idx| ctx.ident_at(fn_idx + 1) == Some("conv_cell"))
+                .is_some_and(|fn_idx| ctx.ident_at(fn_idx + 1) == Some("dot_rev"))
     });
     if covered {
         return;
@@ -801,7 +801,7 @@ fn check_kernel_ratchet(ctx: &Ctx, annotations: &[Annotation], out: &mut Vec<Fin
                 if f.kind == TokKind::Ident
                     && ctx.text(f) == "fn"
                     && n.kind == TokKind::Ident
-                    && ctx.text(n) == "conv_cell" =>
+                    && ctx.text(n) == "dot_rev" =>
             {
                 Some(f.line)
             }
@@ -813,7 +813,7 @@ fn check_kernel_ratchet(ctx: &Ctx, annotations: &[Annotation], out: &mut Vec<Fin
         line,
         rule: "L6",
         code: "kernel-ratchet",
-        message: "the batched kernel's `conv_cell` must carry `// lint: no-alloc`: \
+        message: "the kernel's `dot_rev` must carry `// lint: no-alloc`: \
                   it runs inside the zero-allocation steady state of every \
                   convolution sweep (see tests/alloc_steady_state.rs)"
             .to_string(),
@@ -1394,7 +1394,7 @@ mod tests {
         assert_eq!(
             codes(
                 kernel,
-                "// lint: no-alloc\npub fn conv_cell(q: f64) -> f64 { q.exp() }"
+                "// lint: no-alloc\npub fn dot_rev(q: f64) -> f64 { q.exp() }"
             ),
             ["L2:log-domain"]
         );
@@ -1608,12 +1608,13 @@ mod tests {
     #[test]
     fn l6_requires_the_kernel_no_alloc_ratchet() {
         let kernel = "crates/queueing/src/mva/convolution/kernel.rs";
-        let ok = "// lint: no-alloc\npub fn conv_cell(a: &[f64]) -> f64 { 0.0 }";
+        let ok = "// lint: no-alloc\npub(crate) fn dot_rev(a: &[f64]) -> f64 { 0.0 }";
         assert!(codes(kernel, ok).is_empty());
-        let missing = "pub fn conv_cell(a: &[f64]) -> f64 { 0.0 }";
+        let missing = "pub(crate) fn dot_rev(a: &[f64]) -> f64 { 0.0 }";
         assert_eq!(codes(kernel, missing), ["L6:kernel-ratchet"]);
         // A marker on some *other* fn does not satisfy the ratchet.
-        let wrong = "// lint: no-alloc\nfn other() {}\npub fn conv_cell(a: &[f64]) -> f64 { 0.0 }";
+        let wrong =
+            "// lint: no-alloc\nfn other() {}\npub(crate) fn dot_rev(a: &[f64]) -> f64 { 0.0 }";
         assert_eq!(codes(kernel, wrong), ["L6:kernel-ratchet"]);
         // Only the kernel path is in scope.
         assert!(codes(LIB, missing).is_empty());

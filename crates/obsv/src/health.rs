@@ -207,14 +207,6 @@ pub struct HealthReport {
     pub schweitzer_residual_digits_p50: Option<f64>,
     /// Worst-case (fewest) converged digits of the Schweitzer fixed point.
     pub schweitzer_residual_digits_min: Option<f64>,
-    /// Dynamic range of the MoM `ln G` lattice (recurrence conditioning).
-    pub mom_lng_range: Option<f64>,
-    /// Spread between the MoM first-moment and normalization lattices at
-    /// the solved population (`max |ln H − ln G|`).
-    pub mom_moment_spread: Option<f64>,
-    /// Max relative divergence between the lattice and MoM multiclass
-    /// backends on the same model.
-    pub lattice_mom_divergence: Option<f64>,
     /// Hierarchy `ProfileCache` hit rate in `[0, 1]`.
     pub cache_hit_rate: Option<f64>,
     /// Profile extensions performed after a cached sub-engine was reused.
@@ -248,9 +240,6 @@ impl HealthReport {
             lse_range: snap.gauge("health.conv.lse.range"),
             schweitzer_residual_digits_p50: residual.map(|h| h.quantile(0.50) as f64 / 100.0),
             schweitzer_residual_digits_min: residual.map(|h| h.min as f64 / 100.0),
-            mom_lng_range: snap.gauge("health.mom.lng.range"),
-            mom_moment_spread: snap.gauge("health.mom.moment_spread"),
-            lattice_mom_divergence: snap.gauge("health.multiclass.lattice_mom_divergence"),
             cache_hit_rate: snap.gauge("health.hierarchy.cache_hit_rate"),
             profile_stale_steps: snap.counter("health.hierarchy.profile_stale_steps"),
             fes_disagg_error: snap.gauge("health.hierarchy.disagg.hi"),
@@ -281,9 +270,6 @@ impl HealthReport {
                 "schweitzer_residual_digits_min",
                 self.schweitzer_residual_digits_min,
             ),
-            ("mom_lng_range", self.mom_lng_range),
-            ("mom_moment_spread", self.mom_moment_spread),
-            ("lattice_mom_divergence", self.lattice_mom_divergence),
             ("cache_hit_rate", self.cache_hit_rate),
             ("fes_disagg_error", self.fes_disagg_error),
             ("des_ci_rel_width", self.des_ci_rel_width),
@@ -322,9 +308,6 @@ impl HealthReport {
             lse_range: opt("lse_range"),
             schweitzer_residual_digits_p50: opt("schweitzer_residual_digits_p50"),
             schweitzer_residual_digits_min: opt("schweitzer_residual_digits_min"),
-            mom_lng_range: opt("mom_lng_range"),
-            mom_moment_spread: opt("mom_moment_spread"),
-            lattice_mom_divergence: opt("lattice_mom_divergence"),
             cache_hit_rate: opt("cache_hit_rate"),
             profile_stale_steps: count("profile_stale_steps"),
             fes_disagg_error: opt("fes_disagg_error"),
@@ -343,9 +326,6 @@ impl HealthReport {
         }
         if let Some(d) = self.schweitzer_residual_digits_min {
             out.push_str(&format!(" schweitzer_digits_min={d:.2}"));
-        }
-        if let Some(d) = self.lattice_mom_divergence {
-            out.push_str(&format!(" lattice_mom_div={d:.3e}"));
         }
         if let Some(h) = self.cache_hit_rate {
             out.push_str(&format!(" cache_hit_rate={h:.3}"));
@@ -456,7 +436,6 @@ mod tests {
         crate::observe("health.schweitzer.residual_digits", residual_digits(1e-10));
         crate::gauge("health.hierarchy.cache_hit_rate", 0.75);
         crate::counter("health.hierarchy.profile_stale_steps", 3);
-        crate::gauge("health.multiclass.lattice_mom_divergence", 2.5e-13);
         let report = HealthReport::from_snapshot(&c.snapshot());
         assert_eq!(report.samples, 2);
         assert_eq!(report.nan_poison_trips, 0);
@@ -465,7 +444,6 @@ mod tests {
         assert_eq!(report.schweitzer_residual_digits_min, Some(8.0));
         assert_eq!(report.cache_hit_rate, Some(0.75));
         assert_eq!(report.profile_stale_steps, 3);
-        assert_eq!(report.mom_lng_range, None);
         assert_eq!(report.des_ci_rel_width, None);
 
         let text = report.to_json();

@@ -46,9 +46,9 @@
 //! O(n) complement cell per extension only for stations that track
 //! marginals. The pre-workspace from-scratch evaluation survives in
 //! [`scratch`] as the independent log-domain reference (propcheck oracle
-//! and benchmark baseline).
+//! and benchmark oracle).
 
-pub mod kernel;
+mod kernel;
 pub(crate) mod scratch;
 pub(crate) mod workspace;
 

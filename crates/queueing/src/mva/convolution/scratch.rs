@@ -9,9 +9,9 @@
 //!
 //! 1. **Oracle** — the propcheck suites assert the workspace agrees with
 //!    this independent evaluation to 1e-12 across random networks.
-//! 2. **Baseline** — `benches/convolution.rs` measures the workspace
-//!    speedup against exactly this per-step path (the pre-workspace cost
-//!    model), so the recorded ratio is honest.
+//! 2. **Benchmark oracle** — the `saturating_600` benchmark workload
+//!    checks its throughputs against [`reference_solve_at`], and
+//!    `benches/convolution.rs` times it (`scratch_solve_at/N`).
 
 use super::super::loaddep::{validate_stations, LdStation, RateFunction};
 use super::PointSolution;

@@ -15,13 +15,12 @@ mod schweitzer;
 mod solver;
 mod stepping;
 
-pub use convolution::{kernel, reference_solve_at, ConvWorkspace, PointSolution};
+pub use convolution::{reference_solve_at, ConvWorkspace, PointSolution};
 pub use exact::{exact_mva, ExactMvaIter};
 pub use loaddep::{load_dependent_mva, LdStation, RateFunction};
 pub use multiclass::{
-    backend_divergence, multiclass_mva, run_until_classes, ClassMetrics, ClassPoint,
-    ClassRunOutcome, ClassSpec, ClassStopReason, MomIter, MomSolver, MulticlassIter,
-    MulticlassMvaSolver, MulticlassPoint, MulticlassSolution, MulticlassStepper,
+    multiclass_mva, run_until_classes, ClassMetrics, ClassPoint, ClassRunOutcome, ClassSpec,
+    ClassStopReason, MulticlassIter, MulticlassMvaSolver, MulticlassPoint, MulticlassSolution,
     MulticlassWorkspace, Workload,
 };
 pub use multiserver::{

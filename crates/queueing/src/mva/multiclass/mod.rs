@@ -1,14 +1,14 @@
-//! Multiclass MVA: class-aware workloads, streaming lattice recursion, and
-//! a Method-of-Moments backend (extension beyond the paper).
+//! Multiclass MVA: class-aware workloads and the streaming lattice
+//! recursion (extension beyond the paper).
 //!
 //! The paper restricts itself to "single class models wherein the customers
 //! are assumed to be indistinguishable from one another" (Section 5.1). Real
 //! load tests mix workflows — e.g. VINS' Registration vs Renew-Policy users
 //! — so the suite ships exact multiclass analysis as an extension built
-//! around three faces:
+//! around two faces:
 //!
 //! * [`multiclass_mva`] (in [`scratch`]) — the original one-shot full
-//!   lattice recursion, kept verbatim as the oracle every other face is
+//!   lattice recursion, kept verbatim as the oracle the streaming face is
 //!   checked against.
 //! * [`MulticlassWorkspace`] / [`MulticlassIter`] — the carried-state
 //!   streaming face: the population grows one customer at a time along a
@@ -17,19 +17,13 @@
 //!   points exposed by that step. A full walk costs exactly one lattice
 //!   solve in total, where re-running the scratch oracle per step costs a
 //!   quadratic blow-up (see `benches/multiclass.rs`).
-//! * [`MomSolver`] / [`MomIter`] — an independent exact backend computing
-//!   normalizing constants and first queue moments by recurrence (the
-//!   moment-identity family underlying Casale's Method of Moments), in the
-//!   log domain. It shares no arithmetic with the Arrival-Theorem faces,
-//!   which makes it a genuine cross-check (≤1e-8 in the root
-//!   cross-validation suite).
 //!
-//! All faces apply the multiclass Arrival Theorem
-//! `R_{c,k}(n⃗) = D_{c,k} · (1 + Q_k(n⃗ − e_c))` (or its product-form
-//! equivalent) and handle multi-server stations with the Seidmann split
+//! Both faces apply the multiclass Arrival Theorem
+//! `R_{c,k}(n⃗) = D_{c,k} · (1 + Q_k(n⃗ − e_c))` and handle multi-server
+//! stations with the Seidmann split
 //! (`D/C` queueing part plus a `D·(C−1)/C` delay part).
 //!
-//! Complexity is `O(K · Π_c (N_c + 1))`; every face refuses lattices above
+//! Complexity is `O(K · Π_c (N_c + 1))`; both faces refuse lattices above
 //! a safety cap rather than exhausting memory.
 //!
 //! The single-class embedding is exact by construction: a one-class
@@ -37,11 +31,9 @@
 //! bit-for-bit the single-class [`super::ExactMvaIter`] recursion on
 //! single-server networks (enforced by a propcheck in `tests/properties.rs`).
 
-mod mom;
 mod scratch;
 mod workspace;
 
-pub use mom::{MomIter, MomSolver};
 pub use scratch::multiclass_mva;
 pub use workspace::MulticlassWorkspace;
 
@@ -91,38 +83,9 @@ pub struct MulticlassSolution {
     pub station_utilizations: Vec<f64>,
 }
 
-/// Maximum relative divergence between two multiclass solutions of the
-/// same model — the lattice-vs-MoM cross-check distilled to one number:
-/// the worst relative difference over per-class throughputs, per-class
-/// responses, and per-station total queues. Emits the
-/// `health.multiclass.lattice_mom_divergence` gauge when a recorder is
-/// installed, so `mvasd-doctor` can hold the two exact backends to an
-/// agreement floor. Mismatched shapes diverge infinitely.
-pub fn backend_divergence(a: &MulticlassSolution, b: &MulticlassSolution) -> f64 {
-    let mut worst = 0.0f64;
-    let mut rel = |x: f64, y: f64| {
-        let denom = x.abs().max(y.abs()).max(1e-300);
-        worst = worst.max((x - y).abs() / denom);
-    };
-    if a.classes.len() != b.classes.len() || a.station_queues.len() != b.station_queues.len() {
-        return f64::INFINITY;
-    }
-    for (ca, cb) in a.classes.iter().zip(&b.classes) {
-        rel(ca.throughput, cb.throughput);
-        rel(ca.response, cb.response);
-    }
-    for (&qa, &qb) in a.station_queues.iter().zip(&b.station_queues) {
-        rel(qa, qb);
-    }
-    if obsv::enabled() {
-        obsv::gauge("health.multiclass.lattice_mom_divergence", worst);
-    }
-    worst
-}
-
 /// Maximum number of lattice points the solvers will allocate (`K` floats
-/// each for the MVA faces). 16 M points ≈ 128 MB·K/8 — generous but bounded.
-pub(crate) const MAX_LATTICE: usize = 16_000_000;
+/// each). 16 M points ≈ 128 MB·K/8 — generous but bounded.
+const MAX_LATTICE: usize = 16_000_000;
 
 /// Validates a class/station description shared by every multiclass face.
 pub(crate) fn validate_classes(
@@ -205,12 +168,12 @@ pub(crate) fn lattice_dims(classes: &[ClassSpec]) -> Vec<usize> {
     classes.iter().map(|c| c.population + 1).collect()
 }
 
-/// Total lattice points, refused above `MAX_LATTICE / weight` (`weight`
-/// counts the floats each face stores per lattice point).
-pub(crate) fn lattice_size(dims: &[usize], weight: usize) -> Result<usize, QueueingError> {
-    let cap = MAX_LATTICE / weight.max(1);
+/// Total lattice points, refused above `MAX_LATTICE`.
+pub(crate) fn lattice_size(dims: &[usize]) -> Result<usize, QueueingError> {
     dims.iter()
-        .try_fold(1usize, |acc, &d| acc.checked_mul(d).filter(|&v| v <= cap))
+        .try_fold(1usize, |acc, &d| {
+            acc.checked_mul(d).filter(|&v| v <= MAX_LATTICE)
+        })
         .ok_or(QueueingError::InvalidParameter {
             what: "population lattice too large for exact multiclass analysis",
         })
@@ -226,7 +189,7 @@ pub(crate) fn lattice_strides(dims: &[usize]) -> Vec<usize> {
 }
 
 /// A closed multiclass model: shared stations plus a set of customer
-/// classes. This is the model every multiclass backend is constructed
+/// classes. This is the model the streaming solver is constructed
 /// from, and the single-class [`ClosedNetwork`] embeds into it via
 /// [`Workload::single_class`] without changing a bit of the recursion.
 #[derive(Debug, Clone, PartialEq)]
@@ -330,7 +293,7 @@ impl Workload {
         self.classes.iter().map(|c| c.population).sum()
     }
 
-    /// The population path the streaming faces walk: one class index per
+    /// The population path the streaming face walks: one class index per
     /// step, total `Σ N_c` steps, chosen by largest-remainder proportional
     /// interleaving so every prefix of the path holds the class mix as
     /// close to the target ratio as integer populations allow. Ties break
@@ -473,21 +436,6 @@ impl MulticlassPoint {
     }
 }
 
-/// A streaming multiclass solver face: yields one [`MulticlassPoint`] per
-/// population-path step. Implemented by both exact backends so per-class
-/// early-exit sweeps ([`run_until_classes`]) are backend-agnostic.
-pub trait MulticlassStepper {
-    /// Steps the underlying recursion one customer along the path and
-    /// yields the class-aware point.
-    fn step_classes(&mut self) -> Result<MulticlassPoint, QueueingError>;
-
-    /// Path steps already taken.
-    fn steps_done(&self) -> usize;
-
-    /// Total path length `Σ_c N_c`.
-    fn steps_total(&self) -> usize;
-}
-
 /// Why a [`run_until_classes`] sweep stopped.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ClassStopReason {
@@ -520,8 +468,8 @@ pub struct ClassRunOutcome {
 /// total customers). Conditions are checked after every yielded point in
 /// slice order; the first match wins — the multiclass analogue of
 /// [`super::run_until`].
-pub fn run_until_classes<S: MulticlassStepper + ?Sized>(
-    iter: &mut S,
+pub fn run_until_classes(
+    iter: &mut MulticlassIter,
     conditions: &[(usize, StopCondition)],
     step_cap: usize,
 ) -> Result<ClassRunOutcome, QueueingError> {
@@ -563,7 +511,7 @@ pub fn run_until_classes<S: MulticlassStepper + ?Sized>(
     })
 }
 
-/// Borrowed per-step outputs a backend hands to the point assemblers. All
+/// Borrowed per-step outputs the workspace hands to the point assemblers. All
 /// slices are class-major (`c * K + k`) where two-dimensional.
 pub(crate) struct StepOutputs<'a> {
     /// Current per-class populations.
@@ -590,7 +538,7 @@ pub(crate) struct StepOutputs<'a> {
 /// is bit-for-bit the arithmetic of the single-class recursion:
 /// `(X·R)/X` round-trips are not bitwise identities, so a 1-class
 /// workload reports `R_0` directly rather than `X_0·R_0/X_0`.
-pub(crate) fn aggregate_mva_point(out: &StepOutputs<'_>, n: usize) -> MvaPoint {
+fn aggregate_mva_point(out: &StepOutputs<'_>, n: usize) -> MvaPoint {
     let k_count = out.queues.len();
     let single = out.xs.len() == 1;
     let x_total: f64 = out.xs.iter().sum();
@@ -625,7 +573,7 @@ pub(crate) fn aggregate_mva_point(out: &StepOutputs<'_>, n: usize) -> MvaPoint {
 }
 
 /// Assembles the class-aware [`MulticlassPoint`] for step `step`.
-pub(crate) fn assemble_class_point(out: &StepOutputs<'_>, step: usize) -> MulticlassPoint {
+fn assemble_class_point(out: &StepOutputs<'_>, step: usize) -> MulticlassPoint {
     let classes = out
         .populations
         .iter()
@@ -649,10 +597,7 @@ pub(crate) fn assemble_class_point(out: &StepOutputs<'_>, step: usize) -> Multic
 
 /// Packs the final streamed point into the batch [`MulticlassSolution`]
 /// shape (the [`multiclass_mva`] output contract).
-pub(crate) fn solution_from_point(
-    workload: &Workload,
-    point: &MulticlassPoint,
-) -> MulticlassSolution {
+fn solution_from_point(workload: &Workload, point: &MulticlassPoint) -> MulticlassSolution {
     MulticlassSolution {
         classes: workload
             .classes()
@@ -670,7 +615,7 @@ pub(crate) fn solution_from_point(
 }
 
 /// The all-zero-population degenerate solution.
-pub(crate) fn empty_solution(workload: &Workload) -> MulticlassSolution {
+fn empty_solution(workload: &Workload) -> MulticlassSolution {
     MulticlassSolution {
         classes: workload
             .classes()
@@ -692,7 +637,7 @@ pub(crate) fn empty_solution(workload: &Workload) -> MulticlassSolution {
 ///
 /// Both faces advance the same recursion: [`SolverIter::step`] yields the
 /// aggregate [`MvaPoint`] (total throughput, throughput-weighted response),
-/// [`MulticlassStepper::step_classes`] yields the per-class breakdown.
+/// [`step_classes`](Self::step_classes) yields the per-class breakdown.
 /// Mixing them is fine — each call advances exactly one path step.
 #[derive(Debug, Clone)]
 pub struct MulticlassIter {
@@ -730,6 +675,23 @@ impl MulticlassIter {
         &self.workload
     }
 
+    /// Steps the recursion one customer along the path and yields the
+    /// class-aware point.
+    pub fn step_classes(&mut self) -> Result<MulticlassPoint, QueueingError> {
+        self.advance_one()?;
+        Ok(assemble_class_point(&self.outputs(), self.step_idx))
+    }
+
+    /// Path steps already taken.
+    pub fn steps_done(&self) -> usize {
+        self.step_idx
+    }
+
+    /// Total path length `Σ_c N_c`.
+    pub fn steps_total(&self) -> usize {
+        self.path.len()
+    }
+
     fn advance_one(&mut self) -> Result<(), QueueingError> {
         let _span = obsv::span("multiclass.step");
         let class = *self
@@ -747,21 +709,6 @@ impl MulticlassIter {
 
     fn outputs(&self) -> StepOutputs<'_> {
         self.ws.step_outputs()
-    }
-}
-
-impl MulticlassStepper for MulticlassIter {
-    fn step_classes(&mut self) -> Result<MulticlassPoint, QueueingError> {
-        self.advance_one()?;
-        Ok(assemble_class_point(&self.outputs(), self.step_idx))
-    }
-
-    fn steps_done(&self) -> usize {
-        self.step_idx
-    }
-
-    fn steps_total(&self) -> usize {
-        self.path.len()
     }
 }
 

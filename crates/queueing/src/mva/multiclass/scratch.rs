@@ -6,9 +6,9 @@
 //! `R_{c,k}(n⃗) = D_{c,k} · (1 + Q_k(n⃗ − e_c))` at each point. It rebuilds
 //! its arrays per call, which is exactly why the carried
 //! [`super::MulticlassWorkspace`] exists — but the one-shot form stays as
-//! the oracle the workspace and the Method-of-Moments backend are checked
-//! against (bit-for-bit and ≤1e-8 respectively), and as the baseline the
-//! `multiclass` bench measures the carried workspace's speedup over.
+//! the oracle the workspace is checked against bit for bit, and as the
+//! baseline the `multiclass` bench measures the carried workspace's
+//! speedup over.
 
 use crate::network::StationKind;
 use crate::QueueingError;
@@ -38,15 +38,14 @@ pub fn multiclass_mva(
 
     // Mixed-radix lattice over populations 0..=N_c.
     let dims = lattice_dims(classes);
-    let lattice = lattice_size(&dims, 1)?;
+    let lattice = lattice_size(&dims)?;
     let strides = lattice_strides(&dims);
 
     // Q[idx * K + k]: queue length at station k for population vector `idx`,
     // *queueing parts only* — the Seidmann delay parts are pure IS terms that
     // never feed the Arrival Theorem (that keeps the split model exactly
-    // product-form, which is what makes the MoM backend's ≤1e-8 agreement an
-    // honest cross-check). Processed in lexicographic index order, which
-    // visits n⃗ − e_c (a strictly smaller index) before n⃗.
+    // product-form). Processed in lexicographic index order, which visits
+    // n⃗ − e_c (a strictly smaller index) before n⃗.
     let mut q = vec![0.0f64; lattice * k_count];
     let mut final_classes = Vec::with_capacity(nclasses);
     let mut final_x = vec![0.0f64; nclasses];

@@ -27,7 +27,6 @@
 //! `no-alloc` lint contract with a counting-allocator proof in
 //! `tests/alloc_steady_state.rs`.
 
-use crate::mva::convolution::kernel;
 use crate::QueueingError;
 use mvasd_obsv as obsv;
 
@@ -88,7 +87,7 @@ impl MulticlassWorkspace {
         let nclasses = classes.len();
         let (dq, dd) = split_demands(classes, kinds);
         let dims = lattice_dims(classes);
-        let lattice = lattice_size(&dims, 1)?;
+        let lattice = lattice_size(&dims)?;
         let strides = lattice_strides(&dims);
         let mut q = vec![f64::NAN; lattice * k_count];
         for cell in q.iter_mut().take(k_count) {
@@ -221,9 +220,9 @@ impl MulticlassWorkspace {
                     continue;
                 }
                 let prev_idx = idx - self.strides[ci];
-                // Arrival theorem over the neighbor point's queues; the
-                // kernel helper keeps the oracle's op order bit-for-bit.
-                let r_c = kernel::residence_fill(
+                // Arrival theorem over the neighbor point's queues, in the
+                // oracle's op order bit-for-bit.
+                let r_c = residence_fill(
                     &self.dq[ci * k_count..(ci + 1) * k_count],
                     &self.dd[ci * k_count..(ci + 1) * k_count],
                     &self.q[prev_idx * k_count..(prev_idx + 1) * k_count],
@@ -308,6 +307,23 @@ impl MulticlassWorkspace {
         }
         points
     }
+}
+
+/// The slab fill for one class: residence times
+/// `res[k] = dq[k] · (1 + q_prev[k]) + dd[k]` (arrival theorem over the
+/// neighbor point's queues), returning their sequential sum. Operation
+/// order and the left-to-right sum are bit-identical to the scratch
+/// oracle's, which the multiclass bitwise suites lock in place.
+// lint: no-alloc
+#[inline]
+fn residence_fill(dq: &[f64], dd: &[f64], q_prev: &[f64], res: &mut [f64]) -> f64 {
+    let mut r_c = 0.0;
+    for (((r, &dqk), &ddk), &qk) in res.iter_mut().zip(dq).zip(dd).zip(q_prev) {
+        let v = dqk * (1.0 + qk) + ddk;
+        *r = v;
+        r_c += v;
+    }
+    r_c
 }
 
 #[cfg(test)]
@@ -421,5 +437,26 @@ mod tests {
             ws.advance(0).expect("within target");
         }
         assert!(ws.advance(0).is_err());
+    }
+
+    #[test]
+    fn residence_fill_is_bit_identical_to_the_inline_loop() {
+        let k = 7usize;
+        let dq: Vec<f64> = (0..k).map(|i| 0.013 * (i as f64 + 1.0)).collect();
+        let dd: Vec<f64> = (0..k).map(|i| 0.002 * (i as f64)).collect();
+        let q_prev: Vec<f64> = (0..k).map(|i| 1.7 / (i as f64 + 1.0)).collect();
+        let mut res = vec![0.0; k];
+        let sum = residence_fill(&dq, &dd, &q_prev, &mut res);
+        let mut want = vec![0.0; k];
+        let mut want_sum = 0.0;
+        for i in 0..k {
+            let r = dq[i] * (1.0 + q_prev[i]) + dd[i];
+            want[i] = r;
+            want_sum += r;
+        }
+        assert_eq!(sum.to_bits(), want_sum.to_bits());
+        for i in 0..k {
+            assert_eq!(res[i].to_bits(), want[i].to_bits());
+        }
     }
 }

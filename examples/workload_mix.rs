@@ -19,7 +19,7 @@
 //! ```
 
 use mvasd_suite::queueing::mva::{
-    run_until_classes, ClassStopReason, MomSolver, MulticlassIter, MulticlassStepper, StopCondition,
+    run_until_classes, ClassStopReason, MulticlassIter, StopCondition,
 };
 use mvasd_suite::testbed::apps::vins;
 
@@ -63,31 +63,6 @@ fn main() {
         last = Some(point);
     }
     let full = last.expect("at least one step");
-
-    // Cross-check the corner against the Method of Moments backend: a
-    // completely different recurrence (normalizing constants, log domain)
-    // must land on the same numbers.
-    let mom = MomSolver::new(workload.clone())
-        .solve_classes()
-        .expect("mom");
-    let max_rel = full
-        .classes
-        .iter()
-        .zip(&mom.classes)
-        .map(|(a, b)| ((a.throughput - b.throughput) / b.throughput).abs())
-        .fold(0.0f64, f64::max)
-        .max(
-            full.classes
-                .iter()
-                .zip(&mom.classes)
-                .map(|(a, b)| ((a.response - b.response) / b.response).abs())
-                .fold(0.0f64, f64::max),
-        );
-    println!(
-        "\nMethod-of-Moments cross-check at the full mix: max relative\n\
-         deviation {max_rel:.2e} across all class throughputs and responses."
-    );
-    assert!(max_rel < 1e-8, "backends disagree: {max_rel:e}");
 
     // Per-class SLAs: renewals must finish in 300 ms, API calls in 60 ms.
     // Stream a fresh ramp and stop the moment the first class breaks.

@@ -12,8 +12,8 @@ use mvasd_suite::queueing::hierarchy::{
 };
 use mvasd_suite::queueing::mva::{
     exact_mva, load_dependent_mva, multiclass_mva, multiserver_mva, schweitzer_mva, ClassSpec,
-    ClosedSolver, ExactMvaSolver, LdStation, MomSolver, MultiserverMvaSolver, RateFunction,
-    SchweitzerOptions, SchweitzerSolver,
+    ClosedSolver, ExactMvaSolver, LdStation, MulticlassMvaSolver, MultiserverMvaSolver,
+    RateFunction, SchweitzerOptions, SchweitzerSolver,
 };
 use mvasd_suite::queueing::network::{ClosedNetwork, Station, StationKind};
 use mvasd_suite::queueing::open::solve_open;
@@ -274,13 +274,12 @@ fn every_closed_solver_agrees_with_exact_mva_through_the_trait() {
 }
 
 #[test]
-fn method_of_moments_matches_the_lattice_oracle_on_a_population_grid() {
-    // The two exact multiclass backends share no arithmetic: the lattice
-    // oracle walks Arrival-Theorem faces in the linear domain, the Method
-    // of Moments runs normalizing-constant recurrences in the log domain.
-    // Across a grid of class counts, station mixes (single-server,
+fn multiclass_walker_matches_the_lattice_oracle_on_a_population_grid() {
+    // The carried walker fills the lattice slab by slab along its
+    // population path; the scratch oracle fills it in index order in one
+    // call. Across a grid of class counts, station mixes (single-server,
     // multi-server via Seidmann, delay), think times (including 0), and
-    // small populations, every reported quantity must agree to 1e-8.
+    // small populations, both must report exactly the same numbers.
     use mvasd_suite::queueing::mva::Workload;
 
     let station_sets: Vec<(Vec<&str>, Vec<StationKind>)> = vec![
@@ -333,43 +332,8 @@ fn method_of_moments_matches_the_lattice_oracle_on_a_population_grid() {
                     classes,
                 )
                 .unwrap();
-                let mom = MomSolver::new(workload).solve_classes().unwrap();
-
-                for (a, b) in oracle.classes.iter().zip(&mom.classes) {
-                    assert!(
-                        rel(b.throughput, a.throughput) < 1e-8,
-                        "X[{}]: {} vs {}",
-                        a.name,
-                        b.throughput,
-                        a.throughput
-                    );
-                    assert!(
-                        (b.response - a.response).abs() < 1e-8 * a.response.abs().max(1.0),
-                        "R[{}]: {} vs {}",
-                        a.name,
-                        b.response,
-                        a.response
-                    );
-                }
-                for (k, (a, b)) in oracle
-                    .station_queues
-                    .iter()
-                    .zip(&mom.station_queues)
-                    .enumerate()
-                {
-                    assert!(
-                        (b - a).abs() < 1e-8 * a.abs().max(1.0),
-                        "Q[{k}]: {b} vs {a}"
-                    );
-                }
-                for (k, (a, b)) in oracle
-                    .station_utilizations
-                    .iter()
-                    .zip(&mom.station_utilizations)
-                    .enumerate()
-                {
-                    assert!((b - a).abs() < 1e-8, "U[{k}]: {b} vs {a}");
-                }
+                let walker = MulticlassMvaSolver::new(workload).solve_classes().unwrap();
+                assert_eq!(walker, oracle);
                 cases += 1;
             }
         }

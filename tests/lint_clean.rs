@@ -184,6 +184,21 @@ fn seeded_mutations_of_real_sources_fire_l7_l8_l9() {
     );
 }
 
+/// L6 against the real kernel: `kernel.rs` is clean as shipped, and
+/// stripping the `// lint: no-alloc` marker from `dot_rev` trips the
+/// ratchet even though the other cells keep theirs.
+#[test]
+fn seeded_mutation_of_the_real_kernel_fires_l6() {
+    let (path, src) = real_source("crates/queueing/src/mva/convolution/kernel.rs");
+    assert!(codes(&path, &src).is_empty());
+    let mutated = src.replace(
+        "// lint: no-alloc\n#[inline]\npub(crate) fn dot_rev(",
+        "#[inline]\npub(crate) fn dot_rev(",
+    );
+    assert_ne!(mutated, src, "L6 mutation anchor vanished from kernel.rs");
+    assert_eq!(codes(&path, &mutated), ["L6:kernel-ratchet"]);
+}
+
 /// Test-only code is exempt: the same unwrap under `#[cfg(test)]` is fine.
 #[test]
 fn cfg_test_regions_are_exempt() {

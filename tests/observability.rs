@@ -18,7 +18,7 @@ use mvasd_suite::queueing::hierarchy::{
     Subsystem,
 };
 use mvasd_suite::queueing::mva::{
-    run_until, ClassSpec, ClosedSolver, MomSolver, MulticlassMvaSolver, StopCondition, Workload,
+    run_until, ClassSpec, ClosedSolver, MulticlassMvaSolver, StopCondition, Workload,
 };
 use mvasd_suite::queueing::network::{Station, StationKind};
 use mvasd_suite::testbed::apps::{vins, AppModel};
@@ -277,9 +277,9 @@ fn aggregation_metrics_land_in_collector_snapshot() {
     );
 }
 
-/// Both multiclass backends are observable (path-step counters, slab
-/// accounting, the MoM precompute span) and — like every other solver —
-/// recorders observe without perturbing a single bit.
+/// The multiclass walker is observable (path-step counters, slab
+/// accounting) and — like every other solver — recorders observe without
+/// perturbing a single bit.
 #[test]
 fn multiclass_metrics_land_in_collector_snapshot() {
     let _guard = lock();
@@ -306,17 +306,14 @@ fn multiclass_metrics_land_in_collector_snapshot() {
     )
     .expect("workload");
     let total = workload.total_population() as u64;
-    let lattice = MulticlassMvaSolver::new(workload.clone());
-    let mom = MomSolver::new(workload);
+    let lattice = MulticlassMvaSolver::new(workload);
 
     // Bit-identity: a no-op recorder and a collector both leave every f64
-    // of both backends untouched.
+    // untouched.
     let bare_lat = lattice.solve_classes().expect("bare lattice");
-    let bare_mom = mom.solve_classes().expect("bare mom");
     {
         let _scope = obsv::scoped(Arc::new(obsv::NoopRecorder));
         assert_eq!(bare_lat, lattice.solve_classes().expect("noop lattice"));
-        assert_eq!(bare_mom, mom.solve_classes().expect("noop mom"));
     }
 
     let collector = Arc::new(obsv::Collector::new());
@@ -325,23 +322,15 @@ fn multiclass_metrics_land_in_collector_snapshot() {
         bare_lat,
         lattice.solve_classes().expect("collected lattice")
     );
-    assert_eq!(bare_mom, mom.solve_classes().expect("collected mom"));
 
     let snap = collector.snapshot();
-    // Each backend walked the full path once.
-    assert_eq!(snap.counter("multiclass.steps"), 2 * total);
-    assert_eq!(snap.counter("solver.steps"), 2 * total);
-    assert_eq!(snap.spans_named("multiclass.step"), 2 * total as usize);
+    // The walker took the full path once.
+    assert_eq!(snap.counter("multiclass.steps"), total);
+    assert_eq!(snap.counter("solver.steps"), total);
+    assert_eq!(snap.spans_named("multiclass.step"), total as usize);
     // The carried workspace filled every lattice point except the origin
     // exactly once across its walk: (8+1)·(4+1) − 1 slab points.
     assert_eq!(snap.counter("multiclass.slab_points"), 9 * 5 - 1);
-    // The MoM precompute pass ran once and accounts its recurrence work.
-    assert_eq!(snap.spans_named("mom.precompute"), 1);
-    assert!(
-        snap.counter("mom.iterations") >= 9 * 5,
-        "only {} mom iterations recorded",
-        snap.counter("mom.iterations")
-    );
 }
 
 /// Streamed queries report which stop condition fired and how many steps
@@ -433,36 +422,6 @@ fn seeded_run_produces_clean_health_report() {
     schweitzer
         .solve(300)
         .expect("instrumented schweitzer solve");
-    // Both multiclass backends plus the explicit divergence gauge.
-    let workload = Workload::new(
-        vec!["cpu".into(), "disk".into()],
-        vec![
-            StationKind::Queueing { servers: 2 },
-            StationKind::Queueing { servers: 1 },
-        ],
-        vec![
-            ClassSpec {
-                name: "heavy".into(),
-                population: 6,
-                think_time: 1.0,
-                demands: vec![0.02, 0.03],
-            },
-            ClassSpec {
-                name: "light".into(),
-                population: 4,
-                think_time: 0.2,
-                demands: vec![0.008, 0.004],
-            },
-        ],
-    )
-    .expect("workload");
-    let lat = MulticlassMvaSolver::new(workload.clone())
-        .solve_classes()
-        .expect("lattice solve");
-    let mom = MomSolver::new(workload).solve_classes().expect("mom solve");
-    let divergence = mvasd_suite::queueing::mva::backend_divergence(&lat, &mom);
-    assert!(divergence.is_finite());
-
     let report = obsv::HealthReport::from_snapshot(&collector.snapshot());
     assert!(report.samples > 0, "probes saw values: {report:?}");
     assert_eq!(report.nan_poison_trips, 0, "no NaN poison on a clean run");
@@ -475,11 +434,6 @@ fn seeded_run_produces_clean_health_report() {
             > 0.0,
         "the fixed point converged to at least some digits"
     );
-    assert!(report.mom_lng_range.is_some(), "mom lattice conditioning");
-    let gauge = report
-        .lattice_mom_divergence
-        .expect("divergence gauge recorded");
-    assert_eq!(gauge, divergence, "gauge mirrors the returned value");
 
     // JSON round trip is exact: `obsv::json::number` prints shortest
     // round-trip representations.
