@@ -6,24 +6,27 @@
 //! ```
 //!
 //! Loads every `BENCH_*.json` under the results directory (default:
-//! `results/`, or `MVASD_RESULTS_DIR`), compares each against the matching
-//! mode section of the committed `BASELINE.json`, optionally holds a live
-//! `mvasd-health/1` report (from `obsv_report --health`) to the baseline's
-//! health floors, prints a summary, and writes/prints the `mvasd-doctor/1`
-//! verdict. Exit codes: 0 = healthy, 1 = regression, 2 = cannot reach a
-//! verdict (missing/truncated inputs — the message says how to fix it).
+//! `results/`, or `MVASD_RESULTS_DIR`), judges each against the matching
+//! mode section of the committed `BASELINE.json`, optionally judges a live
+//! `mvasd-health/1` report (from `obsv_report --health`) against the
+//! baseline's recorded health, writes the `mvasd-doctor/1` verdict to
+//! `--out`, and prints a summary (and the verdict, without `--out`).
+//! Exit codes: 0 = healthy, 1 = regression, 2 = cannot reach a verdict
+//! (missing/truncated inputs — the message says how to fix it). A reader
+//! that closes stdout early (`| head -1`) does not change the exit code.
 //!
-//! `--write-baseline` instead (re)generates the baseline from the current
+//! `--write-baseline` instead (re)records the baseline from the current
 //! results, merging key by key into the existing file: only the keys the
 //! results carry are re-anchored, so a quick-mode regen never clobbers the
-//! committed full-run numbers.
+//! committed full-run numbers, and health is re-recorded only with
+//! `--health`.
 
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use mvasd_bench::doctor::{evaluate, load_baseline, load_bench_dir, write_baseline, Thresholds};
+use mvasd_bench::doctor::{evaluate, load_baseline, load_bench_dir, load_health, write_baseline};
 use mvasd_bench::output::results_dir;
-use mvasd_obsv::health::HealthReport;
 
 const USAGE: &str = "usage: mvasd-doctor [--results DIR] [--baseline PATH] \
                      [--health PATH] [--out PATH] [--write-baseline]";
@@ -68,18 +71,9 @@ fn main() -> ExitCode {
         Ok(b) => b,
         Err(e) => return fail(e.to_string()),
     };
-    let health = match &health_path {
-        None => None,
-        Some(p) => {
-            let text = match std::fs::read_to_string(p) {
-                Ok(t) => t,
-                Err(e) => return fail(format!("cannot read {}: {e}", p.display())),
-            };
-            match HealthReport::from_json(&text) {
-                Ok(r) => Some(r),
-                Err(e) => return fail(format!("{}: {e}", p.display())),
-            }
-        }
+    let health = match health_path.as_deref().map(load_health).transpose() {
+        Ok(h) => h,
+        Err(e) => return fail(e.to_string()),
     };
 
     if write_mode {
@@ -93,12 +87,12 @@ fn main() -> ExitCode {
                 .into_iter()
                 .flatten()
                 .collect();
-                println!(
-                    "wrote {} (sections: {})",
+                let line = format!(
+                    "wrote {} (sections: {})\n",
                     baseline_path.display(),
                     sections.join(", ")
                 );
-                ExitCode::SUCCESS
+                emit(&line, ExitCode::SUCCESS)
             }
             Err(e) => fail(e.to_string()),
         };
@@ -108,30 +102,39 @@ fn main() -> ExitCode {
         Ok(b) => b,
         Err(e) => return fail(e.to_string()),
     };
-    let verdict = match evaluate(
-        &benches,
-        &baseline_path,
-        &baseline,
-        health.as_ref(),
-        &Thresholds::default(),
-    ) {
+    let verdict = match evaluate(&benches, &baseline_path, &baseline, health.as_ref()) {
         Ok(v) => v,
         Err(e) => return fail(e.to_string()),
     };
-    print!("{}", verdict.summary());
     let json = verdict.to_json();
+    let mut text = verdict.summary();
     match &out_path {
         Some(p) => {
             if let Err(e) = std::fs::write(p, &json) {
                 return fail(format!("cannot write {}: {e}", p.display()));
             }
-            println!("wrote verdict to {}", p.display());
+            text.push_str(&format!("wrote verdict to {}\n", p.display()));
         }
-        None => print!("{json}"),
+        None => text.push_str(&json),
     }
-    if verdict.passed() {
+    let code = if verdict.passed() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    };
+    emit(&text, code)
+}
+
+/// Writes `text` to stdout through one locked handle and returns `code`. A
+/// reader that went away (`BrokenPipe`) wanted no more output, so the
+/// outcome stands; any other write error is reported and exits 2.
+fn emit(text: &str, code: ExitCode) -> ExitCode {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            eprintln!("mvasd-doctor: cannot write stdout: {e}");
+            ExitCode::from(2)
+        }
+        _ => code,
     }
 }

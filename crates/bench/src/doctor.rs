@@ -1,33 +1,34 @@
 //! The `mvasd-doctor` regression sentinel: compares freshly regenerated
 //! `BENCH_*.json` files (schema `mvasd-bench/1`) and an optional live
 //! numeric-health report (`mvasd-health/1`) against a committed
-//! `BASELINE.json` (`mvasd-baseline/1`) and renders a machine-readable
+//! `BASELINE.json` (`mvasd-baseline/2`) and renders a machine-readable
 //! verdict (`mvasd-doctor/1`). The binary in `src/bin/doctor.rs` is a thin
-//! CLI over [`load_bench_dir`] / [`load_baseline`] / [`evaluate`] /
-//! [`write_baseline`]; everything decision-making lives here so the
-//! thresholds are unit-testable without touching the filesystem.
+//! CLI over [`load_bench_dir`] / [`load_health`] / [`load_baseline`] /
+//! [`evaluate`] / [`write_baseline`]; everything decision-making lives here
+//! so the rules are unit-testable without touching the filesystem.
 //!
-//! Baselines carry two sections, `"full"` and `"quick"`, because quick-mode
+//! Every held number is a name, a recorded reference and a rule. The
+//! baseline records observations only, in three flat name → value
+//! sections: `"full"` and `"quick"` for bench files, because quick-mode
 //! benches (`MVASD_BENCH_QUICK=1`) run smaller populations — experiment
-//! names embed `n`, so the sections don't even share keys. Each bench file
-//! records which mode produced it and is compared against the matching
-//! section only.
+//! names embed `n`, so the sections don't even share keys — and
+//! `"health"` for the live report. Each bench file records which mode
+//! produced it and is compared against the matching section only.
 //!
-//! Threshold philosophy (documented in `EXPERIMENTS.md`): timing medians
-//! may drift up to [`Thresholds::median_max_ratio`]× before failing (CI
-//! machines are noisy; the sentinel exists to catch order-of-magnitude
-//! regressions, not nanoseconds), accuracy metrics may degrade by
-//! [`Thresholds::rel_err_factor`]× over baseline (with an absolute floor so
-//! exact-arithmetic baselines near 1e-12 don't fail on harmless jitter),
-//! and speedups may shrink to `1/speedup_factor` of baseline but never
-//! below break-even.
+//! `rule_for` is the one rule table (documented in `EXPERIMENTS.md`) and
+//! `judge` applies it at evaluate time: timing medians may drift 8×
+//! (CI machines are noisy; the sentinel exists to catch order-of-magnitude
+//! regressions, not nanoseconds), accuracy metrics 10× (with an absolute
+//! floor so exact-arithmetic references near 1e-12 don't fail on harmless
+//! jitter), and speedups may shrink 4× but never below break-even.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use mvasd_obsv::health::HealthReport;
 use mvasd_obsv::json::{self, escape, number, Json};
+
+const BASELINE_SCHEMA: &str = "mvasd-baseline/2";
 
 /// Why the doctor could not reach a verdict (CLI exit code 2). Every
 /// variant's `Display` names the offending path and the command that fixes
@@ -88,19 +89,25 @@ impl fmt::Display for DoctorError {
                 path,
                 expected,
                 found,
-            } => match found {
-                Some(s) => write!(
-                    f,
-                    "{} declares schema {s:?}, expected {expected:?}; \
-                     regenerate it with the current toolchain",
-                    path.display()
-                ),
-                None => write!(
-                    f,
-                    "{} has no \"schema\" field, expected {expected:?}",
-                    path.display()
-                ),
-            },
+            } => {
+                let fix = if *expected == BASELINE_SCHEMA {
+                    "move it aside and rebuild it with `mvasd-doctor --write-baseline`"
+                } else {
+                    "regenerate it with the current toolchain"
+                };
+                match found {
+                    Some(s) => write!(
+                        f,
+                        "{} declares schema {s:?}, expected {expected:?}; {fix}",
+                        path.display()
+                    ),
+                    None => write!(
+                        f,
+                        "{} has no \"schema\" field, expected {expected:?}; {fix}",
+                        path.display()
+                    ),
+                }
+            }
             Self::MissingBaseline(p) => write!(
                 f,
                 "baseline {} does not exist; create one from the current results with \
@@ -119,6 +126,12 @@ impl fmt::Display for DoctorError {
 
 impl std::error::Error for DoctorError {}
 
+/// Named numbers. Bench timing medians in nanoseconds are keyed
+/// `"{group}/{experiment}"`, the numeric fields of a bench file's extra
+/// objects `"{object}.{field}"` (`"hierarchy.speedup"`), and health report
+/// fields by the report's own names (`"lse_range"`), so no two kinds collide.
+pub type Observations = BTreeMap<String, f64>;
+
 /// One parsed `BENCH_*.json` file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchFile {
@@ -126,77 +139,104 @@ pub struct BenchFile {
     pub path: PathBuf,
     /// Whether `MVASD_BENCH_QUICK=1` produced it.
     pub quick: bool,
-    /// `"{group}/{experiment}"` → median nanoseconds.
-    pub timings: BTreeMap<String, f64>,
-    /// Flattened non-timing numerics from extra top-level objects
-    /// (`"hierarchy.max_rel_err_throughput"`, `"multiclass.speedup_…"`, …).
-    pub metrics: BTreeMap<String, f64>,
+    /// Timing medians and flattened extras.
+    pub values: Observations,
 }
 
-/// One mode section of the baseline.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BaselineSection {
-    /// `"{group}/{experiment}"` → reference median nanoseconds.
-    pub timings: BTreeMap<String, f64>,
-    /// Reference values for the flattened accuracy/speedup metrics.
-    pub metrics: BTreeMap<String, f64>,
-}
-
-/// Floors/ceilings for the live numeric-health report, stored in the
-/// baseline so they ratchet with the codebase instead of living in code.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct HealthFloors {
-    /// NaN-poison trips allowed (normally 0).
-    pub max_nan_poison: u64,
-    /// Clamp incidents allowed across all probes.
-    pub max_clamp_events: u64,
-    /// Minimum convolution log-sum-exp dynamic range (`None` = unchecked).
-    pub min_lse_range: Option<f64>,
-    /// Minimum hierarchy profile-cache hit rate.
-    pub min_cache_hit_rate: Option<f64>,
-    /// Maximum relative DES confidence-interval half-width.
-    pub max_ci_rel_width: Option<f64>,
-}
-
-/// A parsed `mvasd-baseline/1` document.
+/// A parsed `mvasd-baseline/2` document: recorded observations, never
+/// limits.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Baseline {
     /// Reference numbers for full-length bench runs.
-    pub full: Option<BaselineSection>,
+    pub full: Option<Observations>,
     /// Reference numbers for `MVASD_BENCH_QUICK=1` runs.
-    pub quick: Option<BaselineSection>,
-    /// Health floors (mode-independent; `obsv_report` has no quick mode).
-    pub health: Option<HealthFloors>,
+    pub quick: Option<Observations>,
+    /// The live health report's judged fields (mode-independent;
+    /// `obsv_report` has no quick mode).
+    pub health: Option<Observations>,
 }
 
-/// Regression tolerances. Defaults are deliberately loose on timing and
-/// tight on accuracy: CI machines vary, arithmetic must not.
+/// Which way a held number must not move past its limit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Bound {
+    /// The value must stay at or under the limit.
+    AtMost,
+    /// The value must stay at or over the limit.
+    AtLeast,
+}
+
+/// How far a held number may move from its recorded reference `r`: the
+/// limit is `max(r × scale, floor)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Thresholds {
-    /// A timing median may grow to `baseline × median_max_ratio`.
-    pub median_max_ratio: f64,
-    /// An error metric may grow to `max(baseline × rel_err_factor,
-    /// rel_err_floor)`.
-    pub rel_err_factor: f64,
-    /// Absolute accuracy floor so ~1e-12 baselines tolerate jitter.
-    pub rel_err_floor: f64,
-    /// A speedup may shrink to `max(baseline / speedup_factor,
-    /// speedup_floor)`.
-    pub speedup_factor: f64,
-    /// Speedups must never drop below break-even.
-    pub speedup_floor: f64,
+struct Rule {
+    /// The check-name prefix in the verdict (`"timing"`, `"health"`, …).
+    kind: &'static str,
+    /// Which side of the limit passes.
+    bound: Bound,
+    /// Multiplies the reference.
+    scale: f64,
+    /// The limit never goes below this.
+    floor: f64,
 }
 
-impl Default for Thresholds {
-    fn default() -> Self {
-        Self {
-            median_max_ratio: 8.0,
-            rel_err_factor: 10.0,
-            rel_err_floor: 1e-8,
-            speedup_factor: 4.0,
-            speedup_floor: 1.0,
+/// The rule table: the rule that holds `name`, or `None` for a descriptive
+/// field (`hierarchy.n`, `multiclass.classes`, …) that is recorded but
+/// never judged. Health names match exactly; bench extras need their `.`,
+/// so a health field such as `fes_disagg_error` is not an accuracy metric.
+fn rule_for(name: &str) -> Option<Rule> {
+    use Bound::{AtLeast, AtMost};
+    let no_floor = f64::NEG_INFINITY;
+    let (kind, bound, scale, floor) = match name {
+        "nan_poison_trips" => ("health", AtMost, 0.0, 0.0), // whatever was recorded
+        "clamp_events" => ("health", AtMost, 1.0, no_floor),
+        "lse_range" | "cache_hit_rate" => ("health", AtLeast, 0.5, no_floor),
+        "des_ci_rel_width" => ("health", AtMost, 4.0, no_floor),
+        _ if name.contains('/') => ("timing", AtMost, 8.0, no_floor),
+        _ if name.contains('.') && name.contains("err") => ("accuracy", AtMost, 10.0, 1e-8),
+        _ if name.contains('.') && name.contains("speedup") => ("speedup", AtLeast, 0.25, 1.0),
+        _ => return None,
+    };
+    Some(Rule {
+        kind,
+        bound,
+        scale,
+        floor,
+    })
+}
+
+/// Holds one live `value` to its recorded `reference` under
+/// `rule_for(name)`. A value missing from the live side counts as the
+/// worst value for the rule's direction; a missing reference is a `skip`.
+/// `None` when no rule holds `name`.
+fn judge(name: &str, value: Option<f64>, reference: Option<f64>) -> Option<Check> {
+    let rule = rule_for(name)?;
+    let value = value.unwrap_or(match rule.bound {
+        Bound::AtMost => f64::INFINITY,
+        Bound::AtLeast => f64::NEG_INFINITY,
+    });
+    let (status, reference, limit) = match reference {
+        None => (CheckStatus::Skip, f64::NAN, f64::NAN),
+        Some(r) => {
+            let limit = (r * rule.scale).max(rule.floor);
+            let held = match rule.bound {
+                Bound::AtMost => value <= limit,
+                Bound::AtLeast => value >= limit,
+            };
+            let status = if held {
+                CheckStatus::Pass
+            } else {
+                CheckStatus::Fail
+            };
+            (status, r, limit)
         }
-    }
+    };
+    Some(Check {
+        name: format!("{}:{name}", rule.kind),
+        status,
+        value,
+        reference,
+        limit,
+    })
 }
 
 /// Outcome of one comparison.
@@ -313,11 +353,22 @@ fn parse_file(path: &Path, expected: &'static str) -> Result<Json, DoctorError> 
     }
 }
 
+/// The numeric fields of a JSON object, by name.
+fn numbers(v: &Json) -> Observations {
+    match v {
+        Json::Object(fields) => fields
+            .iter()
+            .filter_map(|(k, x)| Some((k.clone(), x.as_f64()?)))
+            .collect(),
+        _ => Observations::new(),
+    }
+}
+
 /// Parses one `mvasd-bench/1` document (already schema-checked by the
 /// caller when read from disk).
 pub fn bench_from_json(path: &Path, doc: &Json) -> BenchFile {
     let quick = matches!(doc.get("quick"), Some(Json::Bool(true)));
-    let mut timings = BTreeMap::new();
+    let mut values = Observations::new();
     for group in doc.get("groups").and_then(Json::as_array).unwrap_or(&[]) {
         let gname = group.get("group").and_then(Json::as_str).unwrap_or("?");
         for exp in group
@@ -331,32 +382,25 @@ pub fn bench_from_json(path: &Path, doc: &Json) -> BenchFile {
                 .and_then(|n| n.get("median"))
                 .and_then(Json::as_f64)
             {
-                timings.insert(format!("{gname}/{ename}"), median);
+                values.insert(format!("{gname}/{ename}"), median);
             }
         }
     }
     // Extra top-level objects ("hierarchy", "multiclass", …) carry the
     // accuracy/speedup figures; flatten their numeric fields.
-    let mut metrics = BTreeMap::new();
     if let Json::Object(top) = doc {
         for (key, val) in top {
-            if key == "schema" || key == "quick" || key == "groups" {
-                continue;
-            }
-            if let Json::Object(fields) = val {
-                for (fk, fv) in fields {
-                    if let Some(x) = fv.as_f64() {
-                        metrics.insert(format!("{key}.{fk}"), x);
-                    }
-                }
-            }
+            values.extend(
+                numbers(val)
+                    .into_iter()
+                    .map(|(f, x)| (format!("{key}.{f}"), x)),
+            );
         }
     }
     BenchFile {
         path: path.to_path_buf(),
         quick,
-        timings,
-        metrics,
+        values,
     }
 }
 
@@ -386,81 +430,40 @@ pub fn load_bench_dir(dir: &Path) -> Result<Vec<BenchFile>, DoctorError> {
     Ok(out)
 }
 
-fn section_from_json(v: &Json) -> BaselineSection {
-    let numbers = |key: &str| -> BTreeMap<String, f64> {
-        let mut out = BTreeMap::new();
-        if let Some(Json::Object(m)) = v.get(key) {
-            for (k, x) in m {
-                if let Some(x) = x.as_f64() {
-                    out.insert(k.clone(), x);
-                }
-            }
-        }
-        out
-    };
-    BaselineSection {
-        timings: numbers("timings"),
-        metrics: numbers("metrics"),
-    }
+/// Loads a live `mvasd-health/1` report (`obsv_report --health`) as its
+/// numeric fields.
+pub fn load_health(path: &Path) -> Result<Observations, DoctorError> {
+    Ok(numbers(&parse_file(path, "mvasd-health/1")?))
 }
 
-fn floors_from_json(v: &Json) -> HealthFloors {
-    let count = |key: &str| {
-        v.get(key)
-            .and_then(Json::as_f64)
-            .map(|x| x.max(0.0) as u64)
-            .unwrap_or(0)
-    };
-    HealthFloors {
-        max_nan_poison: count("max_nan_poison"),
-        max_clamp_events: count("max_clamp_events"),
-        min_lse_range: v.get("min_lse_range").and_then(Json::as_f64),
-        min_cache_hit_rate: v.get("min_cache_hit_rate").and_then(Json::as_f64),
-        max_ci_rel_width: v.get("max_ci_rel_width").and_then(Json::as_f64),
-    }
-}
-
-/// Loads a committed `mvasd-baseline/1` file.
+/// Loads a committed `mvasd-baseline/2` file.
 pub fn load_baseline(path: &Path) -> Result<Baseline, DoctorError> {
     if !path.is_file() {
         return Err(DoctorError::MissingBaseline(path.to_path_buf()));
     }
-    let doc = parse_file(path, "mvasd-baseline/1")?;
+    let doc = parse_file(path, BASELINE_SCHEMA)?;
+    let section = |key| doc.get(key).map(numbers);
     Ok(Baseline {
-        full: doc.get("full").map(section_from_json),
-        quick: doc.get("quick").map(section_from_json),
-        health: doc.get("health").map(floors_from_json),
+        full: section("full"),
+        quick: section("quick"),
+        health: section("health"),
     })
 }
 
-fn classify(metric: &str) -> Option<CheckKind> {
-    if metric.contains("err") {
-        Some(CheckKind::Accuracy)
-    } else if metric.contains("speedup") {
-        Some(CheckKind::Speedup)
-    } else {
-        None // descriptive fields (station counts, populations): not checked
-    }
-}
-
-enum CheckKind {
-    Accuracy,
-    Speedup,
-}
-
-/// Compares bench files (each against the baseline section matching its own
-/// mode) plus the optional live health report, producing a [`Verdict`].
+/// Judges every bench value against the baseline section matching its
+/// file's mode, and every recorded health field against the live report,
+/// producing a [`Verdict`].
 ///
 /// Experiments with no baseline entry are reported as `skip` so a freshly
 /// added bench doesn't break CI before the baseline ratchets; a wholly
 /// missing mode section is an error because it means the baseline was never
-/// generated for this configuration.
+/// generated for this configuration. Health judges the recorded fields, so
+/// one the live report lacks fails; either side being absent is one skip.
 pub fn evaluate(
     benches: &[BenchFile],
     baseline_path: &Path,
     baseline: &Baseline,
-    health: Option<&HealthReport>,
-    th: &Thresholds,
+    health: Option<&Observations>,
 ) -> Result<Verdict, DoctorError> {
     let mut checks = Vec::new();
     for bench in benches {
@@ -473,215 +476,61 @@ pub fn evaluate(
             path: baseline_path.to_path_buf(),
             key,
         })?;
-        for (name, &median) in &bench.timings {
-            let check_name = format!("timing:{name}");
-            match section.timings.get(name) {
-                Some(&reference) => {
-                    let limit = reference * th.median_max_ratio;
-                    checks.push(Check {
-                        name: check_name,
-                        status: if median <= limit {
-                            CheckStatus::Pass
-                        } else {
-                            CheckStatus::Fail
-                        },
-                        value: median,
-                        reference,
-                        limit,
-                    });
-                }
-                None => checks.push(Check {
-                    name: check_name,
-                    status: CheckStatus::Skip,
-                    value: median,
-                    reference: f64::NAN,
-                    limit: f64::NAN,
-                }),
-            }
-        }
-        for (name, &value) in &bench.metrics {
-            let Some(kind) = classify(name) else {
-                continue;
-            };
-            let (prefix, reference) = match kind {
-                CheckKind::Accuracy => ("accuracy", section.metrics.get(name)),
-                CheckKind::Speedup => ("speedup", section.metrics.get(name)),
-            };
-            let check_name = format!("{prefix}:{name}");
-            match reference {
-                Some(&reference) => {
-                    let (limit, ok) = match kind {
-                        CheckKind::Accuracy => {
-                            let limit = (reference * th.rel_err_factor).max(th.rel_err_floor);
-                            (limit, value <= limit)
-                        }
-                        CheckKind::Speedup => {
-                            let limit = (reference / th.speedup_factor).max(th.speedup_floor);
-                            (limit, value >= limit)
-                        }
-                    };
-                    checks.push(Check {
-                        name: check_name,
-                        status: if ok {
-                            CheckStatus::Pass
-                        } else {
-                            CheckStatus::Fail
-                        },
-                        value,
-                        reference,
-                        limit,
-                    });
-                }
-                None => checks.push(Check {
-                    name: check_name,
-                    status: CheckStatus::Skip,
-                    value,
-                    reference: f64::NAN,
-                    limit: f64::NAN,
-                }),
-            }
-        }
+        checks.extend(
+            bench
+                .values
+                .iter()
+                .filter_map(|(name, &v)| judge(name, Some(v), section.get(name).copied())),
+        );
     }
-    checks.extend(health_checks(baseline.health.as_ref(), health));
+    match (&baseline.health, health) {
+        (Some(recorded), Some(live)) => checks.extend(
+            recorded
+                .iter()
+                .filter_map(|(name, &r)| judge(name, live.get(name).copied(), Some(r))),
+        ),
+        (None, None) => {}
+        _ => checks.push(Check {
+            name: "health:report".to_string(),
+            status: CheckStatus::Skip,
+            value: f64::NAN,
+            reference: f64::NAN,
+            limit: f64::NAN,
+        }),
+    }
     Ok(Verdict { checks })
 }
 
-/// The health sub-verdict: live report values held to the baseline floors.
-/// Either side being absent degrades to `skip`, never to a panic.
-fn health_checks(floors: Option<&HealthFloors>, report: Option<&HealthReport>) -> Vec<Check> {
-    let mut out = Vec::new();
-    let (Some(floors), Some(report)) = (floors, report) else {
-        if floors.is_some() != report.is_some() {
-            out.push(Check {
-                name: "health:report".to_string(),
-                status: CheckStatus::Skip,
-                value: f64::NAN,
-                reference: f64::NAN,
-                limit: f64::NAN,
-            });
+/// Serializes a [`Baseline`] as one `mvasd-baseline/2` JSON object.
+pub fn baseline_to_json(b: &Baseline) -> String {
+    let mut out = format!("{{\"schema\":\"{BASELINE_SCHEMA}\"");
+    for (key, section) in [
+        ("full", &b.full),
+        ("quick", &b.quick),
+        ("health", &b.health),
+    ] {
+        if let Some(s) = section {
+            let fields: Vec<String> = s
+                .iter()
+                .map(|(k, v)| format!("\"{}\":{}", escape(k), number(*v)))
+                .collect();
+            out.push_str(&format!(",\"{key}\":{{{}}}", fields.join(",")));
         }
-        return out;
-    };
-    let mut upper = |name: &str, value: f64, limit: f64| {
-        out.push(Check {
-            name: format!("health:{name}"),
-            status: if value <= limit {
-                CheckStatus::Pass
-            } else {
-                CheckStatus::Fail
-            },
-            value,
-            reference: limit,
-            limit,
-        });
-    };
-    upper(
-        "nan_poison_trips",
-        report.nan_poison_trips as f64,
-        floors.max_nan_poison as f64,
-    );
-    upper(
-        "clamp_events",
-        report.clamp_events as f64,
-        floors.max_clamp_events as f64,
-    );
-    if let Some(max) = floors.max_ci_rel_width {
-        let value = report.des_ci_rel_width.unwrap_or(f64::INFINITY);
-        upper("des_ci_rel_width", value, max);
     }
-    let mut lower = |name: &str, value: Option<f64>, limit: f64| {
-        let value = value.unwrap_or(f64::NEG_INFINITY);
-        out.push(Check {
-            name: format!("health:{name}"),
-            status: if value >= limit {
-                CheckStatus::Pass
-            } else {
-                CheckStatus::Fail
-            },
-            value,
-            reference: limit,
-            limit,
-        });
-    };
-    if let Some(min) = floors.min_lse_range {
-        lower("lse_range", report.lse_range, min);
-    }
-    if let Some(min) = floors.min_cache_hit_rate {
-        lower("cache_hit_rate", report.cache_hit_rate, min);
-    }
+    out.push_str("}\n");
     out
 }
 
-fn section_to_json(s: &BaselineSection) -> String {
-    let map = |m: &BTreeMap<String, f64>| -> String {
-        let fields: Vec<String> = m
-            .iter()
-            .map(|(k, v)| format!("\"{}\":{}", escape(k), number(*v)))
-            .collect();
-        format!("{{{}}}", fields.join(","))
-    };
-    format!(
-        "{{\"timings\":{},\"metrics\":{}}}",
-        map(&s.timings),
-        map(&s.metrics)
-    )
-}
-
-fn floors_to_json(h: &HealthFloors) -> String {
-    let mut fields = vec![
-        format!("\"max_nan_poison\":{}", h.max_nan_poison),
-        format!("\"max_clamp_events\":{}", h.max_clamp_events),
-    ];
-    for (name, v) in [
-        ("min_lse_range", h.min_lse_range),
-        ("min_cache_hit_rate", h.min_cache_hit_rate),
-        ("max_ci_rel_width", h.max_ci_rel_width),
-    ] {
-        if let Some(v) = v {
-            fields.push(format!("\"{name}\":{}", number(v)));
-        }
-    }
-    format!("{{{}}}", fields.join(","))
-}
-
-/// Serializes a [`Baseline`] as one `mvasd-baseline/1` JSON object.
-pub fn baseline_to_json(b: &Baseline) -> String {
-    let mut fields = vec!["\"schema\":\"mvasd-baseline/1\"".to_string()];
-    if let Some(s) = &b.full {
-        fields.push(format!("\"full\":{}", section_to_json(s)));
-    }
-    if let Some(s) = &b.quick {
-        fields.push(format!("\"quick\":{}", section_to_json(s)));
-    }
-    if let Some(h) = &b.health {
-        fields.push(format!("\"health\":{}", floors_to_json(h)));
-    }
-    format!("{{{}}}\n", fields.join(","))
-}
-
-/// Derives conservative health floors from an observed report: zero NaN
-/// tolerance, observed clamps (the solver runs are seeded/deterministic),
-/// halved range/hit-rate floors and a 4× CI-width ceiling so minor run-to-
-/// run drift doesn't trip the sentinel.
-pub fn floors_from_report(report: &HealthReport) -> HealthFloors {
-    HealthFloors {
-        max_nan_poison: 0,
-        max_clamp_events: report.clamp_events,
-        min_lse_range: report.lse_range.map(|r| r / 2.0),
-        min_cache_hit_rate: report.cache_hit_rate.map(|r| r / 2.0),
-        max_ci_rel_width: report.des_ci_rel_width.map(|w| w * 4.0),
-    }
-}
-
-/// Folds fresh bench files (and an optional health report) into `existing`:
-/// every key a file carries is re-anchored in the section of that file's
-/// mode, and every other key is kept. A quick CI regen never clobbers the
-/// committed full numbers, and a results directory holding one bench file
-/// re-anchors that file's keys only.
+/// Folds fresh bench files (and an optional live health report) into
+/// `existing`: every key a file carries is re-anchored in the section of
+/// that file's mode, and every other key is kept. A quick CI regen never
+/// clobbers the committed full numbers, and a results directory holding one
+/// bench file re-anchors that file's keys only. A health report replaces
+/// the health section with its judged fields.
 pub fn merge_baseline(
     existing: Baseline,
     benches: &[BenchFile],
-    health: Option<&HealthReport>,
+    health: Option<&Observations>,
 ) -> Baseline {
     let mut out = existing;
     for bench in benches {
@@ -689,17 +538,14 @@ pub fn merge_baseline(
             &mut out.quick
         } else {
             &mut out.full
-        }
-        .get_or_insert_with(BaselineSection::default);
+        };
         section
-            .timings
-            .extend(bench.timings.iter().map(|(k, v)| (k.clone(), *v)));
-        section
-            .metrics
-            .extend(bench.metrics.iter().map(|(k, v)| (k.clone(), *v)));
+            .get_or_insert_with(Observations::new)
+            .extend(bench.values.iter().map(|(k, v)| (k.clone(), *v)));
     }
-    if let Some(report) = health {
-        out.health = Some(floors_from_report(report));
+    if let Some(live) = health {
+        let judged = live.iter().filter(|(k, _)| rule_for(k).is_some());
+        out.health = Some(judged.map(|(k, v)| (k.clone(), *v)).collect());
     }
     out
 }
@@ -709,7 +555,7 @@ pub fn merge_baseline(
 pub fn write_baseline(
     baseline_path: &Path,
     benches: &[BenchFile],
-    health: Option<&HealthReport>,
+    health: Option<&Observations>,
 ) -> Result<Baseline, DoctorError> {
     let existing = match load_baseline(baseline_path) {
         Ok(b) => b,
@@ -729,69 +575,91 @@ pub fn write_baseline(
 mod tests {
     use super::*;
 
-    fn bench(quick: bool, timings: &[(&str, f64)], metrics: &[(&str, f64)]) -> BenchFile {
+    fn obs(values: &[(&str, f64)]) -> Observations {
+        values.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+    }
+
+    fn bench(quick: bool, values: &[(&str, f64)]) -> BenchFile {
         BenchFile {
             path: PathBuf::from("BENCH_test.json"),
             quick,
-            timings: timings.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            metrics: metrics.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+            values: obs(values),
         }
     }
 
     fn baseline_for(bench: &BenchFile) -> Baseline {
-        let section = BaselineSection {
-            timings: bench.timings.clone(),
-            metrics: bench.metrics.clone(),
-        };
+        let section = Some(bench.values.clone());
         if bench.quick {
             Baseline {
-                quick: Some(section),
+                quick: section,
                 ..Baseline::default()
             }
         } else {
             Baseline {
-                full: Some(section),
+                full: section,
                 ..Baseline::default()
             }
         }
+    }
+
+    fn eval(benches: &[BenchFile], base: &Baseline, health: Option<&Observations>) -> Verdict {
+        evaluate(benches, Path::new("BASELINE.json"), base, health).expect("evaluation succeeds")
+    }
+
+    fn failed(v: &Verdict) -> Vec<&str> {
+        v.checks
+            .iter()
+            .filter(|c| c.status == CheckStatus::Fail)
+            .map(|c| c.name.as_str())
+            .collect()
     }
 
     #[test]
     fn matching_baseline_passes() {
         let b = bench(
             false,
-            &[("g/walk/300", 1e6)],
             &[
+                ("g/walk/300", 1e6),
                 ("hierarchy.max_rel_err_throughput", 1e-6),
                 ("hierarchy.speedup", 25.0),
             ],
         );
-        let base = baseline_for(&b);
-        let v = evaluate(
-            &[b],
-            Path::new("BASELINE.json"),
-            &base,
-            None,
-            &Thresholds::default(),
-        )
-        .expect("evaluation succeeds");
+        let v = eval(std::slice::from_ref(&b), &baseline_for(&b), None);
         assert!(v.passed());
         assert_eq!(v.checks.len(), 3);
         assert!(v.checks.iter().all(|c| c.status == CheckStatus::Pass));
     }
 
     #[test]
+    fn rule_table_states_each_limit() {
+        let limit = |name: &str, r: f64| judge(name, Some(r), Some(r)).map(|c| c.limit);
+        assert_eq!(limit("g/walk/300", 1e6), Some(8e6));
+        assert_eq!(limit("x.max_rel_err", 0.25), Some(2.5));
+        assert_eq!(limit("x.max_rel_err", 1e-13), Some(1e-8));
+        assert_eq!(limit("x.speedup", 20.0), Some(5.0));
+        assert_eq!(limit("x.speedup", 2.0), Some(1.0));
+        assert_eq!(limit("nan_poison_trips", 3.0), Some(0.0));
+        assert_eq!(limit("clamp_events", 2.0), Some(2.0));
+        assert_eq!(limit("lse_range", 100.0), Some(50.0));
+        assert_eq!(limit("cache_hit_rate", 0.5), Some(0.25));
+        assert_eq!(limit("des_ci_rel_width", 0.01), Some(0.04));
+        // Descriptive fields, and health fields no rule holds, are unjudged;
+        // a health name is not an accuracy metric for containing "err".
+        for name in [
+            "hierarchy.stations",
+            "hierarchy.n",
+            "samples",
+            "fes_disagg_error",
+        ] {
+            assert_eq!(judge(name, Some(1.0), Some(1.0)), None, "{name}");
+        }
+    }
+
+    #[test]
     fn degraded_median_fails() {
-        let base = baseline_for(&bench(false, &[("g/walk/300", 1e6)], &[]));
-        let degraded = bench(false, &[("g/walk/300", 2e7)], &[]); // 20×
-        let v = evaluate(
-            &[degraded],
-            Path::new("BASELINE.json"),
-            &base,
-            None,
-            &Thresholds::default(),
-        )
-        .expect("evaluation succeeds");
+        let base = baseline_for(&bench(false, &[("g/walk/300", 1e6)]));
+        let degraded = bench(false, &[("g/walk/300", 2e7)]); // 20×
+        let v = eval(&[degraded], &base, None);
         assert!(!v.passed());
         let c = &v.checks[0];
         assert_eq!(c.status, CheckStatus::Fail);
@@ -802,61 +670,30 @@ mod tests {
     fn accuracy_and_speedup_directions() {
         let base = baseline_for(&bench(
             false,
-            &[],
             &[("x.max_rel_err", 1e-6), ("x.speedup", 20.0)],
         ));
         // Error went *up* 100×, speedup *down* 10×: both fail.
-        let worse = bench(false, &[], &[("x.max_rel_err", 1e-4), ("x.speedup", 2.0)]);
-        let v = evaluate(
-            &[worse],
-            Path::new("B"),
-            &base,
-            None,
-            &Thresholds::default(),
-        )
-        .expect("evaluation succeeds");
-        assert_eq!(
-            v.checks
-                .iter()
-                .filter(|c| c.status == CheckStatus::Fail)
-                .count(),
-            2
-        );
+        let worse = bench(false, &[("x.max_rel_err", 1e-4), ("x.speedup", 2.0)]);
+        let v = eval(&[worse], &base, None);
+        assert_eq!(failed(&v), ["accuracy:x.max_rel_err", "speedup:x.speedup"]);
         // Error shrinking and speedup growing both pass.
-        let better = bench(false, &[], &[("x.max_rel_err", 1e-9), ("x.speedup", 200.0)]);
-        let v = evaluate(
-            &[better],
-            Path::new("B"),
-            &base,
-            None,
-            &Thresholds::default(),
-        )
-        .expect("evaluation succeeds");
-        assert!(v.passed());
+        let better = bench(false, &[("x.max_rel_err", 1e-9), ("x.speedup", 200.0)]);
+        assert!(eval(&[better], &base, None).passed());
     }
 
     #[test]
     fn rel_err_floor_tolerates_exact_arithmetic_jitter() {
-        let base = baseline_for(&bench(false, &[], &[("x.max_rel_err", 1e-13)]));
+        let base = baseline_for(&bench(false, &[("x.max_rel_err", 1e-13)]));
         // 50× worse than a 1e-13 baseline is still far under the 1e-8 floor.
-        let jitter = bench(false, &[], &[("x.max_rel_err", 5e-12)]);
-        let v = evaluate(
-            &[jitter],
-            Path::new("B"),
-            &base,
-            None,
-            &Thresholds::default(),
-        )
-        .expect("evaluation succeeds");
-        assert!(v.passed());
+        let jitter = bench(false, &[("x.max_rel_err", 5e-12)]);
+        assert!(eval(&[jitter], &base, None).passed());
     }
 
     #[test]
     fn new_experiment_skips_instead_of_failing() {
-        let base = baseline_for(&bench(false, &[("g/old", 1e6)], &[]));
-        let b = bench(false, &[("g/old", 1e6), ("g/new", 5e6)], &[]);
-        let v = evaluate(&[b], Path::new("B"), &base, None, &Thresholds::default())
-            .expect("evaluation succeeds");
+        let base = baseline_for(&bench(false, &[("g/old", 1e6)]));
+        let b = bench(false, &[("g/old", 1e6), ("g/new", 5e6)]);
+        let v = eval(&[b], &base, None);
         assert!(v.passed());
         let skipped: Vec<_> = v
             .checks
@@ -869,16 +706,10 @@ mod tests {
 
     #[test]
     fn quick_results_need_quick_section() {
-        let base = baseline_for(&bench(false, &[("g/walk", 1e6)], &[]));
-        let quick = bench(true, &[("g/walk", 1e6)], &[]);
-        let err = evaluate(
-            &[quick],
-            Path::new("BASELINE.json"),
-            &base,
-            None,
-            &Thresholds::default(),
-        )
-        .expect_err("quick results against a full-only baseline must error");
+        let base = baseline_for(&bench(false, &[("g/walk", 1e6)]));
+        let quick = bench(true, &[("g/walk", 1e6)]);
+        let err = evaluate(&[quick], Path::new("BASELINE.json"), &base, None)
+            .expect_err("quick results against a full-only baseline must error");
         let msg = err.to_string();
         assert!(
             msg.contains("\"quick\""),
@@ -891,37 +722,63 @@ mod tests {
     }
 
     #[test]
-    fn health_floors_enforced() {
-        let floors = HealthFloors {
-            max_nan_poison: 0,
-            max_clamp_events: 5,
-            min_lse_range: Some(10.0),
-            min_cache_hit_rate: Some(0.25),
-            max_ci_rel_width: Some(0.1),
+    fn health_rules_hold_the_live_report() {
+        let base = Baseline {
+            health: Some(obs(&[
+                ("nan_poison_trips", 0.0),
+                ("clamp_events", 5.0),
+                ("lse_range", 20.0),
+                ("cache_hit_rate", 0.5),
+                ("des_ci_rel_width", 0.025),
+            ])),
+            ..Baseline::default()
         };
-        let mut report = HealthReport {
-            samples: 100,
-            lse_range: Some(40.0),
-            cache_hit_rate: Some(0.5),
-            des_ci_rel_width: Some(0.02),
-            ..HealthReport::default()
+        let mut live = obs(&[
+            ("samples", 100.0),
+            ("nan_poison_trips", 0.0),
+            ("clamp_events", 0.0),
+            ("lse_range", 40.0),
+            ("cache_hit_rate", 0.5),
+            ("des_ci_rel_width", 0.02),
+        ]);
+        let v = eval(&[], &base, Some(&live));
+        assert_eq!(v.checks.len(), 5);
+        assert!(v.checks.iter().all(|c| c.status == CheckStatus::Pass));
+        live.insert("nan_poison_trips".into(), 1.0);
+        live.insert("lse_range".into(), 3.0);
+        let v = eval(&[], &base, Some(&live));
+        assert_eq!(failed(&v), ["health:lse_range", "health:nan_poison_trips"]);
+        // Missing report against a recorded section: one skip marker, no fail.
+        let v = eval(&[], &base, None);
+        assert_eq!(v.checks.len(), 1);
+        assert_eq!(v.checks[0].status, CheckStatus::Skip);
+    }
+
+    #[test]
+    fn nan_tolerance_is_zero_whatever_was_recorded() {
+        let base = Baseline {
+            health: Some(obs(&[("nan_poison_trips", 3.0)])),
+            ..Baseline::default()
         };
-        let checks = health_checks(Some(&floors), Some(&report));
-        assert_eq!(checks.len(), 5);
-        assert!(checks.iter().all(|c| c.status == CheckStatus::Pass));
-        report.nan_poison_trips = 1;
-        report.lse_range = Some(3.0);
-        let checks = health_checks(Some(&floors), Some(&report));
-        let failed: Vec<&str> = checks
-            .iter()
-            .filter(|c| c.status == CheckStatus::Fail)
-            .map(|c| c.name.as_str())
-            .collect();
-        assert_eq!(failed, ["health:nan_poison_trips", "health:lse_range"]);
-        // Missing report against present floors: one skip marker, no fail.
-        let checks = health_checks(Some(&floors), None);
-        assert_eq!(checks.len(), 1);
-        assert_eq!(checks[0].status, CheckStatus::Skip);
+        let v = eval(&[], &base, Some(&obs(&[("nan_poison_trips", 1.0)])));
+        let c = &v.checks[0];
+        assert_eq!(
+            (c.status, c.reference, c.limit),
+            (CheckStatus::Fail, 3.0, 0.0)
+        );
+        assert!(eval(&[], &base, Some(&obs(&[("nan_poison_trips", 0.0)]))).passed());
+    }
+
+    #[test]
+    fn health_value_missing_from_the_live_report_fails() {
+        let base = Baseline {
+            health: Some(obs(&[("lse_range", 100.0), ("des_ci_rel_width", 0.01)])),
+            ..Baseline::default()
+        };
+        let v = eval(&[], &base, Some(&Observations::new()));
+        assert_eq!(failed(&v), ["health:des_ci_rel_width", "health:lse_range"]);
+        let values: Vec<f64> = v.checks.iter().map(|c| c.value).collect();
+        assert_eq!(values, [f64::INFINITY, f64::NEG_INFINITY]);
     }
 
     #[test]
@@ -962,43 +819,54 @@ mod tests {
         let dir = std::env::temp_dir().join("mvasd_doctor_baseline_rt");
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("BASELINE.json");
-        let full = bench(false, &[("g/walk/800", 3.4e7)], &[("h.speedup", 26.9)]);
-        let report = HealthReport {
-            samples: 10,
-            clamp_events: 2,
-            lse_range: Some(100.0),
-            cache_hit_rate: Some(0.5),
-            des_ci_rel_width: Some(0.01),
-            ..HealthReport::default()
-        };
+        let full = bench(false, &[("g/walk/800", 3.4e7), ("h.speedup", 26.9)]);
+        let report = obs(&[
+            ("samples", 10.0),
+            ("nan_poison_trips", 0.0),
+            ("clamp_events", 2.0),
+            ("lse_range", 100.0),
+            ("cache_hit_rate", 0.5),
+            ("des_ci_rel_width", 0.01),
+            ("fes_disagg_error", 1e-13),
+        ]);
         let written =
             write_baseline(&path, std::slice::from_ref(&full), Some(&report)).expect("write");
         let loaded = load_baseline(&path).expect("load");
         assert_eq!(written, loaded);
-        assert_eq!(loaded.full.as_ref().map(|s| s.timings.len()), Some(1));
+        assert_eq!(loaded.full.as_ref(), Some(&full.values));
         assert_eq!(loaded.quick, None);
-        let floors = loaded.health.clone().expect("health floors recorded");
-        assert_eq!(floors.max_clamp_events, 2);
-        assert_eq!(floors.min_lse_range, Some(50.0));
-        assert_eq!(floors.max_ci_rel_width, Some(0.04));
+        // Health records the judged fields as observed, not as limits.
+        let health = loaded.health.clone().expect("health recorded");
+        let judged: Vec<&str> = health.keys().map(String::as_str).collect();
+        assert_eq!(
+            judged,
+            [
+                "cache_hit_rate",
+                "clamp_events",
+                "des_ci_rel_width",
+                "lse_range",
+                "nan_poison_trips"
+            ]
+        );
+        assert_eq!(health.get("lse_range"), Some(&100.0));
         // A later quick regen adds the quick section without touching full.
-        let quick = bench(true, &[("g/walk/150", 1.0e6)], &[]);
+        let quick = bench(true, &[("g/walk/150", 1.0e6)]);
         let merged =
             write_baseline(&path, std::slice::from_ref(&quick), None).expect("quick merge");
         assert_eq!(merged.full, loaded.full);
-        assert_eq!(merged.quick.as_ref().map(|s| s.timings.len()), Some(1));
-        assert_eq!(merged.health, loaded.health, "health floors survive merge");
+        assert_eq!(merged.quick.as_ref().map(|s| s.len()), Some(1));
+        assert_eq!(
+            merged.health, loaded.health,
+            "health survives a merge without --health"
+        );
         // A full regen of another bench adds its keys and re-anchors none
         // of the others.
-        let other = bench(false, &[("sim/campaign", 3.0e8)], &[]);
+        let other = bench(false, &[("sim/campaign", 3.0e8)]);
         let merged = write_baseline(&path, std::slice::from_ref(&other), None).expect("full merge");
-        let timings = &merged.full.as_ref().expect("full section").timings;
-        assert_eq!(timings.get("g/walk/800"), Some(&3.4e7));
-        assert_eq!(timings.get("sim/campaign"), Some(&3.0e8));
-        assert_eq!(
-            merged.full.as_ref().map(|s| &s.metrics),
-            loaded.full.as_ref().map(|s| &s.metrics)
-        );
+        let section = merged.full.as_ref().expect("full section");
+        assert_eq!(section.get("g/walk/800"), Some(&3.4e7));
+        assert_eq!(section.get("h.speedup"), Some(&26.9));
+        assert_eq!(section.get("sim/campaign"), Some(&3.0e8));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1015,21 +883,21 @@ mod tests {
         let doc = json::parse(text).expect("fixture parses");
         let b = bench_from_json(Path::new("BENCH_hierarchy.json"), &doc);
         assert!(!b.quick);
-        assert_eq!(b.timings.get("hier/sweep/800"), Some(&3.0));
+        let v = eval(std::slice::from_ref(&b), &baseline_for(&b), None);
+        let checks: Vec<(&str, f64)> = v
+            .checks
+            .iter()
+            .map(|c| (c.name.as_str(), c.value))
+            .collect();
+        // "stations" is descriptive: carried as a value but never checked.
         assert_eq!(
-            b.metrics.get("hierarchy.max_rel_err_throughput"),
-            Some(&8.1e-6)
+            checks,
+            [
+                ("timing:hier/sweep/800", 3.0),
+                ("accuracy:hierarchy.max_rel_err_throughput", 8.1e-6),
+                ("speedup:hierarchy.speedup", 26.95),
+            ]
         );
-        assert_eq!(b.metrics.get("hierarchy.speedup"), Some(&26.95));
-        // "stations" is descriptive: carried as a metric but never checked.
-        assert!(classify("hierarchy.stations").is_none());
-        assert!(matches!(
-            classify("hierarchy.max_rel_err_throughput"),
-            Some(CheckKind::Accuracy)
-        ));
-        assert!(matches!(
-            classify("multiclass.speedup_carried_vs_recompute"),
-            Some(CheckKind::Speedup)
-        ));
+        assert_eq!(b.values.get("hierarchy.stations"), Some(&122.0));
     }
 }
