@@ -276,6 +276,7 @@ impl Simulation {
         if obsv::enabled() {
             obsv::counter("simnet.runs", 1);
             obsv::counter("simnet.events", event_count);
+            obsv::counter("simnet.spills", run.events.spills());
             obsv::observe("simnet.events_per_run", event_count);
         }
 

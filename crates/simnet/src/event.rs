@@ -18,7 +18,8 @@
 //!   queueing completions that do not fit in the array. Once the array is
 //!   full, new completions go to the heap until the array has drained, so
 //!   a station with thousands of busy servers costs O(log n) per event,
-//!   not O(n).
+//!   not O(n). A completion sent to the heap this way is a *spill*; the
+//!   queue counts them.
 //!
 //! [`EventQueue::pop`] takes whichever head is earlier, so events leave in
 //! exactly the order one heap over all of them would give, whichever side
@@ -27,13 +28,14 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// Most queueing completions the near-future array holds. At their top
-/// campaign levels VINS keeps about 10 queueing servers busy and JPetStore
-/// about 23; a bound of 8 gave no gain on the VINS campaign, 32 took it to
-/// about 0.75× of an all-heap list. With this bound and drain-before-refill,
-/// 64- to 4096-server stations stay within the all-heap list's run spread;
-/// without a bound, a 4096-server station ran 4.9× slower (DESIGN §18).
-const NEAR_CAP: usize = 32;
+/// Most queueing completions the near-future array holds. Each busy
+/// server holds one pending completion, and VINS and JPetStore both have
+/// 57 queueing servers (three 16-core CPUs and nine single servers), so
+/// neither app can fill the array and none of its completions spill. At
+/// 32, 9.2 % of the 5-level JPetStore campaign's completions spilled.
+/// A station with more than 64 busy servers still spills, so it pays
+/// O(log n) per event, not O(n) (DESIGN §18, §26).
+const NEAR_CAP: usize = 64;
 
 /// Bytes one pending event takes in either list.
 pub(crate) const EVENT_BYTES: usize = std::mem::size_of::<Entry>();
@@ -84,6 +86,8 @@ pub(crate) struct EventQueue {
     /// Everything else, earliest first.
     far: BinaryHeap<Reverse<Entry>>,
     seq: u64,
+    /// Queueing completions sent to `far` while `spilling` was set.
+    spills: u64,
 }
 
 impl EventQueue {
@@ -94,7 +98,14 @@ impl EventQueue {
             spilling: false,
             far: BinaryHeap::new(),
             seq: 0,
+            spills: 0,
         }
+    }
+
+    /// Queueing completions that went to the heap because the near-future
+    /// array was full or still draining.
+    pub(crate) fn spills(&self) -> u64 {
+        self.spills
     }
 
     fn entry(&mut self, time: f64, customer: usize) -> Entry {
@@ -121,6 +132,7 @@ impl EventQueue {
     pub(crate) fn schedule_queueing(&mut self, time: f64, customer: usize) {
         let e = self.entry(time, customer);
         if self.spilling {
+            self.spills += 1;
             self.far.push(Reverse(e));
             return;
         }
@@ -210,8 +222,27 @@ mod tests {
         }
         assert_eq!(q.near.len(), NEAR_CAP);
         assert_eq!(q.far.len(), n - NEAR_CAP);
+        assert_eq!(q.spills(), (n - NEAR_CAP) as u64);
         let order: Vec<usize> = drain(&mut q).into_iter().map(|(_, c)| c).collect();
         assert_eq!(order, (0..n).rev().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_draining_array_takes_no_completion_until_it_is_empty() {
+        let mut q = EventQueue::new();
+        for c in 0..NEAR_CAP {
+            q.schedule_queueing(1.0 + c as f64, c);
+        }
+        assert_eq!(q.spills(), 0, "the array holds exactly NEAR_CAP");
+        q.pop();
+        q.schedule_queueing(100.0, NEAR_CAP);
+        assert_eq!(q.spills(), 1, "a partly drained array still spills");
+        for _ in 1..NEAR_CAP {
+            q.pop();
+        }
+        assert!(q.near.is_empty());
+        q.schedule_queueing(200.0, NEAR_CAP + 1);
+        assert_eq!((q.spills(), q.near.len()), (1, 1), "an empty array refills");
     }
 
     /// Random schedule/pop interleavings pop in exactly the order of a

@@ -9,6 +9,9 @@
 //! order in which interval contributions are summed, so they are held to
 //! 1e-12 relative instead.
 
+use std::sync::Arc;
+
+use mvasd_obsv as obsv;
 use mvasd_simnet::{
     ContentionModel, Distribution, SimConfig, SimNetwork, SimReport, SimStation, Simulation,
 };
@@ -441,6 +444,22 @@ fn wide_station_trajectory_is_pinned() {
             busy_sums: &[5932.610156868527, 48.03690484275708],
         },
     );
+}
+
+/// The wide station keeps more completions pending than the near-future
+/// array holds, so the pinned run goes through the spill and refill path.
+/// This is the only test here that installs a recorder; the other pins'
+/// networks have at most 57 queueing servers and cannot spill, so runs
+/// that overlap this one add no spills to its count.
+#[test]
+fn wide_station_pin_takes_the_spill_path() {
+    let collector = Arc::new(obsv::Collector::new());
+    let guard = obsv::scoped(collector.clone());
+    let rep = wide_station();
+    drop(guard);
+    assert_eq!(rep.system.completions, 9878, "the pinned run");
+    let spills = collector.snapshot().counter("simnet.spills");
+    assert!(spills > 0, "wide station spilled {spills} completions");
 }
 
 #[test]

@@ -21,7 +21,8 @@ use mvasd_suite::queueing::mva::{
     run_until, ClassSpec, ClosedSolver, MulticlassMvaSolver, StopCondition, Workload,
 };
 use mvasd_suite::queueing::network::{Station, StationKind};
-use mvasd_suite::testbed::apps::{vins, AppModel};
+use mvasd_suite::simnet::{SimConfig, Simulation};
+use mvasd_suite::testbed::apps::{jpetstore, vins, AppModel};
 
 /// Serializes tests that touch the global recorder slot.
 static RECORDER_LOCK: Mutex<()> = Mutex::new(());
@@ -482,6 +483,36 @@ fn kept_prefix_cells_are_counted_as_reused() {
     let points = snap.counter("health.conv.lse.samples");
     assert_eq!(cells + reused, 2 * extend + 2 * points);
     assert!(reused > cells, "{reused} reused, {cells} written");
+}
+
+/// JPetStore, like VINS, has 57 queueing servers, so at its top campaign
+/// level every pending completion fits in the simulator's near-future
+/// array and none spills to the heap.
+#[test]
+fn jpetstore_top_level_load_test_never_spills() {
+    let _guard = lock();
+    let net = jpetstore::model()
+        .sim_network(293)
+        .expect("calibrated JPetStore network");
+    let cfg = SimConfig {
+        customers: 293,
+        horizon: 60.0,
+        warmup: 10.0,
+        seed: 42,
+        ..SimConfig::default()
+    };
+    let collector = Arc::new(obsv::Collector::new());
+    {
+        let _scope = obsv::scoped(collector.clone());
+        Simulation::new(net, cfg)
+            .expect("valid load test")
+            .run()
+            .expect("load test runs");
+    }
+    let snap = collector.snapshot();
+    let events = snap.counter("simnet.events");
+    assert!(events > 50_000, "a full load test: {events} events");
+    assert_eq!(snap.counter("simnet.spills"), 0);
 }
 
 /// Satellite: two snapshots of the same collector diff cleanly — the delta
