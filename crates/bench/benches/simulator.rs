@@ -6,11 +6,11 @@
 //! about 750 busy servers, which keeps most queueing completions in the
 //! event list's heap rather than its near-future array. The
 //! `simnet_campaign` group times the measurement campaign of the paper's
-//! Fig. 17 workflow on VINS: 5 Chebyshev levels over [1, 1500], one
-//! worker, 900 simulated seconds per level (90 s in quick mode). Both are
-//! written to `results/BENCH_simulator.json` (schema `mvasd-bench/1`,
-//! documented in `EXPERIMENTS.md`), which `mvasd-doctor` holds against its
-//! baseline.
+//! Fig. 17 workflow on each calibrated app: 5 Chebyshev levels over
+//! [1, 1500] for VINS and [1, 300] for JPetStore, one worker, 900
+//! simulated seconds per level (90 s in quick mode). Both are written to
+//! `results/BENCH_simulator.json` (schema `mvasd-bench/1`, documented in
+//! `EXPERIMENTS.md`), which `mvasd-doctor` holds against its baseline.
 
 use mvasd_bench::output::{results_dir, write_text};
 use mvasd_bench::timing::{bench_json, quick_mode, Bench, Plan};
@@ -68,27 +68,29 @@ fn main() {
     println!("{}", single.report());
 
     let mut campaign = Bench::new("simnet_campaign");
-    let levels = PredictionWorkflow {
-        test_points: 5,
-        range: (1.0, 1500.0),
-        ..PredictionWorkflow::default()
-    }
-    .design()
-    .unwrap();
     let cfg = CampaignConfig {
         test_duration: if quick_mode() { 90.0 } else { 900.0 },
         parallelism: 1,
         base_seed: 42,
     };
-    let app = vins::model();
-    campaign.measure("vins_campaign", Plan::heavy(), || {
-        run_campaign(&app, &levels, &cfg).unwrap()
-    });
+    for (name, app, range) in [
+        ("vins_campaign", vins::model(), (1.0, 1500.0)),
+        ("jpetstore_campaign", jpetstore::model(), (1.0, 300.0)),
+    ] {
+        let levels = PredictionWorkflow {
+            test_points: 5,
+            range,
+            ..PredictionWorkflow::default()
+        }
+        .design()
+        .unwrap();
+        campaign.measure(name, Plan::heavy(), || {
+            run_campaign(&app, &levels, &cfg).unwrap()
+        });
+        println!("{name}: levels {levels:?}");
+    }
     println!("{}", campaign.report());
-    println!(
-        "levels {levels:?}, {} simulated s each\n",
-        cfg.test_duration
-    );
+    println!("{} simulated s per level\n", cfg.test_duration);
     let path = write_text(
         &results_dir(),
         "BENCH_simulator.json",
@@ -102,7 +104,7 @@ fn main() {
     // every population up to the cap.
     let mut g = Bench::new("des_population_sweep_early_exit");
     let sim = SimSolver::new(
-        app.sim_network(200).unwrap(),
+        vins::model().sim_network(200).unwrap(),
         SimConfig {
             horizon: 60.0,
             warmup: 10.0,
