@@ -18,37 +18,9 @@ use mvasd_queueing::mva::{run_until, ClosedSolver, MvaSolution, RunOutcome, Stop
 
 use crate::designer::{design_levels, SamplingStrategy};
 use crate::profile::{DemandAxis, DemandSamples, InterpolationKind, ServiceDemandProfile};
-use crate::solver::{MvasdSchweitzerSolver, MvasdSingleServerSolver, MvasdSolver};
+use crate::solver::MvasdSolver;
 use crate::sweep::ScenarioSweep;
 use crate::CoreError;
-
-/// Which member of the MVASD family backs Step 3 of the workflow.
-///
-/// All variants implement [`ClosedSolver`], so switching backend — or
-/// comparing against an external solver via
-/// [`PredictionWorkflow::predict_with_solver`] — never changes the
-/// surrounding pipeline code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverBackend {
-    /// Exact multi-server MVASD (paper Algorithm 3) — the default.
-    #[default]
-    Mvasd,
-    /// The paper's single-server baseline (demands normalized by cores).
-    MvasdSingleServer,
-    /// Approximate Schweitzer fixed point (fast for huge populations).
-    MvasdSchweitzer,
-}
-
-impl SolverBackend {
-    /// Wraps an interpolated demand profile in this backend's solver.
-    pub fn solver(self, profile: ServiceDemandProfile) -> Box<dyn ClosedSolver> {
-        match self {
-            SolverBackend::Mvasd => Box::new(MvasdSolver::new(profile)),
-            SolverBackend::MvasdSingleServer => Box::new(MvasdSingleServerSolver::new(profile)),
-            SolverBackend::MvasdSchweitzer => Box::new(MvasdSchweitzerSolver::new(profile)),
-        }
-    }
-}
 
 /// The Fig. 17 workflow configuration.
 ///
@@ -85,8 +57,6 @@ pub struct PredictionWorkflow {
     pub interpolation: InterpolationKind,
     /// Demand abscissa (concurrency in the paper's main model).
     pub axis: DemandAxis,
-    /// Step 3 solver backend (exact MVASD in the paper's workflow).
-    pub backend: SolverBackend,
 }
 
 impl Default for PredictionWorkflow {
@@ -97,7 +67,6 @@ impl Default for PredictionWorkflow {
             range: (1.0, 300.0),
             interpolation: InterpolationKind::CubicNotAKnot,
             axis: DemandAxis::Concurrency,
-            backend: SolverBackend::default(),
         }
     }
 }
@@ -109,7 +78,7 @@ impl PredictionWorkflow {
     }
 
     /// **Step 3** — interpolate the measured demand samples and solve up
-    /// to `n_max` with the configured [`SolverBackend`]. `samples.levels`
+    /// to `n_max` with exact multi-server MVASD. `samples.levels`
     /// need not equal the designed levels (labs sometimes can't hit exact
     /// user counts), but should cover a similar range.
     pub fn predict(&self, samples: &DemandSamples, n_max: usize) -> Result<MvaSolution, CoreError> {
@@ -124,19 +93,17 @@ impl PredictionWorkflow {
         n_max: usize,
     ) -> Result<(ServiceDemandProfile, MvaSolution), CoreError> {
         let profile = ServiceDemandProfile::from_samples(samples, self.interpolation, self.axis)?;
-        let sol = self
-            .backend
-            .solver(profile.clone())
+        let sol = MvasdSolver::new(profile.clone())
             .solve(n_max)
             .map_err(CoreError::from)?;
         Ok((profile, sol))
     }
 
     /// Builds the Step 3 solver for measured samples under this workflow's
-    /// interpolation settings and backend.
-    pub fn solver(&self, samples: &DemandSamples) -> Result<Box<dyn ClosedSolver>, CoreError> {
+    /// interpolation settings.
+    pub fn solver(&self, samples: &DemandSamples) -> Result<MvasdSolver, CoreError> {
         let profile = ServiceDemandProfile::from_samples(samples, self.interpolation, self.axis)?;
-        Ok(self.backend.solver(profile))
+        Ok(MvasdSolver::new(profile))
     }
 
     /// Runs **any** [`ClosedSolver`] as the workflow's Step 3 — the hook
@@ -165,14 +132,13 @@ impl PredictionWorkflow {
         run_until(iter.as_mut(), conditions, n_cap).map_err(CoreError::from)
     }
 
-    /// A [`ScenarioSweep`] seeded with this workflow's interpolation,
-    /// axis, and backend: the entry point for what-if families over one
-    /// set of measured samples.
+    /// A [`ScenarioSweep`] seeded with this workflow's interpolation and
+    /// axis: the entry point for what-if families over one set of measured
+    /// samples.
     pub fn scenario_sweep(&self, samples: DemandSamples) -> ScenarioSweep {
         ScenarioSweep::new(samples)
             .interpolation(self.interpolation)
             .axis(self.axis)
-            .backend(self.backend)
     }
 }
 

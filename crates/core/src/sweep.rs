@@ -37,8 +37,8 @@ use mvasd_queueing::mva::{
 };
 use mvasd_queueing::QueueingError;
 
-use crate::pipeline::SolverBackend;
 use crate::profile::{DemandAxis, DemandSamples, InterpolationKind, ServiceDemandProfile};
+use crate::solver::MvasdSolver;
 use crate::CoreError;
 
 /// One what-if question over a base demand model: a model transform plus
@@ -424,7 +424,7 @@ impl GroupState {
 }
 
 /// What a sweep's scenarios are resolved against: a varying-service-demand
-/// sample set (the MVASD backends) or a hierarchical topology (the Norton
+/// sample set (answered by MVASD) or a hierarchical topology (the Norton
 /// aggregation backend, with its shared subsystem-profile cache).
 #[derive(Debug)]
 enum BaseModel {
@@ -462,7 +462,6 @@ pub struct ScenarioSweep {
     base: BaseModel,
     interpolation: InterpolationKind,
     axis: DemandAxis,
-    backend: SolverBackend,
     default_cap: usize,
     parallelism: usize,
     cache: HashMap<Vec<u64>, GroupState>,
@@ -475,7 +474,6 @@ impl std::fmt::Debug for ScenarioSweep {
             .field("base", &self.base)
             .field("interpolation", &self.interpolation)
             .field("axis", &self.axis)
-            .field("backend", &self.backend)
             .field("default_cap", &self.default_cap)
             .field("parallelism", &self.parallelism)
             .field("cached_models", &self.cache.len())
@@ -493,8 +491,8 @@ impl ScenarioSweep {
     /// A sweep over a hierarchical topology, answered by the Norton
     /// flow-equivalent-server solver. All scenarios share one subsystem
     /// [`ProfileCache`], so sub-models untouched by a scenario's transform
-    /// are aggregated once and reused. The `backend`, `interpolation` and
-    /// `axis` settings are ignored for hierarchical sweeps.
+    /// are aggregated once and reused. The `interpolation` and `axis`
+    /// settings are ignored for hierarchical sweeps.
     pub fn over_hierarchy(net: HierarchicalNetwork, opts: AggregationOptions) -> Self {
         Self::with_base(BaseModel::Hierarchy {
             net,
@@ -509,8 +507,8 @@ impl ScenarioSweep {
     /// ([`Scenario::scale_classes`]) as well as stations; the population
     /// axis is the workload's proportional path through the class lattice,
     /// so caps and memoized prefixes count admitted customers (the path
-    /// exhausts at the workload's total population). The `backend`,
-    /// `interpolation` and `axis` settings are ignored.
+    /// exhausts at the workload's total population). The `interpolation`
+    /// and `axis` settings are ignored.
     pub fn over_workload(workload: Workload) -> Self {
         Self::with_base(BaseModel::Workload(workload))
     }
@@ -531,7 +529,6 @@ impl ScenarioSweep {
             base,
             interpolation: InterpolationKind::CubicNotAKnot,
             axis: DemandAxis::Concurrency,
-            backend: SolverBackend::Mvasd,
             default_cap: 300,
             parallelism: std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -550,12 +547,6 @@ impl ScenarioSweep {
     /// Sets the demand abscissa.
     pub fn axis(mut self, axis: DemandAxis) -> Self {
         self.axis = axis;
-        self
-    }
-
-    /// Sets the solver backend.
-    pub fn backend(mut self, backend: SolverBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -652,7 +643,7 @@ impl ScenarioSweep {
                                     self.interpolation,
                                     self.axis,
                                 )?;
-                                (self.backend.solver(profile), None)
+                                (Box::new(MvasdSolver::new(profile)), None)
                             }
                             ResolvedModel::Hierarchy(solver) => (Box::new(solver.clone()), None),
                             ResolvedModel::Workload(workload) => (
@@ -788,11 +779,6 @@ impl ScenarioSweep {
                 + samples.levels.len()
                 + samples.demands.iter().map(Vec::len).sum::<usize>(),
         );
-        key.push(match self.backend {
-            SolverBackend::Mvasd => 0,
-            SolverBackend::MvasdSingleServer => 1,
-            SolverBackend::MvasdSchweitzer => 2,
-        });
         match self.interpolation {
             InterpolationKind::Linear => key.push(10),
             InterpolationKind::CubicNatural => key.push(11),
