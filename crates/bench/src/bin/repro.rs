@@ -6,9 +6,13 @@
 //! repro fig7 table5     # regenerate a subset
 //! ```
 //!
-//! Outputs land in `results/` (override with `MVASD_RESULTS_DIR`).
+//! Outputs land in `results/` (override with `MVASD_RESULTS_DIR`). Progress
+//! goes to stdout; if its reader goes away (`repro all | head -1`), printing
+//! stops and the requested files are still regenerated. Only a failed
+//! experiment makes the exit code nonzero.
 
 use mvasd_bench::experiments::{run, Ctx, ALL};
+use mvasd_bench::say;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -19,7 +23,7 @@ fn main() {
     }
     if args[0] == "list" {
         for id in ALL {
-            println!("{id}");
+            say!("{id}");
         }
         return;
     }
@@ -33,21 +37,21 @@ fn main() {
     let ctx = Ctx::new();
     let mut failures = 0;
     for id in ids {
-        println!("=== {id} ===");
+        say!("=== {id} ===");
         let started = std::time::Instant::now();
         match run(id, &ctx) {
             Ok(paths) => {
                 for p in paths {
-                    println!("wrote {}", p.display());
+                    say!("wrote {}", p.display());
                 }
-                println!("({:.1}s)", started.elapsed().as_secs_f64());
+                say!("({:.1}s)", started.elapsed().as_secs_f64());
             }
             Err(e) => {
                 eprintln!("ERROR: {e}");
                 failures += 1;
             }
         }
-        println!();
+        say!("");
     }
     if failures > 0 {
         std::process::exit(1);

@@ -67,7 +67,7 @@ pub fn interpolation(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
         ));
     }
     let p = write_text(dir, "ablation_interpolation.txt", &summary)?;
-    println!("{summary}");
+    crate::say!("{summary}");
     Ok(vec![p])
 }
 
@@ -146,7 +146,7 @@ pub fn solvers(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
         ));
     }
     let p = write_text(dir, "ablation_solvers.txt", &summary)?;
-    println!("{summary}");
+    crate::say!("{summary}");
     Ok(vec![p])
 }
 
@@ -187,7 +187,7 @@ pub fn sampling(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
         ));
     }
     let p = write_text(dir, "ablation_sampling.txt", &summary)?;
-    println!("{summary}");
+    crate::say!("{summary}");
     Ok(vec![p])
 }
 
@@ -261,7 +261,7 @@ pub fn curvefit(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
             .unwrap_or(0.0),
     );
     let p = write_text(dir, "ablation_curvefit.txt", &summary)?;
-    println!("{summary}");
+    crate::say!("{summary}");
     Ok(vec![p])
 }
 
@@ -324,7 +324,7 @@ pub fn demandfit(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
         laws[db_cpu].tau,
     );
     let p = write_text(dir, "ablation_demandfit.txt", &summary)?;
-    println!("{summary}");
+    crate::say!("{summary}");
     Ok(vec![p])
 }
 
@@ -411,7 +411,7 @@ pub fn robustness(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
             .fold(0.0f64, f64::max),
     );
     let p = write_text(dir, "ablation_robustness.txt", &summary)?;
-    println!("{summary}");
+    crate::say!("{summary}");
     Ok(vec![p])
 }
 

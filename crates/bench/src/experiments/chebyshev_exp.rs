@@ -32,7 +32,7 @@ pub fn fig13(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
         t.push(row);
     }
     let p = t.write(dir, "fig13_chebyshev_error_bounds.csv")?;
-    println!(
+    crate::say!(
         "fig13: error rate at 7 nodes for mu=2: {:.4} % (paper: < 0.2 % beyond ~5 nodes)",
         chebyshev_error_bound_exponential(7, 2.0).expect("7 nodes, mu=2 is a valid design point")
             / 2f64.exp()
@@ -140,7 +140,7 @@ pub fn fig15(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
         worst[2] * 100.0
     );
     let p2 = write_text(dir, "fig15_sampling_strategies.txt", &summary)?;
-    println!("{summary}");
+    crate::say!("{summary}");
     Ok(vec![p1, p2])
 }
 
@@ -189,7 +189,7 @@ pub fn fig16(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
         ));
     }
     let p2 = write_text(dir, "fig16_chebyshev_mvasd_accuracy.txt", &summary)?;
-    println!("{summary}");
+    crate::say!("{summary}");
     Ok(vec![p1, p2])
 }
 

@@ -55,7 +55,7 @@ pub fn fig1(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     let early: f64 = ts[..12].iter().map(|b| b.tps).sum::<f64>() / 12.0;
     let mid = ts.len() / 2;
     let steady: f64 = ts[mid..mid + 12].iter().map(|b| b.tps).sum::<f64>() / 12.0;
-    println!(
+    crate::say!(
         "fig1: ramp-up mean {early:.1} tps vs steady-state {steady:.1} tps \
          (steady X = {:.1} pages/s, R = {:.3} s)",
         res.throughput(),

@@ -41,7 +41,7 @@ pub fn table3(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
     let p1 = csv.write(dir, "table3_jpetstore_utilization.csv")?;
     let p2 = write_text(dir, "table3_jpetstore_utilization.txt", &table.render())?;
     let b = table.measured_bottleneck().expect("non-empty");
-    println!(
+    crate::say!(
         "table3: measured bottleneck = {} ({:.1}% at N={})",
         c.stations[b],
         table.rows.last().expect("table has rows").utilization[b] * 100.0,
@@ -94,7 +94,7 @@ pub fn fig7(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
         .map(|p| (p.n, p.throughput))
         .fold((0, 0.0), |acc, v| if v.1 > acc.1 { v } else { acc });
     let x210 = sd.at(210).expect("solution covers 1..=300").throughput;
-    println!(
+    crate::say!(
         "fig7: MVASD picks up the saturation dip: peak X({peak_n}) = {peak_x:.1}, \
          X(210) = {x210:.1} (measured peak {:.1} at 168 -> {:.1} at 210); \
          static MVA curves are monotone by construction",
@@ -208,7 +208,7 @@ pub fn table5(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
         csv.push(vec![i as f64, r.throughput_mean_pct, r.cycle_mean_pct]);
     }
     let p2 = csv.write(dir, "table5_jpetstore_deviation.csv")?;
-    println!("{rendered}");
+    crate::say!("{rendered}");
     Ok(vec![p1, p2])
 }
 
@@ -268,7 +268,7 @@ pub fn fig11(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
         report.throughput_mean_pct, report.cycle_mean_pct
     );
     let p2 = write_text(dir, "fig11_jpetstore_throughput_axis.txt", &summary)?;
-    println!("{summary}");
+    crate::say!("{summary}");
     Ok(vec![p1, p2])
 }
 
@@ -313,7 +313,7 @@ pub fn fig12(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
         }
         worst * 100.0
     };
-    println!(
+    crate::say!(
         "fig12: max deviation from 7-sample spline: 3 samples {:.1} %, 5 samples {:.1} %",
         dev(&splines[0], &splines[2]),
         dev(&splines[1], &splines[2])

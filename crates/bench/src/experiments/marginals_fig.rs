@@ -34,7 +34,7 @@ pub fn fig3(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
         ]);
     }
     let p = t.write(dir, "fig3_core_busy_marginals.csv")?;
-    println!(
+    crate::say!(
         "fig3: at N=60 all-busy probability {:.3} (p(j<4) mass {:.3})",
         all_busy[59],
         1.0 - all_busy[59]

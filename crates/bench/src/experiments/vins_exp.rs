@@ -136,7 +136,7 @@ pub fn table2(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
     let p1 = csv.write(dir, "table2_vins_utilization.csv")?;
     let p2 = write_text(dir, "table2_vins_utilization.txt", &table.render())?;
     let bottleneck = table.measured_bottleneck().expect("non-empty table");
-    println!(
+    crate::say!(
         "table2: measured bottleneck = {} ({:.1}% at N={})",
         c.stations[bottleneck],
         table.rows.last().expect("table has rows").utilization[bottleneck] * 100.0,
@@ -175,7 +175,7 @@ pub fn fig5(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
     }
     let path = t.write(dir, "fig5_vins_db_demands.csv")?;
     let d = &c.points;
-    println!(
+    crate::say!(
         "fig5: db-disk demand falls {:.2} ms -> {:.2} ms over N = {}..{}",
         d.first().expect("campaign has points").demands[idx[1]] * 1e3,
         d.last().expect("campaign has points").demands[idx[1]] * 1e3,
@@ -227,7 +227,7 @@ pub fn table4(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
         csv.push(vec![i as f64, r.throughput_mean_pct, r.cycle_mean_pct]);
     }
     let p2 = csv.write(dir, "table4_vins_deviation.csv")?;
-    println!("{rendered}");
+    crate::say!("{rendered}");
     Ok(vec![p1, p2])
 }
 

@@ -3,8 +3,45 @@
 //! dependency set.
 
 use std::fs;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Set once a write to stdout has failed; nothing is printed after it.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Prints one line to stdout through its locked handle and never panics.
+/// A reader that went away (`BrokenPipe`, as under `repro all | head -1`)
+/// wanted no more output, so printing stops and the caller carries on: the
+/// files an experiment writes are its result. Any other write error is
+/// reported once on stderr and stops printing too. [`say!`](crate::say)
+/// is the `println!`-style front end.
+pub fn say(line: std::fmt::Arguments<'_>) {
+    // The unit tests' harness captures `println!` only.
+    if cfg!(test) {
+        println!("{line}");
+        return;
+    }
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_fmt(line).and_then(|()| out.write_all(b"\n")) {
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        if e.kind() != ErrorKind::BrokenPipe {
+            eprintln!("cannot write stdout: {e}");
+        }
+    }
+}
+
+/// `println!` that stops printing, instead of panicking, once stdout's
+/// reader has gone; see [`output::say`](crate::output::say).
+#[macro_export]
+macro_rules! say {
+    ($($arg:tt)*) => {
+        $crate::output::say(format_args!($($arg)*))
+    };
+}
 
 /// Where experiment outputs land (override with `MVASD_RESULTS_DIR`).
 pub fn results_dir() -> PathBuf {
