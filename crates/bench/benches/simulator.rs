@@ -15,11 +15,9 @@
 use mvasd_bench::output::{results_dir, write_text};
 use mvasd_bench::timing::{bench_json, quick_mode, Bench, Plan};
 use mvasd_core::pipeline::PredictionWorkflow;
-use mvasd_queueing::mva::{run_until, ClosedSolver, StopCondition};
 use mvasd_simnet::{Distribution, SimConfig, SimNetwork, SimStation, Simulation};
 use mvasd_testbed::apps::{jpetstore, vins};
 use mvasd_testbed::campaign::{run_campaign, CampaignConfig};
-use mvasd_testbed::solver::SimSolver;
 
 fn main() {
     let mut single = Bench::new("simulated_load_test_60s");
@@ -97,28 +95,5 @@ fn main() {
         &bench_json(&[&single, &campaign]),
     )
     .expect("results directory is writable");
-    println!("wrote {}\n", path.display());
-
-    // Streaming sweep with a plateau cut-off: the DES solver stops the
-    // population sweep once throughput flattens, instead of simulating
-    // every population up to the cap.
-    let mut g = Bench::new("des_population_sweep_early_exit");
-    let sim = SimSolver::new(
-        vins::model().sim_network(200).unwrap(),
-        SimConfig {
-            horizon: 60.0,
-            warmup: 10.0,
-            seed: 42,
-            ..SimConfig::default()
-        },
-    );
-    let plateau = [StopCondition::ThroughputPlateau { epsilon: 1e-3 }];
-    g.measure("plateau_early_exit_cap_200", Plan::light(3), || {
-        let mut iter = sim.start().unwrap();
-        run_until(iter.as_mut(), &plateau, 200).unwrap().steps
-    });
-    let mut iter = sim.start().unwrap();
-    let steps = run_until(iter.as_mut(), &plateau, 200).unwrap().steps;
-    println!("{}", g.report());
-    println!("plateau reached after {steps} of 200 populations\n");
+    println!("wrote {}", path.display());
 }

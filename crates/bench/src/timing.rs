@@ -52,16 +52,6 @@ impl Plan {
         }
     }
 
-    /// A plan for cheap targets: batch iterations per sample so the timer
-    /// resolution doesn't dominate.
-    pub fn light(iters: u32) -> Self {
-        Self {
-            warmup: 5,
-            samples: 21,
-            iters,
-        }
-    }
-
     fn effective(self) -> Self {
         if quick_mode() {
             Self {
@@ -229,7 +219,7 @@ impl Bench {
 /// `mvasd-bench/1`, documented in `EXPERIMENTS.md`): one object per group,
 /// one entry per measured target with sample count and nanosecond timing
 /// quantiles. The output parses with `mvasd_obsv::json::parse` and is what
-/// `results/BENCH_streaming.json` contains.
+/// the committed `results/BENCH_*.json` files contain.
 pub fn bench_json(groups: &[&Bench]) -> String {
     use obsv::json::escape;
     let mut out = String::from("{\"schema\":\"mvasd-bench/1\",\"quick\":");
@@ -277,7 +267,7 @@ mod tests {
     #[test]
     fn measures_and_reports() {
         let mut b = Bench::new("demo");
-        let m = b.measure("spin", Plan::light(10), || {
+        let m = b.measure("spin", Plan::default(), || {
             (0..100u64).map(black_box).sum::<u64>()
         });
         assert!(m.min() <= m.median() && m.median() <= *m.sorted.last().unwrap());
@@ -320,7 +310,7 @@ mod tests {
     #[test]
     fn bench_json_parses_and_carries_quantiles() {
         let mut b = Bench::new("grp \"q\"");
-        b.measure("fast", Plan::light(4), || black_box(1u64) + 1);
+        b.measure("fast", Plan::default(), || black_box(1u64) + 1);
         let json = bench_json(&[&b]);
         let doc = obsv::json::parse(&json).expect("bench_json emits valid JSON");
         let obj = match &doc {
@@ -366,7 +356,7 @@ mod tests {
         let collector = std::sync::Arc::new(obsv::Collector::new());
         let _guard = obsv::scoped(collector.clone());
         let mut b = Bench::new("obsv");
-        b.measure("spin", Plan::light(2), || black_box(3u64) * 7);
+        b.measure("spin", Plan::default(), || black_box(3u64) * 7);
         let snap = collector.snapshot();
         let hist = snap
             .histogram("bench.obsv.spin")

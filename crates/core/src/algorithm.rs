@@ -270,151 +270,6 @@ impl SolverIter for MvasdSingleServerIter {
     }
 }
 
-/// Approximate MVASD: Schweitzer's fixed point with the Seidmann
-/// multi-server transform, evaluated with the per-population interpolated
-/// demand array.
-///
-/// Trades the exact evaluation of [`mvasd`] for `O(K)` state and a few
-/// fixed-point sweeps per population — no convolution phase, so the cost is
-/// linear in `n_max` even deep into saturation, at the textbook ~2–6 %
-/// accuracy of Schweitzer approximations (quantified in the
-/// `ablation-solvers` experiment for the constant-demand case). Useful for
-/// interactive sweeps over very large populations.
-pub fn mvasd_schweitzer(
-    profile: &ServiceDemandProfile,
-    n_max: usize,
-) -> Result<MvaSolution, CoreError> {
-    MvasdSchweitzerIter::new(profile)
-        .drain(n_max)
-        .map_err(core_err)
-}
-
-/// The approximate MVASD variant as a resumable iterator; the carried
-/// state is the Schweitzer queue vector (which warm-starts each
-/// population's fixed point) plus the previous throughput.
-#[derive(Debug, Clone)]
-pub struct MvasdSchweitzerIter {
-    profile: ServiceDemandProfile,
-    names: std::sync::Arc<[String]>,
-    q: Vec<f64>,
-    x_prev: f64,
-    n: usize,
-}
-
-impl MvasdSchweitzerIter {
-    /// Starts a fresh recursion at population 0.
-    pub fn new(profile: &ServiceDemandProfile) -> Self {
-        let k_count = profile.stations().len();
-        let names = profile
-            .stations()
-            .iter()
-            .map(|s| s.name.clone())
-            .collect::<Vec<_>>()
-            .into();
-        Self {
-            profile: profile.clone(),
-            names,
-            q: vec![1.0 / k_count as f64; k_count],
-            x_prev: 0.0,
-            n: 0,
-        }
-    }
-}
-
-impl SolverIter for MvasdSchweitzerIter {
-    fn station_names(&self) -> &[String] {
-        &self.names
-    }
-
-    fn shared_names(&self) -> std::sync::Arc<[String]> {
-        self.names.clone()
-    }
-
-    fn population(&self) -> usize {
-        self.n
-    }
-
-    fn step(&mut self) -> Result<MvaPoint, QueueingError> {
-        let _span = obsv::span("mvasd-schweitzer.step");
-        obsv::counter("solver.steps", 1);
-        let n = self.n + 1;
-        let nf = n as f64;
-        let stations = self.profile.stations();
-        let k_count = stations.len();
-        let z = self.profile.think_time();
-
-        let abscissa = lookup_abscissa(&self.profile, n, self.x_prev);
-        // Seidmann split of the interpolated demands: queueing part D/C,
-        // delay part D·(C−1)/C.
-        let split: Vec<(f64, f64)> = stations
-            .iter()
-            .map(|s| {
-                let d = s.demand_at(abscissa);
-                let c = s.servers as f64;
-                (d / c, d * (c - 1.0) / c)
-            })
-            .collect();
-
-        let mut x = 0.0;
-        let mut residence = vec![0.0f64; k_count];
-        let mut converged = false;
-        let mut iterations = 0u64;
-        for _ in 0..10_000 {
-            iterations += 1;
-            let mut r_total = 0.0;
-            for (k, &(dq, dd)) in split.iter().enumerate() {
-                residence[k] = dq * (1.0 + (nf - 1.0) / nf * self.q[k]) + dd;
-                r_total += residence[k];
-            }
-            x = nf / (r_total + z);
-            let mut delta: f64 = 0.0;
-            for (qk, rk) in self.q.iter_mut().zip(&residence) {
-                let new_q = x * rk;
-                delta = delta.max((new_q - *qk).abs());
-                *qk = new_q;
-            }
-            if delta < 1e-10 {
-                converged = true;
-                break;
-            }
-        }
-        if obsv::enabled() {
-            obsv::counter("schweitzer.fixed_point_iterations", iterations);
-            obsv::observe("schweitzer.iterations_per_step", iterations);
-        }
-        if !converged {
-            return Err(QueueingError::InvalidParameter {
-                what: "Schweitzer iteration did not converge",
-            });
-        }
-        self.x_prev = x;
-
-        let r_total: f64 = residence.iter().sum();
-        let station_points = stations
-            .iter()
-            .enumerate()
-            .map(|(k, s)| StationPoint {
-                queue: self.q[k],
-                residence: residence[k],
-                utilization: x * s.demand_at(abscissa) / s.servers as f64,
-            })
-            .collect();
-
-        self.n = n;
-        Ok(MvaPoint {
-            n,
-            throughput: x,
-            response: r_total,
-            cycle_time: r_total + z,
-            stations: station_points,
-        })
-    }
-
-    fn boxed_clone(&self) -> Box<dyn SolverIter> {
-        Box::new(self.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,65 +540,6 @@ mod tests {
         assert!(sol.points.is_empty());
         assert_eq!(&sol.station_names[..], &["s0".to_string()][..]);
         assert!(mvasd_single_server(&profile, 0).unwrap().points.is_empty());
-    }
-
-    #[test]
-    fn schweitzer_variant_tracks_exact_mvasd() {
-        let samples = DemandSamples {
-            station_names: vec!["cpu".into(), "disk".into()],
-            server_counts: vec![16, 1],
-            think_time: 1.0,
-            levels: vec![1.0, 50.0, 200.0],
-            demands: vec![vec![0.14, 0.125, 0.12], vec![0.008, 0.0075, 0.007]],
-        };
-        let profile = ServiceDemandProfile::from_samples(
-            &samples,
-            InterpolationKind::CubicNotAKnot,
-            DemandAxis::Concurrency,
-        )
-        .unwrap();
-        let exact = mvasd(&profile, 600).unwrap();
-        let approx = mvasd_schweitzer(&profile, 600).unwrap();
-        for n in [1usize, 30, 100, 200, 300, 600] {
-            let (xe, xa) = (
-                exact.at(n).unwrap().throughput,
-                approx.at(n).unwrap().throughput,
-            );
-            // The Seidmann/Schweitzer family's knee-region error on 16-core
-            // stations reaches ~20 % (quantified in ablation-solvers); the
-            // approximation must stay within that documented band.
-            let rel = (xe - xa).abs() / xe;
-            assert!(rel < 0.22, "n={n}: exact {xe} vs approx {xa}");
-            // Little's law holds for the approximation too.
-            let p = approx.at(n).unwrap();
-            assert!(close(
-                p.n as f64,
-                p.throughput * p.cycle_time,
-                1e-6 * p.n as f64
-            ));
-        }
-        // Same asymptotic ceiling (interpolated bottleneck), approached
-        // slowly by the approximation — 5 % far past the knee.
-        let rel =
-            (exact.last().throughput - approx.last().throughput).abs() / exact.last().throughput;
-        assert!(
-            rel < 0.05,
-            "ceilings: {} vs {}",
-            exact.last().throughput,
-            approx.last().throughput
-        );
-    }
-
-    #[test]
-    fn schweitzer_variant_zero_population_is_empty() {
-        let samples = constant_samples(&[(1, 0.01)], 1.0);
-        let profile = ServiceDemandProfile::from_samples(
-            &samples,
-            InterpolationKind::Linear,
-            DemandAxis::Concurrency,
-        )
-        .unwrap();
-        assert!(mvasd_schweitzer(&profile, 0).unwrap().points.is_empty());
     }
 
     #[test]

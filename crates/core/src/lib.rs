@@ -16,11 +16,9 @@
 //!
 //! * [`profile`] — [`profile::ServiceDemandProfile`]: the interpolated
 //!   demand arrays (vs concurrency, or vs throughput as in paper Fig. 11).
-//! * [`algorithm`] — [`algorithm::mvasd`] (Algorithm 3), the
+//! * [`algorithm`] — [`algorithm::mvasd`] (Algorithm 3) and the
 //!   [`algorithm::mvasd_single_server`] baseline the paper shows to
-//!   underperform (demands normalized by core count, single-server MVA),
-//!   and [`algorithm::mvasd_schweitzer`] (fast approximate variant for
-//!   very large populations).
+//!   underperform (demands normalized by core count, single-server MVA).
 //! * [`designer`] — load-test sample placement: Chebyshev Nodes (paper
 //!   Section 8), equi-spaced, and random strategies.
 //! * [`demand_fit`] — parametric demand laws `D(n) = d_∞(1 + α·e^{−n/τ})`

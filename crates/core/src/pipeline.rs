@@ -19,7 +19,6 @@ use mvasd_queueing::mva::{run_until, ClosedSolver, MvaSolution, RunOutcome, Stop
 use crate::designer::{design_levels, SamplingStrategy};
 use crate::profile::{DemandAxis, DemandSamples, InterpolationKind, ServiceDemandProfile};
 use crate::solver::MvasdSolver;
-use crate::sweep::ScenarioSweep;
 use crate::CoreError;
 
 /// The Fig. 17 workflow configuration.
@@ -82,21 +81,7 @@ impl PredictionWorkflow {
     /// need not equal the designed levels (labs sometimes can't hit exact
     /// user counts), but should cover a similar range.
     pub fn predict(&self, samples: &DemandSamples, n_max: usize) -> Result<MvaSolution, CoreError> {
-        let solver = self.solver(samples)?;
-        self.predict_with_solver(&solver, n_max)
-    }
-
-    /// Step 3 with the profile exposed (for utilization inspection, Fig. 9).
-    pub fn predict_with_profile(
-        &self,
-        samples: &DemandSamples,
-        n_max: usize,
-    ) -> Result<(ServiceDemandProfile, MvaSolution), CoreError> {
-        let profile = ServiceDemandProfile::from_samples(samples, self.interpolation, self.axis)?;
-        let sol = MvasdSolver::new(profile.clone())
-            .solve(n_max)
-            .map_err(CoreError::from)?;
-        Ok((profile, sol))
+        self.solver(samples)?.solve(n_max).map_err(CoreError::from)
     }
 
     /// Builds the Step 3 solver for measured samples under this workflow's
@@ -104,17 +89,6 @@ impl PredictionWorkflow {
     pub fn solver(&self, samples: &DemandSamples) -> Result<MvasdSolver, CoreError> {
         let profile = ServiceDemandProfile::from_samples(samples, self.interpolation, self.axis)?;
         Ok(MvasdSolver::new(profile))
-    }
-
-    /// Runs **any** [`ClosedSolver`] as the workflow's Step 3 — the hook
-    /// that makes external backends (static MVA·i baselines, the testbed's
-    /// simulation estimator) one-line swaps in comparison code.
-    pub fn predict_with_solver<S: ClosedSolver + ?Sized>(
-        &self,
-        solver: &S,
-        n_max: usize,
-    ) -> Result<MvaSolution, CoreError> {
-        solver.solve(n_max).map_err(CoreError::from)
     }
 
     /// Step 3 with early exit: streams the population sweep and stops at
@@ -130,15 +104,6 @@ impl PredictionWorkflow {
         let solver = self.solver(samples)?;
         let mut iter = solver.start().map_err(CoreError::from)?;
         run_until(iter.as_mut(), conditions, n_cap).map_err(CoreError::from)
-    }
-
-    /// A [`ScenarioSweep`] seeded with this workflow's interpolation and
-    /// axis: the entry point for what-if families over one set of measured
-    /// samples.
-    pub fn scenario_sweep(&self, samples: DemandSamples) -> ScenarioSweep {
-        ScenarioSweep::new(samples)
-            .interpolation(self.interpolation)
-            .axis(self.axis)
     }
 }
 
@@ -201,15 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_with_profile_exposes_interpolant() {
-        let wf = PredictionWorkflow::default();
-        let samples = fake_lab_measure(&[1, 100, 300]);
-        let (profile, sol) = wf.predict_with_profile(&samples, 100).unwrap();
-        assert_eq!(profile.stations().len(), 1);
-        assert_eq!(sol.points.len(), 100);
-    }
-
-    #[test]
     fn default_matches_paper_recommendation() {
         let wf = PredictionWorkflow::default();
         assert_eq!(wf.strategy, SamplingStrategy::Chebyshev);
@@ -238,18 +194,6 @@ mod tests {
             full.points[..outcome.solution.points.len()]
         );
         assert!(outcome.solution.last().response > 1.0);
-    }
-
-    #[test]
-    fn scenario_sweep_inherits_workflow_settings() {
-        let wf = PredictionWorkflow::default();
-        let samples = fake_lab_measure(&[1, 100, 300]);
-        let full = wf.predict(&samples, 60).unwrap();
-        let mut sweep = wf.scenario_sweep(samples);
-        let report = sweep
-            .run(&[crate::sweep::Scenario::new("baseline").cap(60)])
-            .unwrap();
-        assert_eq!(report.results[0].solution, full);
     }
 
     #[test]

@@ -1,40 +1,18 @@
 //! [`ClosedSolver`] implementations for the MVASD family.
 //!
-//! These adapters put the paper's Algorithm 3 (and its single-server and
-//! Schweitzer variants) behind the same interface as the static MVA
-//! solvers in `mvasd-queueing`, so "MVA·i vs MVASD" comparisons — and any
-//! pipeline stage that consumes a solver — are one-line swaps.
+//! These adapters put the paper's Algorithm 3 (and its single-server
+//! variant) behind the same interface as the static MVA solvers in
+//! `mvasd-queueing`, so "MVA·i vs MVASD" comparisons — and any pipeline
+//! stage that consumes a solver — are one-line swaps.
 //!
 //! The model bound at construction is a [`ServiceDemandProfile`] rather
 //! than a static network: the defining feature of MVASD is that demands
 //! are re-interpolated at every population step.
-//!
-//! The hierarchical Norton-aggregation family ([`HierarchicalSolver`] and
-//! its model types) is re-exported here from `mvasd-queueing`, so
-//! microservice-scale topologies slot into the same comparison pipelines
-//! and [`crate::sweep::ScenarioSweep`] campaigns as every other backend.
-//!
-//! Likewise the first-class multiclass model: a [`Workload`] is a set of
-//! [`ClassSpec`]s over a shared station list, and the class-aware
-//! [`MulticlassMvaSolver`] streams per-class [`MulticlassPoint`]s along a
-//! population *path* through the class lattice on the carried lattice
-//! workspace — single-class is literally the 1-class special case
-//! (bit-for-bit against the exact backend; see `tests/properties.rs`).
 
 use mvasd_queueing::mva::{ClosedSolver, SolverIter};
 use mvasd_queueing::QueueingError;
 
-pub use mvasd_queueing::hierarchy::{
-    workload_fes_station, AggregationOptions, AggregationStats, HierarchicalNetwork,
-    HierarchicalSolver, NetworkNode, ProfileCache, Subsystem,
-};
-pub use mvasd_queueing::mva::{
-    multiclass_mva, run_until_classes, ClassMetrics, ClassPoint, ClassRunOutcome, ClassSpec,
-    ClassStopReason, MulticlassIter, MulticlassMvaSolver, MulticlassPoint, MulticlassSolution,
-    MulticlassWorkspace, Workload,
-};
-
-use crate::algorithm::{MvasdIter, MvasdSchweitzerIter, MvasdSingleServerIter};
+use crate::algorithm::{MvasdIter, MvasdSingleServerIter};
 use crate::profile::ServiceDemandProfile;
 use crate::CoreError;
 
@@ -101,31 +79,6 @@ impl ClosedSolver for MvasdSingleServerSolver {
     }
 }
 
-/// Approximate MVASD: Schweitzer fixed point with the Seidmann transform
-/// over per-population interpolated demands. Expect the documented ~2–20 %
-/// knee-region deviation of the Schweitzer family.
-#[derive(Debug, Clone)]
-pub struct MvasdSchweitzerSolver {
-    profile: ServiceDemandProfile,
-}
-
-impl MvasdSchweitzerSolver {
-    /// Binds the solver to an interpolated demand profile.
-    pub fn new(profile: ServiceDemandProfile) -> Self {
-        Self { profile }
-    }
-}
-
-impl ClosedSolver for MvasdSchweitzerSolver {
-    fn name(&self) -> &str {
-        "mvasd-schweitzer"
-    }
-
-    fn start(&self) -> Result<Box<dyn SolverIter>, QueueingError> {
-        Ok(Box::new(MvasdSchweitzerIter::new(&self.profile)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,8 +107,7 @@ mod tests {
         let p = flat_profile(0.01, 1);
         let solvers: Vec<Box<dyn ClosedSolver>> = vec![
             Box::new(MvasdSolver::new(p.clone())),
-            Box::new(MvasdSingleServerSolver::new(p.clone())),
-            Box::new(MvasdSchweitzerSolver::new(p)),
+            Box::new(MvasdSingleServerSolver::new(p)),
         ];
         for s in &solvers {
             let sol = s.solve(30).unwrap();
@@ -163,7 +115,6 @@ mod tests {
         }
         assert_eq!(solvers[0].name(), "mvasd");
         assert_eq!(solvers[1].name(), "mvasd-single-server");
-        assert_eq!(solvers[2].name(), "mvasd-schweitzer");
     }
 
     #[test]
@@ -196,8 +147,7 @@ mod tests {
         let p = flat_profile(0.01, 2);
         let family: Vec<Box<dyn ClosedSolver>> = vec![
             Box::new(MvasdSolver::new(p.clone())),
-            Box::new(MvasdSingleServerSolver::new(p.clone())),
-            Box::new(MvasdSchweitzerSolver::new(p)),
+            Box::new(MvasdSingleServerSolver::new(p)),
         ];
         for s in &family {
             let sol = s.solve(0).unwrap();
@@ -216,8 +166,7 @@ mod tests {
         let p = flat_profile(0.012, 4);
         let family: Vec<Box<dyn ClosedSolver>> = vec![
             Box::new(MvasdSolver::new(p.clone())),
-            Box::new(MvasdSingleServerSolver::new(p.clone())),
-            Box::new(MvasdSchweitzerSolver::new(p)),
+            Box::new(MvasdSingleServerSolver::new(p)),
         ];
         for s in &family {
             let batch = s.solve(40).unwrap();

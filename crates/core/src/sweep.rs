@@ -32,8 +32,7 @@ use mvasd_queueing::hierarchy::{
     AggregationOptions, HierarchicalNetwork, HierarchicalSolver, ProfileCache,
 };
 use mvasd_queueing::mva::{
-    ClassSpec, ClosedSolver, MulticlassMvaSolver, MvaPoint, MvaSolution, SolverIter, StopCondition,
-    StopReason, Workload,
+    ClosedSolver, MvaPoint, MvaSolution, SolverIter, StopCondition, StopReason,
 };
 use mvasd_queueing::QueueingError;
 
@@ -56,9 +55,6 @@ pub struct Scenario {
     pub think_time: Option<f64>,
     /// Overrides the base per-station server counts when set.
     pub server_counts: Option<Vec<usize>>,
-    /// Per-class demand multipliers (workload bases only); must match the
-    /// base workload's class count.
-    pub class_scales: Option<Vec<f64>>,
     /// Early-exit conditions; the sweep stops at the first population
     /// where any holds. Empty = run to the population cap.
     pub stop: Vec<StopCondition>,
@@ -75,7 +71,6 @@ impl Scenario {
             station_scales: None,
             think_time: None,
             server_counts: None,
-            class_scales: None,
             stop: Vec::new(),
             n_cap: None,
         }
@@ -102,14 +97,6 @@ impl Scenario {
     /// Overrides the per-station server counts.
     pub fn with_server_counts(mut self, counts: Vec<usize>) -> Self {
         self.server_counts = Some(counts);
-        self
-    }
-
-    /// Sets per-class demand multipliers (workload bases only) — e.g.
-    /// "checkout traffic runs 30 % heavier" without touching the other
-    /// classes.
-    pub fn scale_classes(mut self, factors: Vec<f64>) -> Self {
-        self.class_scales = Some(factors);
         self
     }
 
@@ -144,11 +131,6 @@ impl Scenario {
                 what: "server count overrides are not supported for hierarchical sweeps",
             });
         }
-        if self.class_scales.is_some() {
-            return Err(CoreError::InvalidParameter {
-                what: "class scales need a workload base (ScenarioSweep::over_workload)",
-            });
-        }
         let k_count = base.leaf_count();
         let mut factors = vec![self.demand_scale; k_count];
         if let Some(scales) = &self.station_scales {
@@ -175,88 +157,11 @@ impl Scenario {
         Ok(net)
     }
 
-    /// Applies the transform to a multiclass workload base. Demand and
-    /// station scales multiply every class's demand row; class scales
-    /// multiply one class's whole row; a think-time override applies to
-    /// every class. Server counts are part of the workload's station kinds,
-    /// so overrides are rejected (change the base instead).
-    fn resolve_workload(&self, base: &Workload) -> Result<Workload, CoreError> {
-        if !(self.demand_scale.is_finite() && self.demand_scale > 0.0) {
-            return Err(CoreError::InvalidParameter {
-                what: "demand scale must be finite and > 0",
-            });
-        }
-        if self.server_counts.is_some() {
-            return Err(CoreError::InvalidParameter {
-                what: "server count overrides are not supported for workload sweeps",
-            });
-        }
-        let k_count = base.station_count();
-        if let Some(scales) = &self.station_scales {
-            if scales.len() != k_count {
-                return Err(CoreError::InvalidParameter {
-                    what: "station scale count must match the station count",
-                });
-            }
-            if scales.iter().any(|s| !(s.is_finite() && *s > 0.0)) {
-                return Err(CoreError::InvalidParameter {
-                    what: "station scales must be finite and > 0",
-                });
-            }
-        }
-        if let Some(scales) = &self.class_scales {
-            if scales.len() != base.class_count() {
-                return Err(CoreError::InvalidParameter {
-                    what: "class scale count must match the class count",
-                });
-            }
-            if scales.iter().any(|s| !(s.is_finite() && *s > 0.0)) {
-                return Err(CoreError::InvalidParameter {
-                    what: "class scales must be finite and > 0",
-                });
-            }
-        }
-        let classes: Vec<ClassSpec> = base
-            .classes()
-            .iter()
-            .enumerate()
-            .map(|(ci, spec)| {
-                let class_factor =
-                    self.demand_scale * self.class_scales.as_ref().map_or(1.0, |scales| scales[ci]);
-                ClassSpec {
-                    name: spec.name.clone(),
-                    population: spec.population,
-                    think_time: self.think_time.unwrap_or(spec.think_time),
-                    demands: spec
-                        .demands
-                        .iter()
-                        .enumerate()
-                        .map(|(k, d)| {
-                            d * class_factor
-                                * self.station_scales.as_ref().map_or(1.0, |scales| scales[k])
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
-        Workload::new(
-            base.station_names().to_vec(),
-            base.station_kinds().to_vec(),
-            classes,
-        )
-        .map_err(CoreError::Queueing)
-    }
-
     /// Applies the transform to the base samples.
     fn resolve(&self, base: &DemandSamples) -> Result<DemandSamples, CoreError> {
         if !(self.demand_scale.is_finite() && self.demand_scale > 0.0) {
             return Err(CoreError::InvalidParameter {
                 what: "demand scale must be finite and > 0",
-            });
-        }
-        if self.class_scales.is_some() {
-            return Err(CoreError::InvalidParameter {
-                what: "class scales need a workload base (ScenarioSweep::over_workload)",
             });
         }
         let k_count = base.station_names.len();
@@ -379,10 +284,6 @@ impl SweepStats {
 struct GroupState {
     iter: Box<dyn SolverIter>,
     points: Vec<MvaPoint>,
-    /// Hard ceiling on servable steps: `Some` for population-path models
-    /// (a workload's path exhausts at its total population), `None` for
-    /// unbounded scalar-population sweeps.
-    max_steps: Option<usize>,
 }
 
 impl GroupState {
@@ -396,10 +297,6 @@ impl GroupState {
         conditions: &[StopCondition],
         n_cap: usize,
     ) -> Result<(Vec<MvaPoint>, StopReason, usize), QueueingError> {
-        let n_cap = match self.max_steps {
-            Some(max) => n_cap.min(max),
-            None => n_cap,
-        };
         let mut out: Vec<MvaPoint> = Vec::new();
         let mut fresh = 0usize;
         let reason = loop {
@@ -434,16 +331,13 @@ enum BaseModel {
         opts: AggregationOptions,
         profiles: Arc<ProfileCache>,
     },
-    Workload(Workload),
 }
 
-/// A scenario resolved against the base: concrete demand samples, a
-/// ready-to-start hierarchical solver (model plus shared profile cache), or
-/// a resolved multiclass workload.
+/// A scenario resolved against the base: concrete demand samples or a
+/// ready-to-start hierarchical solver (model plus shared profile cache).
 enum ResolvedModel {
     Samples(DemandSamples),
     Hierarchy(HierarchicalSolver),
-    Workload(Workload),
 }
 
 /// The scenario-sweep engine: resolves what-if scenarios against a base
@@ -499,18 +393,6 @@ impl ScenarioSweep {
             opts,
             profiles: Arc::new(ProfileCache::new()),
         })
-    }
-
-    /// A sweep over a multiclass [`Workload`], answered by the streaming
-    /// lattice-workspace solver
-    /// ([`MulticlassMvaSolver`]). Scenarios may rescale whole classes
-    /// ([`Scenario::scale_classes`]) as well as stations; the population
-    /// axis is the workload's proportional path through the class lattice,
-    /// so caps and memoized prefixes count admitted customers (the path
-    /// exhausts at the workload's total population). The `interpolation`
-    /// and `axis` settings are ignored.
-    pub fn over_workload(workload: Workload) -> Self {
-        Self::with_base(BaseModel::Workload(workload))
     }
 
     /// The shared subsystem-profile cache, for hierarchical sweeps
@@ -588,7 +470,7 @@ impl ScenarioSweep {
         // this run can be committed as a delta on success.
         let sub_before = match &self.base {
             BaseModel::Hierarchy { profiles, .. } => Some(profiles.stats()),
-            BaseModel::Samples(_) | BaseModel::Workload(_) => None,
+            BaseModel::Samples(_) => None,
         };
         // Resolve every scenario and group by model fingerprint, keeping
         // first-seen group order (results are reassembled by index anyway).
@@ -611,10 +493,6 @@ impl ScenarioSweep {
                         .with_cache(profiles.clone());
                     (key, ResolvedModel::Hierarchy(solver))
                 }
-                BaseModel::Workload(base) => {
-                    let workload = scenario.resolve_workload(base)?;
-                    (workload_key(&workload), ResolvedModel::Workload(workload))
-                }
             };
             match groups.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, members)) => members.push(i),
@@ -623,43 +501,33 @@ impl ScenarioSweep {
             resolved.push(model);
         }
 
-        // Check out (or build) one GroupState per distinct model.
-        let mut cache_hits = 0usize;
-        let mut cache_misses = 0usize;
-        let mut jobs: Vec<Mutex<Option<GroupState>>> = Vec::with_capacity(groups.len());
+        // Build a state for every model the cache lacks before checking
+        // out any cached one, so a model that fails to build leaves the
+        // cache as it was.
+        let mut built: Vec<Option<GroupState>> = Vec::with_capacity(groups.len());
         for (key, members) in &groups {
-            let state = match self.cache.remove(key) {
-                Some(state) => {
-                    cache_hits += 1;
-                    state
-                }
-                None => {
-                    cache_misses += 1;
-                    let (solver, max_steps): (Box<dyn ClosedSolver>, Option<usize>) =
-                        match &resolved[members[0]] {
-                            ResolvedModel::Samples(samples) => {
-                                let profile = ServiceDemandProfile::from_samples(
-                                    samples,
-                                    self.interpolation,
-                                    self.axis,
-                                )?;
-                                (Box::new(MvasdSolver::new(profile)), None)
-                            }
-                            ResolvedModel::Hierarchy(solver) => (Box::new(solver.clone()), None),
-                            ResolvedModel::Workload(workload) => (
-                                Box::new(MulticlassMvaSolver::new(workload.clone())),
-                                Some(workload.total_population()),
-                            ),
-                        };
-                    GroupState {
-                        iter: solver.start().map_err(CoreError::Queueing)?,
-                        points: Vec::new(),
-                        max_steps,
-                    }
-                }
+            if self.cache.contains_key(key) {
+                built.push(None);
+                continue;
+            }
+            let solver: Box<dyn ClosedSolver> = match &resolved[members[0]] {
+                ResolvedModel::Samples(samples) => Box::new(MvasdSolver::new(
+                    ServiceDemandProfile::from_samples(samples, self.interpolation, self.axis)?,
+                )),
+                ResolvedModel::Hierarchy(solver) => Box::new(solver.clone()),
             };
-            jobs.push(Mutex::new(Some(state)));
+            built.push(Some(GroupState {
+                iter: solver.start().map_err(CoreError::Queueing)?,
+                points: Vec::new(),
+            }));
         }
+        let cache_misses = built.iter().filter(|state| state.is_some()).count();
+        let cache_hits = groups.len() - cache_misses;
+        let jobs: Vec<Mutex<Option<GroupState>>> = groups
+            .iter()
+            .zip(built)
+            .map(|((key, _), state)| Mutex::new(state.or_else(|| self.cache.remove(key))))
+            .collect();
 
         // Serve each group's scenarios; groups are independent models, so
         // they fan out across the scoped pool.
@@ -822,16 +690,6 @@ fn hierarchy_key(net: &HierarchicalNetwork, opts: AggregationOptions) -> Vec<u64
     key
 }
 
-/// Fingerprint of a resolved multiclass workload: its own discriminator
-/// word plus the workload's structural words (station kinds, per-class
-/// populations, think times, demand bits).
-fn workload_key(workload: &Workload) -> Vec<u64> {
-    let mut key = Vec::with_capacity(1 + 4 * workload.station_count());
-    key.push(40);
-    key.extend(workload.fingerprint_words());
-    key
-}
-
 /// FNV-1a over bytes: a stable, dependency-free string fingerprint.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -971,6 +829,24 @@ mod tests {
     }
 
     #[test]
+    fn a_model_that_fails_to_build_leaves_the_cache_warm() {
+        let mut sweep = ScenarioSweep::new(base_samples());
+        sweep.run(&[Scenario::new("warm").cap(40)]).unwrap();
+        assert_eq!(sweep.cached_steps(), 40);
+        // The cached model resolves first; the zero-server CPU then fails
+        // its profile build.
+        assert!(sweep
+            .run(&[
+                Scenario::new("again").cap(40),
+                Scenario::new("no-cpu").with_server_counts(vec![0, 1]),
+            ])
+            .is_err());
+        assert_eq!(sweep.cached_steps(), 40);
+        let rerun = sweep.run(&[Scenario::new("again").cap(40)]).unwrap();
+        assert_eq!(rerun.steps_computed, 0);
+    }
+
+    #[test]
     fn zero_cap_yields_empty_answers() {
         let mut sweep = ScenarioSweep::new(base_samples());
         let report = sweep.run(&[Scenario::new("none").cap(0)]).unwrap();
@@ -1067,87 +943,6 @@ mod tests {
             .is_err());
         assert!(sweep
             .run(&[Scenario::new("bad").scale_stations(vec![1.0])])
-            .is_err());
-    }
-
-    fn base_workload() -> Workload {
-        use mvasd_queueing::network::StationKind;
-        Workload::new(
-            vec!["cpu".into(), "disk".into()],
-            vec![
-                StationKind::Queueing { servers: 2 },
-                StationKind::Queueing { servers: 1 },
-            ],
-            vec![
-                ClassSpec {
-                    name: "browse".into(),
-                    population: 12,
-                    think_time: 1.0,
-                    demands: vec![0.012, 0.006],
-                },
-                ClassSpec {
-                    name: "checkout".into(),
-                    population: 6,
-                    think_time: 0.5,
-                    demands: vec![0.004, 0.020],
-                },
-            ],
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn workload_sweep_shares_prefixes_and_warm_restarts() {
-        let mut sweep = ScenarioSweep::over_workload(base_workload()).default_cap(10);
-        let first = sweep.run(&[Scenario::new("short")]).unwrap();
-        assert_eq!(first.steps_computed, 10);
-        // Deeper question on the same workload: only the unseen tail is
-        // fresh, and the cap clamps to the path's end (total population 18).
-        let second = sweep.run(&[Scenario::new("deep").cap(100)]).unwrap();
-        assert_eq!(second.results[0].solution.points.len(), 18);
-        assert_eq!(second.steps_computed, 8);
-        assert_eq!(second.results[0].reason, StopReason::PopulationCap);
-    }
-
-    #[test]
-    fn workload_class_scales_change_the_model() {
-        let mut sweep = ScenarioSweep::over_workload(base_workload()).default_cap(18);
-        let report = sweep
-            .run(&[
-                Scenario::new("base"),
-                Scenario::new("heavy-checkout").scale_classes(vec![1.0, 1.5]),
-            ])
-            .unwrap();
-        let base_x = report.result("base").unwrap().solution.last().throughput;
-        let heavy_x = report
-            .result("heavy-checkout")
-            .unwrap()
-            .solution
-            .last()
-            .throughput;
-        assert!(heavy_x < base_x, "{heavy_x} vs {base_x}");
-        // Distinct fingerprints: no sharing between the two groups.
-        assert_eq!(report.steps_computed, 36);
-        assert_eq!(report.steps_saved(), 0);
-    }
-
-    #[test]
-    fn class_scales_need_a_workload_base() {
-        let mut samples = ScenarioSweep::new(base_samples());
-        assert!(samples
-            .run(&[Scenario::new("bad").scale_classes(vec![1.0, 1.0])])
-            .is_err());
-        let mut hier = ScenarioSweep::over_hierarchy(hier_net(), AggregationOptions::exact());
-        assert!(hier
-            .run(&[Scenario::new("bad").scale_classes(vec![1.0; 7])])
-            .is_err());
-        let mut workload = ScenarioSweep::over_workload(base_workload());
-        // Wrong arity and unsupported overrides are rejected there too.
-        assert!(workload
-            .run(&[Scenario::new("bad").scale_classes(vec![1.0])])
-            .is_err());
-        assert!(workload
-            .run(&[Scenario::new("bad").with_server_counts(vec![1, 1])])
             .is_err());
     }
 

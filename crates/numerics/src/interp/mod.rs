@@ -6,21 +6,17 @@
 //! clamping outside the sampled range (paper eq. 14) — is reproduced by
 //! [`CubicSpline`] with [`Extrapolation::Clamp`]. The other interpolants
 //! exist for the ablation studies: linear ([`LinearInterp`]), monotone cubic
-//! ([`PchipInterp`], which cannot overshoot), the smoothing spline of paper
-//! eq. 12 ([`SmoothingSpline`]), and global polynomial interpolation
-//! ([`NewtonPolynomial`], which exhibits the Runge phenomenon the paper cites
-//! as the reason for Chebyshev Nodes).
+//! ([`PchipInterp`], which cannot overshoot) and the smoothing spline of
+//! paper eq. 12 ([`SmoothingSpline`]).
 
 mod cubic;
 mod linear;
 mod pchip;
-mod polynomial;
 mod smoothing;
 
 pub use cubic::{BoundaryCondition, CubicSpline};
 pub use linear::LinearInterp;
 pub use pchip::PchipInterp;
-pub use polynomial::{runge, NewtonPolynomial};
 pub use smoothing::SmoothingSpline;
 
 /// Behaviour outside the sampled abscissa range `[x₁, xₙ]`.

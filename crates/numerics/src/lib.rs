@@ -8,10 +8,8 @@
 //! on Chebyshev Nodes for load-test sample placement (eq. 16–19), and on mean
 //! percentage deviation for accuracy reporting (eq. 15). This crate provides
 //! those building blocks from scratch, plus the supporting linear algebra
-//! (tridiagonal / pentadiagonal banded solvers), classic polynomial
-//! interpolation (to demonstrate the Runge phenomenon the paper cites), and
-//! Erlang B/C closed forms used to validate the queueing solvers elsewhere in
-//! the workspace.
+//! (tridiagonal / pentadiagonal banded solvers) and Erlang B/C closed forms
+//! used to validate the queueing solvers elsewhere in the workspace.
 //!
 //! ## Module map
 //!
@@ -22,8 +20,7 @@
 //!   amplification.
 //! * [`interp`] — the [`interp::Interpolant`] trait and implementations:
 //!   linear, natural/clamped/not-a-knot cubic splines with derivatives,
-//!   monotone cubic (PCHIP), smoothing spline (paper eq. 12), and Newton-form
-//!   polynomial interpolation.
+//!   monotone cubic (PCHIP) and smoothing spline (paper eq. 12).
 //! * [`chebyshev`] — Chebyshev nodes on `(-1,1)` and `[a,b]` (paper
 //!   eq. 16–17), Chebyshev polynomials, and the interpolation error bound
 //!   (paper eq. 18–19).

@@ -37,8 +37,7 @@ use mvasd_obsv as obsv;
 
 use crate::mva::convolution::ConvWorkspace;
 use crate::mva::{
-    ClosedSolver, LdStation, MulticlassIter, MvaPoint, MvaSolution, RateFunction, SolverIter,
-    StationPoint, Workload,
+    ClosedSolver, LdStation, MvaPoint, MvaSolution, RateFunction, SolverIter, StationPoint,
 };
 use crate::network::{ClosedNetwork, Station, StationKind};
 use crate::QueueingError;
@@ -782,56 +781,6 @@ fn fes_limits(sources: &[Source], subs: &[SubEngine]) -> Vec<usize> {
     limits
 }
 
-/// Aggregates a multiclass [`Workload`] into one **class-aggregated
-/// flow-equivalent server**, usable as a leaf anywhere in a
-/// [`HierarchicalNetwork`]: the workload's subnetwork is solved in
-/// isolation along its proportional path (class think times count as
-/// internal delay of the subnetwork), and the aggregate throughput profile
-/// `X(j)` at `j` admitted customers becomes the FES rate table — demand
-/// `1/X(1)`, rate multipliers `X(j)/X(1)`, exactly the Norton shape the
-/// engine builds for its own subsystems.
-///
-/// **Error bound.** For a single-class workload over single-server and
-/// delay stations the substitution is the classic Chandy–Herzog–Woo
-/// aggregation and therefore *exact* (machine precision against the flat
-/// solve; asserted below). Multi-server stations pass through the
-/// multiclass solver's Seidmann split first, so they carry the usual
-/// Seidmann deviation (≲1e-4 relative at low populations, vanishing at
-/// saturation) before aggregation even starts. For `C > 1` classes
-/// the FES collapses the class-population vector onto the proportional
-/// path: `X(j)` is the true aggregate throughput of the subnetwork when
-/// the `j` customers inside it follow the workload's class mix, so the
-/// parent model is exact whenever the subnetwork's occupancy stays
-/// mix-proportional and degrades smoothly with mix skew — identical class
-/// demand rows collapse exactly (asserted below), and the skew error is
-/// bounded by the spread `max_j |X_path(j) − X_worst(j)| / X_path(j)` of
-/// per-mix throughput at each occupancy, the multiclass analogue of the
-/// profile-truncation bound.
-pub fn workload_fes_station(name: &str, workload: &Workload) -> Result<Station, QueueingError> {
-    let total = workload.total_population();
-    if total == 0 {
-        return Err(QueueingError::InvalidParameter {
-            what: "workload FES needs at least one customer",
-        });
-    }
-    let _span = obsv::span_with("hierarchy.workload_fes", || {
-        format!("name={name} population={total}")
-    });
-    let mut iter = MulticlassIter::new(workload)?;
-    let mut profile = Vec::with_capacity(total);
-    for _ in 0..total {
-        profile.push(iter.step()?.throughput);
-    }
-    let x1 = profile.first().copied().unwrap_or(0.0);
-    if !(x1.is_finite() && x1 > 0.0) {
-        return Err(QueueingError::InvalidParameter {
-            what: "workload FES needs positive aggregate throughput at one customer",
-        });
-    }
-    let rates = profile.iter().map(|x| x / x1).collect();
-    Ok(Station::load_dependent(name, 1.0, 1.0 / x1, rates))
-}
-
 fn subsystem_key(sub: &Subsystem, opts: AggregationOptions) -> Vec<u64> {
     let mut words = Vec::new();
     words.push(match opts.truncation {
@@ -1291,157 +1240,6 @@ mod tests {
         assert_ne!(a.fingerprint_words(), c.fingerprint_words());
         let d = a.with_leaf_scales(&[1.0, 1.1, 1.0, 1.0, 1.0, 1.0]).unwrap();
         assert_ne!(a.fingerprint_words(), d.fingerprint_words());
-    }
-
-    #[test]
-    fn single_class_workload_fes_is_exact() {
-        use crate::mva::ClassSpec;
-        // A 1-class workload FES is classic Chandy–Herzog–Woo aggregation:
-        // the parent model must reproduce the flat network to machine
-        // precision.
-        let w = Workload::new(
-            vec!["w-cpu".into(), "w-disk".into()],
-            vec![
-                StationKind::Queueing { servers: 1 },
-                StationKind::Queueing { servers: 1 },
-            ],
-            vec![ClassSpec {
-                name: "all".into(),
-                population: 40,
-                think_time: 0.0,
-                demands: vec![0.010, 0.004],
-            }],
-        )
-        .unwrap();
-        let fes = workload_fes_station("w", &w).unwrap();
-        let hier = HierarchicalNetwork::new(
-            vec![
-                Station::queueing("lb", 1, 1.0, 0.002).into(),
-                fes.into(),
-                Station::delay("lan", 1.0, 0.003).into(),
-            ],
-            0.5,
-        )
-        .unwrap();
-        let aggregated = HierarchicalSolver::new(hier).solve(30).unwrap();
-        let flat = ClosedNetwork::new(
-            vec![
-                Station::queueing("lb", 1, 1.0, 0.002),
-                Station::queueing("w-cpu", 1, 1.0, 0.010),
-                Station::queueing("w-disk", 1, 1.0, 0.004),
-                Station::delay("lan", 1.0, 0.003),
-            ],
-            0.5,
-        )
-        .unwrap();
-        let reference = MultiserverMvaSolver::new(flat).solve(30).unwrap();
-        for (a, r) in aggregated.points.iter().zip(reference.points.iter()) {
-            assert!(
-                close(a.throughput, r.throughput, 1e-9),
-                "n={}: X {} vs {}",
-                a.n,
-                a.throughput,
-                r.throughput
-            );
-            assert!(close(a.cycle_time, r.cycle_time, 1e-9), "n={}", a.n);
-        }
-    }
-
-    #[test]
-    fn identical_classes_collapse_to_the_merged_fes() {
-        use crate::mva::ClassSpec;
-        let spec = |name: &str, pop: usize| ClassSpec {
-            name: name.into(),
-            population: pop,
-            think_time: 0.4,
-            demands: vec![0.012, 0.005],
-        };
-        let names = vec!["cpu".to_string(), "disk".to_string()];
-        let kinds = vec![
-            StationKind::Queueing { servers: 1 },
-            StationKind::Queueing { servers: 1 },
-        ];
-        let split = Workload::new(
-            names.clone(),
-            kinds.clone(),
-            vec![spec("a", 10), spec("b", 10)],
-        )
-        .unwrap();
-        let merged = Workload::new(names, kinds, vec![spec("ab", 20)]).unwrap();
-        let fes_split = workload_fes_station("w", &split).unwrap();
-        let fes_merged = workload_fes_station("w", &merged).unwrap();
-        assert!((fes_split.demand() - fes_merged.demand()).abs() <= 1e-9);
-        match (&fes_split.kind, &fes_merged.kind) {
-            (
-                StationKind::LoadDependent { rates: ra },
-                StationKind::LoadDependent { rates: rb },
-            ) => {
-                assert_eq!(ra.len(), rb.len());
-                for (a, b) in ra.iter().zip(rb) {
-                    assert!(close(*a, *b, 1e-9), "{a} vs {b}");
-                }
-            }
-            other => panic!("expected load-dependent FES stations, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn mixed_workload_fes_solves_in_a_parent_and_rejects_empty() {
-        use crate::mva::ClassSpec;
-        let w = Workload::new(
-            vec!["cpu".into(), "disk".into()],
-            vec![
-                StationKind::Queueing { servers: 2 },
-                StationKind::Queueing { servers: 1 },
-            ],
-            vec![
-                ClassSpec {
-                    name: "browse".into(),
-                    population: 9,
-                    think_time: 0.2,
-                    demands: vec![0.010, 0.003],
-                },
-                ClassSpec {
-                    name: "checkout".into(),
-                    population: 6,
-                    think_time: 0.1,
-                    demands: vec![0.004, 0.018],
-                },
-            ],
-        )
-        .unwrap();
-        let fes = workload_fes_station("mix", &w).unwrap();
-        // Aggregate throughput can only grow with occupancy: the rate
-        // table must be monotone nondecreasing from 1.
-        if let StationKind::LoadDependent { rates } = &fes.kind {
-            assert_eq!(rates.len(), 15);
-            assert!(close(rates[0], 1.0, 1e-12));
-            assert!(rates.windows(2).all(|p| p[1] >= p[0] - 1e-12), "{rates:?}");
-        } else {
-            panic!("expected a load-dependent FES station");
-        }
-        let hier = HierarchicalNetwork::new(
-            vec![Station::queueing("lb", 1, 1.0, 0.002).into(), fes.into()],
-            0.5,
-        )
-        .unwrap();
-        let sol = HierarchicalSolver::new(hier).solve(12).unwrap();
-        assert_eq!(sol.points.len(), 12);
-        assert!(sol.last().throughput > 0.0);
-
-        // A workload with no customers has no X(1) to define the FES.
-        let empty = Workload::new(
-            vec!["cpu".into()],
-            vec![StationKind::Queueing { servers: 1 }],
-            vec![ClassSpec {
-                name: "none".into(),
-                population: 0,
-                think_time: 0.1,
-                demands: vec![0.01],
-            }],
-        )
-        .unwrap();
-        assert!(workload_fes_station("mix", &empty).is_err());
     }
 
     #[test]

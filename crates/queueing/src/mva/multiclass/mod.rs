@@ -323,41 +323,6 @@ impl Workload {
         }
         path
     }
-
-    /// Structural fingerprint words for sweep grouping: two workloads with
-    /// equal words run the same recursion (same stations, kinds, class
-    /// populations, think times, and demand bits).
-    pub fn fingerprint_words(&self) -> Vec<u64> {
-        let mut words = Vec::with_capacity(
-            2 + 2 * self.kinds.len() + self.classes.len() * (2 + self.kinds.len()),
-        );
-        words.push(self.classes.len() as u64);
-        words.push(self.kinds.len() as u64);
-        for kind in &self.kinds {
-            match kind {
-                StationKind::Queueing { servers } => {
-                    words.push(1);
-                    words.push(*servers as u64);
-                }
-                StationKind::Delay => {
-                    words.push(2);
-                    words.push(0);
-                }
-                StationKind::LoadDependent { rates } => {
-                    words.push(3);
-                    words.push(rates.len() as u64);
-                }
-            }
-        }
-        for class in &self.classes {
-            words.push(class.population as u64);
-            words.push(class.think_time.to_bits());
-            for d in &class.demands {
-                words.push(d.to_bits());
-            }
-        }
-        words
-    }
 }
 
 /// Per-class metrics at one population-path step.
@@ -939,15 +904,6 @@ mod tests {
         assert_eq!(w.class_count(), 1);
         assert_eq!(w.total_population(), 30);
         assert_eq!(w.proportional_path(), vec![0; 30]);
-    }
-
-    #[test]
-    fn fingerprint_words_separate_distinct_mixes() {
-        let a = two_class_workload();
-        let mut b = two_class_workload();
-        assert_eq!(a.fingerprint_words(), b.fingerprint_words());
-        b.classes[1].demands[0] *= 1.5;
-        assert_ne!(a.fingerprint_words(), b.fingerprint_words());
     }
 
     #[test]

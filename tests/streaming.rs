@@ -1,6 +1,6 @@
 //! Cross-backend streaming guarantees: every solver in the workspace —
 //! the three static MVA solvers (the exact one through both its
-//! constructors), the three MVASD variants, the hierarchical
+//! constructors), the two MVASD variants, the hierarchical
 //! Norton-aggregation solver, and the discrete-event estimator — exposes
 //! a resumable population iterator
 //! whose stream is bit-for-bit the batch solution, survives
@@ -11,7 +11,7 @@
 use mvasd_suite::core::profile::{
     DemandAxis, DemandSamples, InterpolationKind, ServiceDemandProfile,
 };
-use mvasd_suite::core::solver::{MvasdSchweitzerSolver, MvasdSingleServerSolver, MvasdSolver};
+use mvasd_suite::core::solver::{MvasdSingleServerSolver, MvasdSolver};
 use mvasd_suite::core::sweep::{Scenario, ScenarioSweep};
 use mvasd_suite::numerics::propcheck::{check, Config, Gen};
 use mvasd_suite::queueing::hierarchy::{
@@ -24,6 +24,7 @@ use mvasd_suite::queueing::mva::{
 };
 use mvasd_suite::queueing::network::{ClosedNetwork, Station, StationKind};
 use mvasd_suite::simnet::{Distribution, SimConfig, SimNetwork, SimStation};
+use mvasd_suite::testbed::apps::vins;
 use mvasd_suite::testbed::solver::SimSolver;
 
 fn network() -> ClosedNetwork {
@@ -119,7 +120,6 @@ fn all_backends() -> Vec<(Box<dyn ClosedSolver>, usize)> {
         (Box::new(SchweitzerSolver::new(net)), 60),
         (Box::new(MvasdSolver::new(profile())), 60),
         (Box::new(MvasdSingleServerSolver::new(profile())), 60),
-        (Box::new(MvasdSchweitzerSolver::new(profile())), 60),
         (
             Box::new(HierarchicalSolver::new(hierarchical_network())),
             60,
@@ -276,6 +276,13 @@ fn sla_early_exit_does_fewer_steps_than_the_full_sweep() {
     assert!(full.at(stop_n - 1).unwrap().response <= 1.0);
     // And the truncated stream is a bit-exact prefix of the full solve.
     assert_eq!(outcome.solution.points, full.points[..outcome.steps]);
+
+    // EXPERIMENTS' streaming table: on VINS with its N = 1500 demands, R
+    // first exceeds 2 s at N = 307, so the query takes 307 of 1500 steps.
+    let vins = MultiserverMvaSolver::new(vins::model().closed_network_at(1500.0).unwrap());
+    let mut iter = vins.start().unwrap();
+    let sla = [StopCondition::SlaResponseTime { max_response: 2.0 }];
+    assert_eq!(run_until(iter.as_mut(), &sla, 1500).unwrap().steps, 307);
 }
 
 #[test]
