@@ -8,6 +8,7 @@ use mvasd_suite::core::algorithm::mvasd;
 use mvasd_suite::core::profile::{
     DemandAxis, DemandSamples, InterpolationKind, ServiceDemandProfile,
 };
+use mvasd_suite::core::solver::{MvasdSingleServerSolver, MvasdSolver};
 use mvasd_suite::numerics::chebyshev::chebyshev_levels;
 use mvasd_suite::numerics::interp::{
     BoundaryCondition, CubicSpline, Extrapolation, Interpolant, PchipInterp,
@@ -18,8 +19,8 @@ use mvasd_suite::queueing::hierarchy::{
     HierarchicalNetwork, HierarchicalSolver, NetworkNode, Subsystem,
 };
 use mvasd_suite::queueing::mva::{
-    multiserver_mva, ClassSpec, ClosedSolver, ExactMvaIter, MulticlassIter, MultiserverMvaSolver,
-    SolverIter, Workload,
+    multiserver_mva, ClassSpec, ClosedSolver, ExactMvaIter, ExactMvaSolver, MulticlassIter,
+    MultiserverMvaSolver, SchweitzerSolver, SolverIter, Workload,
 };
 use mvasd_suite::queueing::network::{ClosedNetwork, Station, StationKind};
 
@@ -276,6 +277,132 @@ fn one_class_workload_reproduces_exact_mva_bitwise() {
             }
         },
     );
+}
+
+/// A 16-core CPU, a disk and a delay station, every demand and Z times `s`.
+fn cpu_disk_delay(s: f64) -> ClosedNetwork {
+    ClosedNetwork::new(
+        vec![
+            Station::queueing("cpu", 16, 1.0, 0.16 * s),
+            Station::queueing("disk", 1, 1.0, 0.004 * s),
+            Station::delay("lan", 1.0, 0.003 * s),
+        ],
+        s,
+    )
+    .unwrap()
+}
+
+/// A 16-core CPU and a 4 ms disk sampled at three levels, every demand
+/// and Z times `s`.
+fn cpu_disk_profile(cpu: [f64; 3], s: f64) -> ServiceDemandProfile {
+    let samples = DemandSamples {
+        station_names: vec!["cpu".into(), "disk".into()],
+        server_counts: vec![16, 1],
+        think_time: s,
+        levels: vec![1.0, 300.0, 600.0],
+        demands: vec![cpu.map(|d| d * s).to_vec(), vec![0.004 * s; 3]],
+    };
+    ServiceDemandProfile::from_samples(
+        &samples,
+        InterpolationKind::CubicNotAKnot,
+        DemandAxis::Concurrency,
+    )
+    .unwrap()
+}
+
+/// The CPU stays below the quasi-static switch to N = 600.
+const CARRIED_CPU: [f64; 3] = [0.020, 0.019, 0.018];
+/// The CPU saturates, so MVASD crosses the quasi-static switch.
+const SATURATING_CPU: [f64; 3] = [0.165, 0.160, 0.158];
+
+#[test]
+fn scaling_demands_and_z_scales_r_and_x_through_every_analytic_solver() {
+    // Time units are arbitrary: with every demand and Z scaled by s, R
+    // scales by s, X by 1/s, and queues and utilizations stay put. Scaling
+    // by a power of two is exact in every operation, so the relation holds
+    // bit for bit at s = 0.5 and 2; s = 3 rounds.
+    type Build = fn(f64) -> Box<dyn ClosedSolver>;
+    let cases: [(usize, Build); 7] = [
+        (600, |s| {
+            let net = ClosedNetwork::new(
+                vec![
+                    Station::queueing("a", 1, 1.0, 0.01 * s),
+                    Station::queueing("b", 1, 1.0, 0.016 * s),
+                    Station::delay("lan", 1.0, 0.003 * s),
+                ],
+                0.5 * s,
+            );
+            Box::new(ExactMvaSolver::new(net.unwrap()))
+        }),
+        (600, |s| {
+            Box::new(MultiserverMvaSolver::new(cpu_disk_delay(s)))
+        }),
+        (600, |s| Box::new(SchweitzerSolver::new(cpu_disk_delay(s)))),
+        (600, |s| {
+            Box::new(MvasdSolver::new(cpu_disk_profile(CARRIED_CPU, s)))
+        }),
+        (600, |s| {
+            Box::new(MvasdSolver::new(cpu_disk_profile(SATURATING_CPU, s)))
+        }),
+        (600, |s| {
+            Box::new(MvasdSingleServerSolver::new(cpu_disk_profile(
+                CARRIED_CPU,
+                s,
+            )))
+        }),
+        (200, |s| {
+            let tier = |name: &str, cpu: f64, disk: f64| -> NetworkNode {
+                let leaves = vec![
+                    Station::queueing(&format!("{name}-cpu"), 4, 1.0, cpu * s).into(),
+                    Station::queueing(&format!("{name}-disk"), 1, 1.0, disk * s).into(),
+                ];
+                Subsystem::new(name, leaves).into()
+            };
+            let net = HierarchicalNetwork::new(
+                vec![
+                    Station::queueing("lb", 1, 1.0, 0.002 * s).into(),
+                    tier("app", 0.010, 0.004),
+                    tier("db", 0.016, 0.007),
+                ],
+                0.5 * s,
+            );
+            Box::new(HierarchicalSolver::new(net.unwrap()))
+        }),
+    ];
+    let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(f64::MIN_POSITIVE);
+    for (case, (n_max, build)) in cases.into_iter().enumerate() {
+        let solver = build(1.0);
+        let base = solver.solve(n_max).unwrap();
+        let name = format!("case {case} ({})", solver.name());
+        for s in [0.5, 2.0, 3.0] {
+            let scaled = build(s).solve(n_max).unwrap();
+            let tol = if s == 3.0 { 1e-13 } else { 0.0 };
+            let holds = |what: &str, n: usize, got: f64, want: f64| {
+                let ok = if tol == 0.0 {
+                    got.to_bits() == want.to_bits()
+                } else {
+                    rel(got, want) <= tol
+                };
+                assert!(ok, "{name} s={s} n={n} {what}: {got} vs {want}");
+            };
+            assert_eq!(scaled.points.len(), n_max, "{name} s={s}");
+            for (a, b) in base.points.iter().zip(&scaled.points) {
+                holds("R", a.n, b.response, s * a.response);
+                holds("R + Z", a.n, b.cycle_time, s * a.cycle_time);
+                holds("X", a.n, b.throughput, a.throughput / s);
+                for (sa, sb) in a.stations.iter().zip(&b.stations) {
+                    holds("Q_k", a.n, sb.queue, sa.queue);
+                    holds("R_k", a.n, sb.residence, s * sa.residence);
+                    holds("U_k", a.n, sb.utilization, sa.utilization);
+                }
+            }
+        }
+    }
+    // The two MVASD profiles land on either side of the switch.
+    let carried = MvasdSolver::new(cpu_disk_profile(CARRIED_CPU, 1.0));
+    let saturating = MvasdSolver::new(cpu_disk_profile(SATURATING_CPU, 1.0));
+    assert!(carried.solve(600).unwrap().last().stations[0].utilization < 0.5);
+    assert!(saturating.solve(600).unwrap().last().stations[0].utilization > 0.9);
 }
 
 #[test]
