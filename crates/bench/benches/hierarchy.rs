@@ -142,7 +142,6 @@ fn main() {
         Plan {
             warmup: 0,
             samples: 3,
-            iters: 1,
         },
         || flat_exact_sweep(&net, n_cap).points.len(),
     );

@@ -1,10 +1,10 @@
 //! A small std-only timing harness for the `harness = false` benches.
 //!
 //! Each measurement runs the closure for a few warmup iterations, then
-//! takes `samples` timed samples of `iters` iterations each and reports
-//! min / median / mean. No statistics beyond that: the benches here exist
-//! to catch order-of-magnitude regressions and to document relative cost,
-//! not to resolve nanoseconds.
+//! times `samples` single calls and reports min / median / mean. No
+//! statistics beyond that: the benches here exist to catch
+//! order-of-magnitude regressions and to document relative cost, not to
+//! resolve nanoseconds.
 //!
 //! Set `MVASD_BENCH_QUICK=1` to cut samples roughly in half (useful in CI
 //! smoke runs); the knob is read once per process.
@@ -26,10 +26,8 @@ pub fn quick_mode() -> bool {
 pub struct Plan {
     /// Untimed iterations before sampling starts.
     pub warmup: u32,
-    /// Number of timed samples.
+    /// Number of timed samples, one closure call each.
     pub samples: u32,
-    /// Closure invocations per sample (raise for sub-microsecond targets).
-    pub iters: u32,
 }
 
 impl Default for Plan {
@@ -37,7 +35,6 @@ impl Default for Plan {
         Self {
             warmup: 3,
             samples: 15,
-            iters: 1,
         }
     }
 }
@@ -48,7 +45,6 @@ impl Plan {
         Self {
             warmup: 1,
             samples: 5,
-            iters: 1,
         }
     }
 
@@ -57,7 +53,6 @@ impl Plan {
             Self {
                 warmup: self.warmup.min(1),
                 samples: ((self.samples + 1) / 2).max(3),
-                iters: self.iters,
             }
         } else {
             self
@@ -70,17 +65,17 @@ impl Plan {
 pub struct Measurement {
     /// Target label.
     pub name: String,
-    /// Per-iteration sample durations, ascending.
+    /// Per-call sample durations, ascending.
     pub sorted: Vec<Duration>,
 }
 
 impl Measurement {
-    /// Fastest observed per-iteration time.
+    /// Fastest observed per-call time.
     pub fn min(&self) -> Duration {
         self.sorted[0]
     }
 
-    /// Median per-iteration time (the headline number).
+    /// Median per-call time (the headline number).
     pub fn median(&self) -> Duration {
         let s = &self.sorted;
         let mid = s.len() / 2;
@@ -91,17 +86,17 @@ impl Measurement {
         }
     }
 
-    /// Mean per-iteration time.
+    /// Mean per-call time.
     pub fn mean(&self) -> Duration {
         self.sorted.iter().sum::<Duration>() / self.sorted.len() as u32
     }
 
-    /// Slowest observed per-iteration time.
+    /// Slowest observed per-call time.
     pub fn max(&self) -> Duration {
         *self.sorted.last().expect("measurements are non-empty")
     }
 
-    /// Nearest-rank quantile of the per-iteration samples. `q` is clamped
+    /// Nearest-rank quantile of the per-call samples. `q` is clamped
     /// to `[0, 1]`; `quantile(0.0)` is `min()` and `quantile(1.0)` is
     /// `max()`.
     pub fn quantile(&self, q: f64) -> Duration {
@@ -145,7 +140,7 @@ impl Bench {
     /// return value is passed through [`black_box`] so the optimizer can't
     /// delete the work.
     ///
-    /// When an [`mvasd_obsv`] recorder is installed, each per-iteration
+    /// When an [`mvasd_obsv`] recorder is installed, each per-call
     /// sample is also fed into the `bench.{group}.{name}` histogram (in
     /// nanoseconds), so experiments and production code share one
     /// measurement vocabulary.
@@ -162,14 +157,12 @@ impl Bench {
         let mut sorted = Vec::with_capacity(plan.samples as usize);
         for _ in 0..plan.samples {
             let start = Instant::now();
-            for _ in 0..plan.iters {
-                black_box(f());
-            }
-            let per_iter = start.elapsed() / plan.iters;
+            black_box(f());
+            let elapsed = start.elapsed();
             if let Some(metric) = &metric {
-                obsv::observe_duration(metric, per_iter);
+                obsv::observe_duration(metric, elapsed);
             }
-            sorted.push(per_iter);
+            sorted.push(elapsed);
         }
         sorted.sort();
         self.results.push(Measurement {

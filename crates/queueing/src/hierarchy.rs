@@ -24,10 +24,10 @@
 //!
 //! Profiles are grown lazily in geometric chunks as the parent population
 //! climbs, optionally truncated once the subsystem throughput plateaus
-//! ([`AggregationOptions::truncation`]), and memoized across solves and
-//! scenario sweeps through a shared [`ProfileCache`] keyed by a structural
-//! fingerprint (station names excluded — ten identical replicas of a
-//! service tier share one profile).
+//! ([`AggregationOptions::truncation`]), and memoized across solves
+//! through a shared [`ProfileCache`] keyed by a structural fingerprint
+//! (station names excluded — ten identical replicas of a service tier
+//! share one profile).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -156,41 +156,6 @@ impl HierarchicalNetwork {
         ClosedNetwork::new(leaves, self.think_time)
             .expect("flat projection was validated at construction")
     }
-
-    /// Returns a copy with a different think time.
-    pub fn with_think_time(&self, think_time: f64) -> Result<Self, QueueingError> {
-        Self::new(self.nodes.clone(), think_time)
-    }
-
-    /// Returns a copy with every leaf's service time multiplied by the
-    /// matching factor (leaves in depth-first order — the same order as
-    /// [`flatten`](Self::flatten)). This is the hierarchical counterpart
-    /// of a sweep scenario's per-station demand scaling.
-    pub fn with_leaf_scales(&self, factors: &[f64]) -> Result<Self, QueueingError> {
-        if factors.len() != self.leaf_count() {
-            return Err(QueueingError::InvalidParameter {
-                what: "leaf scale count must match the flat station count",
-            });
-        }
-        let mut nodes = self.nodes.clone();
-        let mut next = 0usize;
-        scale_leaves(&mut nodes, factors, &mut next);
-        Self::new(nodes, self.think_time)
-    }
-
-    /// A structural fingerprint of the whole tree (topology, demands,
-    /// kinds, think time — names excluded). Two networks with equal words
-    /// produce identical solutions, which makes this the natural
-    /// memoization key for scenario sweeps.
-    pub fn fingerprint_words(&self) -> Vec<u64> {
-        let mut words = Vec::with_capacity(4 * self.leaf_count() + 2);
-        words.push(self.think_time.to_bits());
-        words.push(self.nodes.len() as u64);
-        for node in &self.nodes {
-            push_node_words(node, &mut words);
-        }
-        words
-    }
 }
 
 fn validate_nodes(nodes: &[NetworkNode]) -> Result<(), QueueingError> {
@@ -236,18 +201,6 @@ fn count_leaves(nodes: &[NetworkNode]) -> usize {
             NetworkNode::Subsystem(sub) => count_leaves(&sub.nodes),
         })
         .sum()
-}
-
-fn scale_leaves(nodes: &mut [NetworkNode], factors: &[f64], next: &mut usize) {
-    for node in nodes {
-        match node {
-            NetworkNode::Station(s) => {
-                s.service_time *= factors.get(*next).copied().unwrap_or(1.0);
-                *next += 1;
-            }
-            NetworkNode::Subsystem(sub) => scale_leaves(&mut sub.nodes, factors, next),
-        }
-    }
 }
 
 fn push_node_words(node: &NetworkNode, out: &mut Vec<u64>) {
@@ -336,8 +289,7 @@ pub struct AggregationStats {
 /// plus the truncation setting); subsystem *names are excluded*, so
 /// identical replicas of a service tier — the common microservice shape —
 /// share a single entry. Clone the [`Arc`] into every
-/// [`HierarchicalSolver`] (or hand the cache to a scenario sweep) to reuse
-/// profiles across solves.
+/// [`HierarchicalSolver`] to reuse profiles across solves.
 #[derive(Debug, Default)]
 pub struct ProfileCache {
     entries: Mutex<HashMap<Vec<u64>, SubEngine>>,
@@ -397,24 +349,6 @@ impl ProfileCache {
                 obsv::gauge("health.hierarchy.cache_hit_rate", hits / (hits + solves));
             }
         }
-    }
-
-    /// Deterministic snapshot of every cached profile, sorted by key:
-    /// `(key, isolated throughput profile, flat leaf-queue rows)`.
-    ///
-    /// Two caches whose work histories produced bitwise-identical
-    /// profiles yield equal snapshots regardless of insertion order, so
-    /// this is the comparison surface for schedule-independence tests
-    /// (the interleaving explorer asserts snapshot equality across every
-    /// forced completion order of a hierarchical scenario sweep).
-    pub fn profiles(&self) -> Vec<(Vec<u64>, Vec<f64>, Vec<f64>)> {
-        let mut out: Vec<_> = self
-            .lock()
-            .iter()
-            .map(|(k, sub)| (k.clone(), sub.profile.clone(), sub.leaf_rows.clone()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
     }
 
     /// Stores `sub` unless an entry with an equal-or-longer profile is
@@ -1220,40 +1154,5 @@ mod tests {
                 .start()
                 .is_err()
         );
-    }
-
-    #[test]
-    fn fingerprints_ignore_names_but_not_structure() {
-        let a = two_tier_net();
-        let b = HierarchicalNetwork::new(
-            vec![
-                Station::queueing("other", 1, 1.0, 0.002).into(),
-                tier("x", 0.010, 0.004).into(),
-                tier("y", 0.016, 0.007).into(),
-                Station::delay("wan", 1.0, 0.003).into(),
-            ],
-            0.5,
-        )
-        .unwrap();
-        assert_eq!(a.fingerprint_words(), b.fingerprint_words());
-        let c = a.with_think_time(0.6).unwrap();
-        assert_ne!(a.fingerprint_words(), c.fingerprint_words());
-        let d = a.with_leaf_scales(&[1.0, 1.1, 1.0, 1.0, 1.0, 1.0]).unwrap();
-        assert_ne!(a.fingerprint_words(), d.fingerprint_words());
-    }
-
-    #[test]
-    fn leaf_scales_match_flat_scaling() {
-        let net = two_tier_net();
-        let factors = [1.0, 0.9, 1.2, 1.0, 0.8, 1.0];
-        let scaled = net.with_leaf_scales(&factors).unwrap();
-        let flat = net.flatten();
-        for (k, s) in scaled.flatten().stations().iter().enumerate() {
-            assert!(
-                (s.demand() - flat.stations()[k].demand() * factors[k]).abs() < 1e-15,
-                "station {k}"
-            );
-        }
-        assert!(net.with_leaf_scales(&[1.0]).is_err());
     }
 }

@@ -68,8 +68,8 @@ fn main() {
 
     // Aggregated solve: subsystem throughput profiles are truncated once
     // they plateau (rel. increment < 1e-6), so deep populations cost only
-    // the root model. The profile cache is shared across solves the way
-    // `ScenarioSweep::over_hierarchy` shares it across scenarios.
+    // the root model. The profile cache serves web's profiles to app,
+    // and would serve them to any later solver handed the same cache.
     let cache = Arc::new(ProfileCache::new());
     let solver = HierarchicalSolver::with_options(net.clone(), AggregationOptions::truncated(1e-6))
         .with_cache(cache.clone());

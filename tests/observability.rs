@@ -14,8 +14,7 @@ use mvasd_suite::core::solver::MvasdSolver;
 use mvasd_suite::core::sweep::{Scenario, ScenarioSweep, SweepStats};
 use mvasd_suite::obsv;
 use mvasd_suite::queueing::hierarchy::{
-    AggregationOptions, HierarchicalNetwork, HierarchicalSolver, NetworkNode, ProfileCache,
-    Subsystem,
+    HierarchicalNetwork, HierarchicalSolver, NetworkNode, ProfileCache, Subsystem,
 };
 use mvasd_suite::queueing::mva::{
     run_until, ClassSpec, ClosedSolver, MulticlassMvaSolver, StopCondition, Workload,
@@ -152,8 +151,6 @@ fn sweep_cache_metrics_land_in_collector_snapshot() {
             steps_demanded: 480,
             cache_hits: 2,
             cache_misses: 2,
-            sub_solves: 0,
-            sub_cache_hits: 0,
             // Two distinct models under the pinned single worker.
             pool_occupancy: 1,
         }
@@ -228,7 +225,7 @@ fn aggregation_metrics_land_in_collector_snapshot() {
     let collector = Arc::new(obsv::Collector::new());
     let _scope = obsv::scoped(collector.clone());
     let cache = Arc::new(ProfileCache::new());
-    let collected = HierarchicalSolver::new(net.clone())
+    let collected = HierarchicalSolver::new(net)
         .with_cache(cache.clone())
         .solve(60)
         .expect("collected solve");
@@ -257,25 +254,6 @@ fn aggregation_metrics_land_in_collector_snapshot() {
     assert!(snap.counter("conv.workspace.extend") >= 60);
     assert!(snap.counter("convolution.cells") > snap.counter("conv.workspace.extend"));
     assert!(snap.counter("health.conv.lse.samples") > 0);
-
-    // Second-level memoization in sweeps is observable too: two scenarios
-    // over the same topology (one rescaled) re-solve every distinct
-    // subsystem shape per scenario, and the counters mirror `SweepStats`.
-    let mut sweep = ScenarioSweep::over_hierarchy(net, AggregationOptions::exact()).default_cap(40);
-    let scenarios = [
-        Scenario::new("baseline"),
-        Scenario::new("tuned").scale_demands(0.9),
-    ];
-    sweep.run(&scenarios).expect("hierarchical sweep");
-    let sw = sweep.stats();
-    assert_eq!(sw.sub_solves, 4);
-    assert_eq!(sw.sub_cache_hits, 2);
-    let snap = collector.snapshot();
-    assert_eq!(snap.counter("sweep.sub_solves"), sw.sub_solves as u64);
-    assert_eq!(
-        snap.counter("sweep.sub_cache_hits"),
-        sw.sub_cache_hits as u64
-    );
 }
 
 /// The multiclass walker is observable (path-step counters, slab

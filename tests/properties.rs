@@ -279,28 +279,55 @@ fn one_class_workload_reproduces_exact_mva_bitwise() {
     );
 }
 
+/// How a case lays out its stations: as written, with an idle
+/// (zero-demand) station inserted mid-network, or in reverse order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Layout {
+    Plain,
+    Idle,
+    Reversed,
+}
+
+impl Layout {
+    fn apply<T>(self, mut items: Vec<T>, idle: T) -> Vec<T> {
+        match self {
+            Layout::Plain => {}
+            Layout::Idle => items.insert(items.len() / 2, idle),
+            Layout::Reversed => items.reverse(),
+        }
+        items
+    }
+}
+
+/// The station `Layout::Idle` inserts.
+fn idle_station() -> Station {
+    Station::queueing("idle", 1, 1.0, 0.0)
+}
+
 /// A 16-core CPU, a disk and a delay station, every demand and Z times `s`.
-fn cpu_disk_delay(s: f64) -> ClosedNetwork {
-    ClosedNetwork::new(
-        vec![
-            Station::queueing("cpu", 16, 1.0, 0.16 * s),
-            Station::queueing("disk", 1, 1.0, 0.004 * s),
-            Station::delay("lan", 1.0, 0.003 * s),
-        ],
-        s,
-    )
-    .unwrap()
+fn cpu_disk_delay(s: f64, layout: Layout) -> ClosedNetwork {
+    let stations = vec![
+        Station::queueing("cpu", 16, 1.0, 0.16 * s),
+        Station::queueing("disk", 1, 1.0, 0.004 * s),
+        Station::delay("lan", 1.0, 0.003 * s),
+    ];
+    ClosedNetwork::new(layout.apply(stations, idle_station()), s).unwrap()
 }
 
 /// A 16-core CPU and a 4 ms disk sampled at three levels, every demand
 /// and Z times `s`.
-fn cpu_disk_profile(cpu: [f64; 3], s: f64) -> ServiceDemandProfile {
+fn cpu_disk_profile(cpu: [f64; 3], s: f64, layout: Layout) -> ServiceDemandProfile {
+    let stations = vec![
+        ("cpu", 16, cpu.map(|d| d * s).to_vec()),
+        ("disk", 1, vec![0.004 * s; 3]),
+    ];
+    let stations = layout.apply(stations, ("idle", 1, vec![0.0; 3]));
     let samples = DemandSamples {
-        station_names: vec!["cpu".into(), "disk".into()],
-        server_counts: vec![16, 1],
+        station_names: stations.iter().map(|st| st.0.to_string()).collect(),
+        server_counts: stations.iter().map(|st| st.1).collect(),
         think_time: s,
         levels: vec![1.0, 300.0, 600.0],
-        demands: vec![cpu.map(|d| d * s).to_vec(), vec![0.004 * s; 3]],
+        demands: stations.into_iter().map(|st| st.2).collect(),
     };
     ServiceDemandProfile::from_samples(
         &samples,
@@ -315,94 +342,207 @@ const CARRIED_CPU: [f64; 3] = [0.020, 0.019, 0.018];
 /// The CPU saturates, so MVASD crosses the quasi-static switch.
 const SATURATING_CPU: [f64; 3] = [0.165, 0.160, 0.158];
 
+/// Builds a case's solver with every demand and Z times `s`, its stations
+/// laid out as `Layout` says.
+type Build = fn(f64, Layout) -> Box<dyn ClosedSolver>;
+
+/// The seven analytic solvers the metamorphic relations run through, each
+/// on its own model and depth.
+fn analytic_cases() -> [(usize, Build); 7] {
+    [
+        (600, |s, layout| {
+            let stations = vec![
+                Station::queueing("a", 1, 1.0, 0.01 * s),
+                Station::queueing("b", 1, 1.0, 0.016 * s),
+                Station::delay("lan", 1.0, 0.003 * s),
+            ];
+            let net = ClosedNetwork::new(layout.apply(stations, idle_station()), 0.5 * s);
+            Box::new(ExactMvaSolver::new(net.unwrap()))
+        }),
+        (600, |s, layout| {
+            Box::new(MultiserverMvaSolver::new(cpu_disk_delay(s, layout)))
+        }),
+        (600, |s, layout| {
+            Box::new(SchweitzerSolver::new(cpu_disk_delay(s, layout)))
+        }),
+        (600, |s, layout| {
+            Box::new(MvasdSolver::new(cpu_disk_profile(CARRIED_CPU, s, layout)))
+        }),
+        (600, |s, layout| {
+            Box::new(MvasdSolver::new(cpu_disk_profile(
+                SATURATING_CPU,
+                s,
+                layout,
+            )))
+        }),
+        (600, |s, layout| {
+            Box::new(MvasdSingleServerSolver::new(cpu_disk_profile(
+                CARRIED_CPU,
+                s,
+                layout,
+            )))
+        }),
+        (200, |s, layout| {
+            let tier = |name: &str, cpu: f64, disk: f64| -> NetworkNode {
+                let mut leaves = vec![
+                    Station::queueing(&format!("{name}-cpu"), 4, 1.0, cpu * s).into(),
+                    Station::queueing(&format!("{name}-disk"), 1, 1.0, disk * s).into(),
+                ];
+                if layout == Layout::Reversed {
+                    leaves.reverse();
+                }
+                Subsystem::new(name, leaves).into()
+            };
+            let nodes = vec![
+                Station::queueing("lb", 1, 1.0, 0.002 * s).into(),
+                tier("app", 0.010, 0.004),
+                tier("db", 0.016, 0.007),
+            ];
+            let nodes = layout.apply(nodes, idle_station().into());
+            let net = HierarchicalNetwork::new(nodes, 0.5 * s);
+            Box::new(HierarchicalSolver::new(net.unwrap()))
+        }),
+    ]
+}
+
+/// `got` equals `want` bit for bit when `tol` is 0, else within `tol`
+/// relative.
+fn holds(tol: f64, got: f64, want: f64) -> bool {
+    if tol == 0.0 {
+        got.to_bits() == want.to_bits()
+    } else {
+        (got - want).abs() <= tol * want.abs().max(f64::MIN_POSITIVE)
+    }
+}
+
 #[test]
 fn scaling_demands_and_z_scales_r_and_x_through_every_analytic_solver() {
     // Time units are arbitrary: with every demand and Z scaled by s, R
     // scales by s, X by 1/s, and queues and utilizations stay put. Scaling
     // by a power of two is exact in every operation, so the relation holds
     // bit for bit at s = 0.5 and 2; s = 3 rounds.
-    type Build = fn(f64) -> Box<dyn ClosedSolver>;
-    let cases: [(usize, Build); 7] = [
-        (600, |s| {
-            let net = ClosedNetwork::new(
-                vec![
-                    Station::queueing("a", 1, 1.0, 0.01 * s),
-                    Station::queueing("b", 1, 1.0, 0.016 * s),
-                    Station::delay("lan", 1.0, 0.003 * s),
-                ],
-                0.5 * s,
-            );
-            Box::new(ExactMvaSolver::new(net.unwrap()))
-        }),
-        (600, |s| {
-            Box::new(MultiserverMvaSolver::new(cpu_disk_delay(s)))
-        }),
-        (600, |s| Box::new(SchweitzerSolver::new(cpu_disk_delay(s)))),
-        (600, |s| {
-            Box::new(MvasdSolver::new(cpu_disk_profile(CARRIED_CPU, s)))
-        }),
-        (600, |s| {
-            Box::new(MvasdSolver::new(cpu_disk_profile(SATURATING_CPU, s)))
-        }),
-        (600, |s| {
-            Box::new(MvasdSingleServerSolver::new(cpu_disk_profile(
-                CARRIED_CPU,
-                s,
-            )))
-        }),
-        (200, |s| {
-            let tier = |name: &str, cpu: f64, disk: f64| -> NetworkNode {
-                let leaves = vec![
-                    Station::queueing(&format!("{name}-cpu"), 4, 1.0, cpu * s).into(),
-                    Station::queueing(&format!("{name}-disk"), 1, 1.0, disk * s).into(),
-                ];
-                Subsystem::new(name, leaves).into()
-            };
-            let net = HierarchicalNetwork::new(
-                vec![
-                    Station::queueing("lb", 1, 1.0, 0.002 * s).into(),
-                    tier("app", 0.010, 0.004),
-                    tier("db", 0.016, 0.007),
-                ],
-                0.5 * s,
-            );
-            Box::new(HierarchicalSolver::new(net.unwrap()))
-        }),
-    ];
-    let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(f64::MIN_POSITIVE);
-    for (case, (n_max, build)) in cases.into_iter().enumerate() {
-        let solver = build(1.0);
+    for (case, (n_max, build)) in analytic_cases().into_iter().enumerate() {
+        let solver = build(1.0, Layout::Plain);
         let base = solver.solve(n_max).unwrap();
         let name = format!("case {case} ({})", solver.name());
         for s in [0.5, 2.0, 3.0] {
-            let scaled = build(s).solve(n_max).unwrap();
+            let scaled = build(s, Layout::Plain).solve(n_max).unwrap();
             let tol = if s == 3.0 { 1e-13 } else { 0.0 };
-            let holds = |what: &str, n: usize, got: f64, want: f64| {
-                let ok = if tol == 0.0 {
-                    got.to_bits() == want.to_bits()
-                } else {
-                    rel(got, want) <= tol
-                };
-                assert!(ok, "{name} s={s} n={n} {what}: {got} vs {want}");
+            let check = |what: &str, n: usize, got: f64, want: f64| {
+                assert!(
+                    holds(tol, got, want),
+                    "{name} s={s} n={n} {what}: {got} vs {want}"
+                );
             };
             assert_eq!(scaled.points.len(), n_max, "{name} s={s}");
             for (a, b) in base.points.iter().zip(&scaled.points) {
-                holds("R", a.n, b.response, s * a.response);
-                holds("R + Z", a.n, b.cycle_time, s * a.cycle_time);
-                holds("X", a.n, b.throughput, a.throughput / s);
+                check("R", a.n, b.response, s * a.response);
+                check("R + Z", a.n, b.cycle_time, s * a.cycle_time);
+                check("X", a.n, b.throughput, a.throughput / s);
                 for (sa, sb) in a.stations.iter().zip(&b.stations) {
-                    holds("Q_k", a.n, sb.queue, sa.queue);
-                    holds("R_k", a.n, sb.residence, s * sa.residence);
-                    holds("U_k", a.n, sb.utilization, sa.utilization);
+                    check("Q_k", a.n, sb.queue, sa.queue);
+                    check("R_k", a.n, sb.residence, s * sa.residence);
+                    check("U_k", a.n, sb.utilization, sa.utilization);
                 }
             }
         }
     }
     // The two MVASD profiles land on either side of the switch.
-    let carried = MvasdSolver::new(cpu_disk_profile(CARRIED_CPU, 1.0));
-    let saturating = MvasdSolver::new(cpu_disk_profile(SATURATING_CPU, 1.0));
+    let carried = MvasdSolver::new(cpu_disk_profile(CARRIED_CPU, 1.0, Layout::Plain));
+    let saturating = MvasdSolver::new(cpu_disk_profile(SATURATING_CPU, 1.0, Layout::Plain));
     assert!(carried.solve(600).unwrap().last().stations[0].utilization < 0.5);
     assert!(saturating.solve(600).unwrap().last().stations[0].utilization > 0.9);
+}
+
+#[test]
+fn adding_a_zero_demand_station_changes_nothing_through_every_analytic_solver() {
+    // A station nobody visits adds 0 to every sum and never holds a
+    // customer, so the other stations' results keep every bit.
+    for (case, (n_max, build)) in analytic_cases().into_iter().enumerate() {
+        let base = build(1.0, Layout::Plain).solve(n_max).unwrap();
+        let solver = build(1.0, Layout::Idle);
+        let name = format!("case {case} ({})", solver.name());
+        let with_idle = solver.solve(n_max).unwrap();
+        let idle = with_idle
+            .station_names
+            .iter()
+            .position(|n| n == "idle")
+            .expect("the idle station is reported");
+        assert!(idle > 0 && idle < base.station_names.len(), "{name}");
+        let mut others = with_idle.station_names.to_vec();
+        others.remove(idle);
+        assert_eq!(&others[..], &base.station_names[..], "{name}");
+        assert_eq!(with_idle.points.len(), n_max, "{name}");
+        for (a, b) in base.points.iter().zip(&with_idle.points) {
+            let check = |what: &str, got: f64, want: f64| {
+                assert!(
+                    holds(0.0, got, want),
+                    "{name} n={} {what}: {got} vs {want}",
+                    a.n
+                );
+            };
+            check("X", b.throughput, a.throughput);
+            check("R", b.response, a.response);
+            check("R + Z", b.cycle_time, a.cycle_time);
+            let mut rest = b.stations.clone();
+            let idle_point = rest.remove(idle);
+            for (sa, sb) in a.stations.iter().zip(&rest) {
+                check("Q_k", sb.queue, sa.queue);
+                check("R_k", sb.residence, sa.residence);
+                check("U_k", sb.utilization, sa.utilization);
+            }
+            check("idle Q", idle_point.queue, 0.0);
+            check("idle R", idle_point.residence, 0.0);
+            check("idle U", idle_point.utilization, 0.0);
+        }
+    }
+}
+
+#[test]
+fn permuting_stations_changes_nothing_through_every_analytic_solver() {
+    // Station order is bookkeeping: matched by name, every result holds
+    // up to the rounding of a reordered sum.
+    for (case, (n_max, build)) in analytic_cases().into_iter().enumerate() {
+        let base = build(1.0, Layout::Plain).solve(n_max).unwrap();
+        let solver = build(1.0, Layout::Reversed);
+        let name = format!("case {case} ({})", solver.name());
+        let reversed = solver.solve(n_max).unwrap();
+        assert_ne!(
+            &reversed.station_names[..],
+            &base.station_names[..],
+            "{name}"
+        );
+        let index: Vec<usize> = base
+            .station_names
+            .iter()
+            .map(|n| {
+                reversed
+                    .station_names
+                    .iter()
+                    .position(|m| m == n)
+                    .expect("every station survives the permutation")
+            })
+            .collect();
+        assert_eq!(reversed.points.len(), n_max, "{name}");
+        for (a, b) in base.points.iter().zip(&reversed.points) {
+            let check = |what: &str, got: f64, want: f64| {
+                assert!(
+                    holds(1e-13, got, want),
+                    "{name} n={} {what}: {got} vs {want}",
+                    a.n
+                );
+            };
+            check("X", b.throughput, a.throughput);
+            check("R", b.response, a.response);
+            check("R + Z", b.cycle_time, a.cycle_time);
+            for (sa, &k) in a.stations.iter().zip(&index) {
+                let sb = &b.stations[k];
+                check("Q_k", sb.queue, sa.queue);
+                check("R_k", sb.residence, sa.residence);
+                check("U_k", sb.utilization, sa.utilization);
+            }
+        }
+    }
 }
 
 #[test]

@@ -14,9 +14,7 @@ use mvasd_suite::core::profile::{
 use mvasd_suite::core::solver::{MvasdSingleServerSolver, MvasdSolver};
 use mvasd_suite::core::sweep::{Scenario, ScenarioSweep};
 use mvasd_suite::numerics::propcheck::{check, Config, Gen};
-use mvasd_suite::queueing::hierarchy::{
-    AggregationOptions, HierarchicalNetwork, HierarchicalSolver, Subsystem,
-};
+use mvasd_suite::queueing::hierarchy::{HierarchicalNetwork, HierarchicalSolver, Subsystem};
 use mvasd_suite::queueing::mva::{
     load_dependent_mva, run_until, ClassSpec, ClosedSolver, ConvWorkspace, ExactMvaSolver,
     LdStation, MulticlassMvaSolver, MultiserverMvaSolver, RateFunction, SchweitzerSolver,
@@ -325,48 +323,34 @@ fn scenario_sweep_avoids_redundant_work() {
 }
 
 #[test]
-fn parallel_hierarchy_sweep_is_bit_identical_to_serial() {
-    // A hierarchical sweep fanning its model groups across a 4-worker pool
-    // — every group extending and storing sub-tree profiles in the one
-    // shared ProfileCache — must reproduce the serial sweep bit for bit:
-    // the plan/commit protocol makes the schedule invisible to the
-    // numerics.
-    let tier = |name: &str, cpu: f64, disk: f64| {
-        Subsystem::new(
-            name,
-            vec![
-                Station::queueing(&format!("{name}-cpu"), 2, 1.0, cpu).into(),
-                Station::queueing(&format!("{name}-disk"), 1, 1.0, disk).into(),
-            ],
-        )
-        .into()
-    };
-    let net = HierarchicalNetwork::new(
-        vec![
-            Station::queueing("lb", 1, 1.0, 0.002).into(),
-            tier("app", 0.010, 0.004),
-            tier("search", 0.012, 0.005),
-            tier("db", 0.016, 0.007),
-            tier("store", 0.009, 0.003),
+fn parallel_sweep_is_bit_identical_to_serial() {
+    // A sweep fanning its model groups across a 4-worker pool must
+    // reproduce the serial sweep bit for bit: the plan/commit protocol
+    // makes the schedule invisible to the numerics.
+    let samples = DemandSamples {
+        station_names: vec!["lb".into(), "app".into(), "db".into()],
+        server_counts: vec![1, 2, 1],
+        think_time: 0.5,
+        levels: vec![1.0, 30.0, 60.0],
+        demands: vec![
+            vec![0.002, 0.002, 0.002],
+            vec![0.012, 0.010, 0.009],
+            vec![0.016, 0.015, 0.015],
         ],
-        0.5,
-    )
-    .unwrap();
+    };
     let scenarios = [
         Scenario::new("baseline"),
         Scenario::new("tuned").scale_demands(0.9),
         Scenario::new("slow").scale_demands(1.15),
     ];
 
-    let mut serial = ScenarioSweep::over_hierarchy(net.clone(), AggregationOptions::exact())
+    let mut serial = ScenarioSweep::new(samples.clone())
         .default_cap(60)
         .parallelism(1);
     let a = serial.run(&scenarios).unwrap();
     assert_eq!(serial.stats().pool_occupancy, 1);
 
-    let mut parallel = ScenarioSweep::over_hierarchy(net, AggregationOptions::exact())
-        .default_cap(60)
-        .parallelism(4);
+    let mut parallel = ScenarioSweep::new(samples).default_cap(60).parallelism(4);
     let b = parallel.run(&scenarios).unwrap();
     // Three distinct resolved models under four workers.
     assert_eq!(parallel.stats().pool_occupancy, 3);
