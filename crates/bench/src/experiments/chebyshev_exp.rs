@@ -10,7 +10,7 @@ use mvasd_core::algorithm::mvasd;
 use mvasd_core::designer::{design_levels, SamplingStrategy};
 use mvasd_core::profile::{DemandAxis, InterpolationKind, ServiceDemandProfile};
 use mvasd_numerics::chebyshev::chebyshev_error_bound_exponential;
-use mvasd_numerics::interp::{BoundaryCondition, CubicSpline, Extrapolation, Interpolant};
+use mvasd_numerics::interp::{BoundaryCondition, CubicSpline, Interpolant};
 use mvasd_testbed::apps::jpetstore;
 
 use super::Ctx;
@@ -66,8 +66,7 @@ pub fn fig14(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
         let levels: Vec<f64> = c.levels().iter().map(|&l| l as f64).collect();
         splines.push(
             CubicSpline::new(&levels, &c.demand_series(disk), BoundaryCondition::NotAKnot)
-                .expect("spline")
-                .with_extrapolation(Extrapolation::Clamp),
+                .expect("spline"),
         );
     }
     for n in 1..=300usize {
@@ -113,8 +112,7 @@ pub fn fig15(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
         let lv: Vec<f64> = c.levels().iter().map(|&l| l as f64).collect();
         splines.push(
             CubicSpline::new(&lv, &c.demand_series(idx), BoundaryCondition::NotAKnot)
-                .expect("spline")
-                .with_extrapolation(Extrapolation::Clamp),
+                .expect("spline"),
         );
     }
     let mut worst = vec![0.0f64; strategies.len()];

@@ -10,7 +10,7 @@ use mvasd_core::accuracy::{compare_solution, compare_solver, render_table};
 use mvasd_core::algorithm::{mvasd, mvasd_single_server};
 use mvasd_core::profile::{DemandAxis, InterpolationKind, ServiceDemandProfile};
 use mvasd_core::solver::{MvasdSingleServerSolver, MvasdSolver};
-use mvasd_numerics::interp::{BoundaryCondition, CubicSpline, Extrapolation, Interpolant};
+use mvasd_numerics::interp::{BoundaryCondition, CubicSpline, Interpolant};
 use mvasd_queueing::mva::{ClosedSolver, MvaSolution};
 
 use super::vins_exp::{mva_i, mva_i_solver, mvasd_from};
@@ -230,7 +230,6 @@ pub fn fig11(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
             BoundaryCondition::NotAKnot,
         )
         .expect("spline")
-        .with_extrapolation(Extrapolation::Clamp)
     };
     let (s_cpu, s_disk) = (spline(cpu), spline(disk));
     let (lo, hi) = (
@@ -290,8 +289,7 @@ pub fn fig12(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
         let sub = samples.subset(keep).expect("valid subset");
         splines.push(
             CubicSpline::new(&sub.levels, &sub.demands[disk], BoundaryCondition::NotAKnot)
-                .expect("spline")
-                .with_extrapolation(Extrapolation::Clamp),
+                .expect("spline"),
         );
     }
     for n in (1..=210).step_by(1) {

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use mvasd_core::accuracy::{compare_solver, render_table, DeviationReport};
 use mvasd_core::profile::{DemandAxis, InterpolationKind, ServiceDemandProfile};
 use mvasd_core::solver::MvasdSolver;
-use mvasd_numerics::interp::{BoundaryCondition, CubicSpline, Extrapolation, Interpolant};
+use mvasd_numerics::interp::{BoundaryCondition, CubicSpline, Interpolant};
 use mvasd_queueing::mva::{ClosedSolver, MultiserverMvaSolver, MvaSolution};
 use mvasd_queueing::network::{ClosedNetwork, Station};
 use mvasd_testbed::campaign::Campaign;
@@ -242,7 +242,6 @@ pub fn fig10(dir: &Path, ctx: &Ctx) -> std::io::Result<Vec<PathBuf>> {
             let k = c.station_index(name).expect("db station");
             CubicSpline::new(&levels, &c.demand_series(k), BoundaryCondition::NotAKnot)
                 .expect("spline over measured demands")
-                .with_extrapolation(Extrapolation::Clamp)
         })
         .collect();
     let mut n = 1.0f64;

@@ -45,6 +45,21 @@ fn core_err(e: QueueingError) -> CoreError {
     }
 }
 
+/// Fails a step whose throughput or response time left the `f64` range.
+/// Valid samples can get there: with demands and Z near the subnormal
+/// range `X = n/(R + Z)` overflows (and then turns NaN), and with demands
+/// near `f64::MAX` so does `R`. Only non-finite values are turned away,
+/// so every finite point is returned as computed.
+fn finite_step(x: f64, r_total: f64) -> Result<(), QueueingError> {
+    if x.is_finite() && r_total.is_finite() {
+        Ok(())
+    } else {
+        Err(QueueingError::InvalidParameter {
+            what: "demands or think time out of f64 range: X or R is not finite",
+        })
+    }
+}
+
 /// Resolves the profile-lookup abscissa for population `n` (the underlined
 /// step of Algorithm 3). Throughput-indexed profiles bootstrap from the
 /// lowest sampled abscissa on the first iteration and feed back `X_{n−1}`
@@ -67,9 +82,9 @@ fn lookup_abscissa(profile: &ServiceDemandProfile, n: usize, x_prev: f64) -> f64
 /// The carried state is the shared multi-server recursion engine
 /// ([`PopulationRecursion`]: queues + marginal probabilities, double-double
 /// precision while carried) plus the previous throughput that feeds
-/// throughput-indexed profiles. Snapshotting clones that state — the
-/// interpolants themselves are shared behind `Arc`, so clones are cheap.
-#[derive(Debug, Clone)]
+/// throughput-indexed profiles. The interpolants are shared with the
+/// profile behind `Arc`.
+#[derive(Debug)]
 pub struct MvasdIter {
     profile: ServiceDemandProfile,
     names: std::sync::Arc<[String]>,
@@ -133,6 +148,7 @@ impl SolverIter for MvasdIter {
         }
 
         let (x, r_total) = self.rec.step(n, &self.ss);
+        finite_step(x, r_total)?;
         self.x_prev = x;
 
         let residence = self.rec.residences();
@@ -154,10 +170,6 @@ impl SolverIter for MvasdIter {
             cycle_time: r_total + z,
             stations: station_points,
         })
-    }
-
-    fn boxed_clone(&self) -> Box<dyn SolverIter> {
-        Box::new(self.clone())
     }
 }
 
@@ -182,7 +194,7 @@ pub fn mvasd_single_server(
 
 /// The single-server MVASD baseline as a resumable iterator; the carried
 /// state is the Algorithm-1 queue vector plus the previous throughput.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MvasdSingleServerIter {
     profile: ServiceDemandProfile,
     names: std::sync::Arc<[String]>,
@@ -240,6 +252,7 @@ impl SolverIter for MvasdSingleServerIter {
         }
         let r_total: f64 = residence.iter().sum();
         let x = n as f64 / (r_total + z);
+        finite_step(x, r_total)?;
         self.x_prev = x;
         for (qk, rk) in self.q.iter_mut().zip(&residence) {
             *qk = x * rk;
@@ -263,10 +276,6 @@ impl SolverIter for MvasdSingleServerIter {
             cycle_time: r_total + z,
             stations: station_points,
         })
-    }
-
-    fn boxed_clone(&self) -> Box<dyn SolverIter> {
-        Box::new(self.clone())
     }
 }
 
@@ -525,6 +534,57 @@ mod tests {
         // And the peak is reached strictly before the end of the range.
         let peak_n = xs.iter().position(|&x| x == peak).unwrap() + 1;
         assert!(peak_n < 200, "peak at n={peak_n}");
+    }
+
+    #[test]
+    fn out_of_range_demands_give_a_typed_error_not_a_nan() {
+        use crate::solver::{MvasdSingleServerSolver, MvasdSolver};
+        use mvasd_queueing::mva::ClosedSolver;
+
+        let finite = |p: &MvaPoint| {
+            let stations = p.stations.iter();
+            [p.throughput, p.response, p.cycle_time]
+                .into_iter()
+                .chain(stations.flat_map(|s| [s.queue, s.residence, s.utilization]))
+                .all(f64::is_finite)
+        };
+        // Valid samples whose X = n/(R + Z) leaves the f64 range by N = 2:
+        // both solvers read inf or NaN there without the check.
+        for (d, c, z) in [(1e-310, 1, 0.0), (1e-308, 4, 0.0), (5e-324, 1, 5e-324)] {
+            let profile = ServiceDemandProfile::from_samples(
+                &constant_samples(&[(c, d)], z),
+                InterpolationKind::CubicNotAKnot,
+                DemandAxis::Concurrency,
+            )
+            .unwrap();
+            let case = format!("D={d:e} C={c} Z={z:e}");
+            for result in [mvasd(&profile, 2), mvasd_single_server(&profile, 2)] {
+                assert!(
+                    matches!(result, Err(CoreError::InvalidParameter { .. })),
+                    "{case}: {result:?}"
+                );
+            }
+            let solvers: [Box<dyn ClosedSolver>; 2] = [
+                Box::new(MvasdSolver::new(profile.clone())),
+                Box::new(MvasdSingleServerSolver::new(profile)),
+            ];
+            for solver in &solvers {
+                // Every point before the error is finite.
+                let mut it = solver.start().unwrap();
+                let err = loop {
+                    match it.step() {
+                        Ok(p) => assert!(finite(&p), "{}, {case}: n={}", solver.name(), p.n),
+                        Err(e) => break e,
+                    }
+                    assert!(it.population() < 2, "{}, {case}: no error", solver.name());
+                };
+                assert!(
+                    matches!(err, QueueingError::InvalidParameter { .. }),
+                    "{}, {case}: {err:?}",
+                    solver.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //!   (design points → load test → interpolate + predict).
 //! * [`solver`] — [`mvasd_queueing::mva::ClosedSolver`] adapters for the
 //!   MVASD family, so the algorithms here slot into the same comparison
-//!   pipelines as the static solvers and the simulation estimator.
+//!   pipelines as the static solvers.
 //! * [`sweep`] — warm-restart scenario sweeps: families of what-if models
 //!   served from shared, memoized population iterators with early-exit
 //!   stop conditions.

@@ -92,9 +92,8 @@ impl PredictionWorkflow {
     }
 
     /// Step 3 with early exit: streams the population sweep and stops at
-    /// the first condition met (SLA ceiling, bottleneck saturation,
-    /// throughput plateau, …) instead of always solving to `n_cap`. The
-    /// outcome reports both the truncated series and *why* it stopped.
+    /// the first SLA ceiling crossed instead of always solving to `n_cap`.
+    /// The outcome reports both the truncated series and *why* it stopped.
     pub fn predict_until(
         &self,
         samples: &DemandSamples,

@@ -10,8 +10,7 @@
 //! to the boundary demand (paper eq. 14).
 
 use mvasd_numerics::interp::{
-    BoundaryCondition, CubicSpline, Extrapolation, Interpolant, LinearInterp, PchipInterp,
-    SmoothingSpline,
+    BoundaryCondition, CubicSpline, Interpolant, LinearInterp, PchipInterp, SmoothingSpline,
 };
 use std::sync::Arc;
 
@@ -159,12 +158,6 @@ impl StationProfile {
     pub fn demand_at(&self, x: f64) -> f64 {
         self.interp.eval(x).max(0.0)
     }
-
-    /// Slope of the interpolated demand (the paper updates "the slope of
-    /// estimated throughput … as a function of the service demand slope").
-    pub fn demand_slope_at(&self, x: f64) -> f64 {
-        self.interp.deriv(x)
-    }
 }
 
 /// The full interpolated demand model handed to the MVASD solver.
@@ -253,32 +246,24 @@ fn build_interpolant(
         }));
     }
     let interp: Arc<dyn Interpolant> = match kind {
-        InterpolationKind::Linear => {
-            Arc::new(LinearInterp::new(levels, demands)?.with_extrapolation(Extrapolation::Clamp))
-        }
-        InterpolationKind::CubicNatural => Arc::new(
-            CubicSpline::new(levels, demands, BoundaryCondition::Natural)?
-                .with_extrapolation(Extrapolation::Clamp),
-        ),
-        InterpolationKind::CubicNotAKnot => Arc::new(
-            CubicSpline::new(levels, demands, BoundaryCondition::NotAKnot)?
-                .with_extrapolation(Extrapolation::Clamp),
-        ),
-        InterpolationKind::Pchip => {
-            Arc::new(PchipInterp::new(levels, demands)?.with_extrapolation(Extrapolation::Clamp))
+        InterpolationKind::Linear => Arc::new(LinearInterp::new(levels, demands)?),
+        InterpolationKind::CubicNatural => Arc::new(CubicSpline::new(
+            levels,
+            demands,
+            BoundaryCondition::Natural,
+        )?),
+        InterpolationKind::CubicNotAKnot => Arc::new(CubicSpline::new(
+            levels,
+            demands,
+            BoundaryCondition::NotAKnot,
+        )?),
+        InterpolationKind::Pchip => Arc::new(PchipInterp::new(levels, demands)?),
+        // Smoothing needs >= 3 knots; degrade to linear.
+        InterpolationKind::Smoothing { .. } if levels.len() < 3 => {
+            Arc::new(LinearInterp::new(levels, demands)?)
         }
         InterpolationKind::Smoothing { lambda } => {
-            if levels.len() < 3 {
-                // Smoothing needs >= 3 knots; degrade to linear.
-                Arc::new(
-                    LinearInterp::new(levels, demands)?.with_extrapolation(Extrapolation::Clamp),
-                )
-            } else {
-                Arc::new(
-                    SmoothingSpline::fit(levels, demands, lambda)?
-                        .with_extrapolation(Extrapolation::Clamp),
-                )
-            }
+            Arc::new(SmoothingSpline::fit(levels, demands, lambda)?)
         }
     };
     Ok(interp)
@@ -294,9 +279,6 @@ struct ConstantDemand {
 impl Interpolant for ConstantDemand {
     fn eval(&self, _x: f64) -> f64 {
         self.value
-    }
-    fn deriv(&self, _x: f64) -> f64 {
-        0.0
     }
     fn domain(&self) -> (f64, f64) {
         (self.level, self.level)
@@ -372,7 +354,6 @@ mod tests {
         .unwrap();
         assert_eq!(p.demands_at(1.0), vec![0.02]);
         assert_eq!(p.demands_at(999.0), vec![0.02]);
-        assert_eq!(p.stations()[0].demand_slope_at(10.0), 0.0);
     }
 
     #[test]
@@ -516,16 +497,5 @@ mod tests {
         assert_eq!(p.stations()[0].servers, 4);
         // Debug impl smoke test.
         assert!(format!("{:?}", p.stations()[0]).contains("cpu"));
-    }
-
-    #[test]
-    fn demand_slope_negative_on_falling_curve() {
-        let p = ServiceDemandProfile::from_samples(
-            &samples(),
-            InterpolationKind::CubicNotAKnot,
-            DemandAxis::Concurrency,
-        )
-        .unwrap();
-        assert!(p.stations()[0].demand_slope_at(25.0) < 0.0);
     }
 }

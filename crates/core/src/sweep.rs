@@ -163,13 +163,6 @@ pub struct ScenarioResult {
     pub reason: StopReason,
 }
 
-impl ScenarioResult {
-    /// Populations this scenario's answer covers.
-    pub fn steps(&self) -> usize {
-        self.solution.points.len()
-    }
-}
-
 /// What a [`ScenarioSweep::run`] call produced, with the work accounting
 /// that makes warm restarts auditable.
 #[derive(Debug, Clone, PartialEq)]
@@ -252,8 +245,7 @@ impl GroupState {
                 fresh += 1;
             }
             let point = &self.points[idx];
-            let prev = idx.checked_sub(1).map(|i| &self.points[i]);
-            let met = conditions.iter().find(|c| c.is_met(point, prev)).cloned();
+            let met = conditions.iter().find(|c| c.is_met(point)).cloned();
             out.push(point.clone());
             if let Some(c) = met {
                 break StopReason::Met(c);
@@ -563,14 +555,14 @@ mod tests {
             r.reason,
             StopReason::Met(StopCondition::SlaResponseTime { .. })
         ));
+        let steps = r.solution.points.len();
         assert!(
-            r.steps() < 300,
-            "SLA query should stop early, took {} steps",
-            r.steps()
+            steps < 300,
+            "SLA query should stop early, took {steps} steps"
         );
         // The answering point is included and is the first violation.
         assert!(r.solution.last().response > 0.5);
-        let prior = &r.solution.points[r.steps() - 2];
+        let prior = &r.solution.points[steps - 2];
         assert!(prior.response <= 0.5);
     }
 

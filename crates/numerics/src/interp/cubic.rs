@@ -12,9 +12,9 @@
 //!     = (y_{i+1}-y_i)/h_i − (y_i−y_{i-1})/h_{i-1}
 //! ```
 //!
-//! closed by one of three boundary conditions ([`BoundaryCondition`]).
+//! closed by one of two boundary conditions ([`BoundaryCondition`]).
 
-use super::{segment_index, Extrapolation, Interpolant};
+use super::{segment_index, Interpolant};
 use crate::banded::solve_tridiagonal;
 use crate::{validate_knots, NumericsError};
 
@@ -23,13 +23,6 @@ use crate::{validate_knots, NumericsError};
 pub enum BoundaryCondition {
     /// Zero second derivative at both ends (`M₀ = Mₙ = 0`).
     Natural,
-    /// Prescribed first derivatives (slopes) at both ends.
-    Clamped {
-        /// `S'(x₁)`.
-        start_slope: f64,
-        /// `S'(xₙ)`.
-        end_slope: f64,
-    },
     /// Third-derivative continuity across the second and second-to-last
     /// knots — the MATLAB/Scilab default, and ours. Falls back to
     /// [`BoundaryCondition::Natural`] when fewer than 4 points are supplied
@@ -38,7 +31,8 @@ pub enum BoundaryCondition {
     NotAKnot,
 }
 
-/// A C² piecewise-cubic interpolant through `(xs, ys)`.
+/// A C² piecewise-cubic interpolant through `(xs, ys)`, clamped to the
+/// boundary ordinates outside the knots (paper eq. 14).
 ///
 /// Evaluation of the value and its first three derivatives mirrors Scilab's
 /// `interp()` outputs `(yq, yq1, yq2, yq3)` (paper eq. 13).
@@ -52,55 +46,18 @@ pub struct CubicSpline {
     /// `S(x) = y_i + c1·t + c2·t² + c3·t³` with `t = x − x_i`, computed
     /// once here so an evaluation is a segment search and a Horner step.
     coef: Vec<[f64; 3]>,
-    extrapolation: Extrapolation,
 }
 
 impl CubicSpline {
     /// Builds a cubic spline through `(xs, ys)` with the given boundary
     /// condition. Requires at least 2 strictly increasing knots; with exactly
-    /// 2 knots every boundary condition degenerates to the straight line
-    /// (moments zero) except `Clamped`, which still honours its end slopes
-    /// when 3+ knots are available.
+    /// 2 knots either boundary condition degenerates to the straight line
+    /// (moments zero).
     pub fn new(xs: &[f64], ys: &[f64], bc: BoundaryCondition) -> Result<Self, NumericsError> {
         validate_knots(xs, ys, 2)?;
         let n = xs.len();
-        if let BoundaryCondition::Clamped {
-            start_slope,
-            end_slope,
-        } = bc
-        {
-            if !start_slope.is_finite() || !end_slope.is_finite() {
-                return Err(NumericsError::NonFinite {
-                    what: "clamped boundary slope",
-                });
-            }
-        }
-
         let m = if n == 2 {
-            match (bc, xs, ys) {
-                // With two points the clamped spline is the unique cubic with
-                // the prescribed end slopes; solve its 2x2 moment system.
-                (
-                    BoundaryCondition::Clamped {
-                        start_slope,
-                        end_slope,
-                    },
-                    [x0, x1],
-                    [y0, y1],
-                ) => {
-                    let h = x1 - x0;
-                    let secant = (y1 - y0) / h;
-                    // (h/3) M0 + (h/6) M1 = secant - s0
-                    // (h/6) M0 + (h/3) M1 = s1 - secant
-                    let a = h / 3.0;
-                    let b = h / 6.0;
-                    let r0 = secant - start_slope;
-                    let r1 = end_slope - secant;
-                    let det = a * a - b * b;
-                    vec![(a * r0 - b * r1) / det, (a * r1 - b * r0) / det]
-                }
-                _ => vec![0.0; 2],
-            }
+            vec![0.0; 2]
         } else {
             Self::solve_moments(xs, ys, bc)?
         };
@@ -122,15 +79,7 @@ impl CubicSpline {
             ys: ys.to_vec(),
             m,
             coef,
-            extrapolation: Extrapolation::Clamp,
         })
-    }
-
-    /// Sets the extrapolation policy (builder style).
-    #[must_use]
-    pub fn with_extrapolation(mut self, e: Extrapolation) -> Self {
-        self.extrapolation = e;
-        self
     }
 
     /// Constructs a natural spline through fitted values — used by the
@@ -172,31 +121,6 @@ impl CubicSpline {
                 let mut m = vec![0.0; n];
                 m[1..1 + k].copy_from_slice(&interior);
                 Ok(m)
-            }
-            BoundaryCondition::Clamped {
-                start_slope,
-                end_slope,
-            } => {
-                // Full n-variable tridiagonal system with derivative rows.
-                // Both off-diagonals are h/6 elementwise (the derivative rows
-                // happen to follow the interior pattern), so one vector
-                // serves as sub- and super-diagonal.
-                let off: Vec<f64> = h.iter().map(|hi| hi / 6.0).collect();
-                let diag: Vec<f64> = (0..n)
-                    .map(|i| match i {
-                        0 => h.first().map_or(0.0, |h0| h0 / 3.0),
-                        i if i == n - 1 => h.last().map_or(0.0, |hn| hn / 3.0),
-                        i => (h[i - 1] + h[i]) / 3.0,
-                    })
-                    .collect();
-                let rhs: Vec<f64> = (0..n)
-                    .map(|i| match i {
-                        0 => secant(0) - start_slope,
-                        i if i == n - 1 => end_slope - secant(n - 2),
-                        i => secant(i) - secant(i - 1),
-                    })
-                    .collect();
-                solve_tridiagonal(&off, &diag, &off, &rhs)
             }
             BoundaryCondition::NotAKnot => {
                 if n < 4 {
@@ -257,24 +181,14 @@ impl CubicSpline {
         }
     }
 
-    /// The knot abscissae.
-    pub fn knots_x(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// The knot ordinates.
-    pub fn knots_y(&self) -> &[f64] {
-        &self.ys
-    }
-
     /// Second derivatives (moments) at the knots.
     pub fn moments(&self) -> &[f64] {
         &self.m
     }
 
-    /// Evaluates the polynomial piece containing `x` (ignoring
-    /// extrapolation policy), returning `(S, S', S'', S''')` — the analogue
-    /// of Scilab's `(yq, yq1, yq2, yq3)` from paper eq. 13.
+    /// Evaluates the polynomial piece containing `x` (the boundary piece,
+    /// unclamped, outside the knots), returning `(S, S', S'', S''')` — the
+    /// analogue of Scilab's `(yq, yq1, yq2, yq3)` from paper eq. 13.
     pub fn eval_all(&self, x: f64) -> (f64, f64, f64, f64) {
         let i = segment_index(&self.xs, x);
         let t = x - self.xs[i];
@@ -293,19 +207,6 @@ impl CubicSpline {
         let t = x - self.xs[i];
         let [c1, c2, c3] = self.coef[i];
         self.ys[i] + t * (c1 + t * (c2 + t * c3))
-    }
-
-    /// Second derivative at `x` (within the domain; extrapolated consistently
-    /// with the policy outside: 0 for `Clamp`/`Linear`).
-    pub fn second_deriv(&self, x: f64) -> f64 {
-        let (lo, hi) = self.domain();
-        if x < lo || x > hi {
-            return match self.extrapolation {
-                Extrapolation::Extend => self.eval_all(x).2,
-                _ => 0.0,
-            };
-        }
-        self.eval_all(x).2
     }
 
     /// The integral `∫ S''(x)² dx` over the knot range — the roughness
@@ -327,38 +228,12 @@ impl Interpolant for CubicSpline {
     fn eval(&self, x: f64) -> f64 {
         let (lo, hi) = self.domain();
         if x < lo {
-            return match self.extrapolation {
-                Extrapolation::Clamp => *self.ys.first().expect("non-empty"),
-                Extrapolation::Extend => self.value(x),
-                Extrapolation::Linear => {
-                    let s1 = self.eval_all(lo).1;
-                    self.ys.first().expect("non-empty") + s1 * (x - lo)
-                }
-            };
+            return *self.ys.first().expect("non-empty");
         }
         if x > hi {
-            return match self.extrapolation {
-                Extrapolation::Clamp => *self.ys.last().expect("non-empty"),
-                Extrapolation::Extend => self.value(x),
-                Extrapolation::Linear => {
-                    let s1 = self.eval_all(hi).1;
-                    self.ys.last().expect("non-empty") + s1 * (x - hi)
-                }
-            };
+            return *self.ys.last().expect("non-empty");
         }
         self.value(x)
-    }
-
-    fn deriv(&self, x: f64) -> f64 {
-        let (lo, hi) = self.domain();
-        if x < lo || x > hi {
-            return match self.extrapolation {
-                Extrapolation::Clamp => 0.0,
-                Extrapolation::Extend => self.eval_all(x).1,
-                Extrapolation::Linear => self.eval_all(x.clamp(lo, hi)).1,
-            };
-        }
-        self.eval_all(x).1
     }
 
     fn domain(&self) -> (f64, f64) {
@@ -381,14 +256,7 @@ mod tests {
     fn interpolates_knots_all_bcs() {
         let xs = [0.0, 1.0, 2.5, 4.0, 6.0];
         let ys = [1.0, -1.0, 0.5, 3.0, 2.0];
-        for bc in [
-            BoundaryCondition::Natural,
-            BoundaryCondition::NotAKnot,
-            BoundaryCondition::Clamped {
-                start_slope: 0.0,
-                end_slope: 1.0,
-            },
-        ] {
+        for bc in [BoundaryCondition::Natural, BoundaryCondition::NotAKnot] {
             let s = CubicSpline::new(&xs, &ys, bc).unwrap();
             for (x, y) in xs.iter().zip(ys.iter()) {
                 assert!(close(s.eval(*x), *y, 1e-10), "bc {bc:?} at x={x}");
@@ -399,12 +267,12 @@ mod tests {
     #[test]
     fn coefficient_table_matches_the_moment_form_bit_for_bit() {
         // The segment coefficients computed at construction give the same
-        // bits as forming them from the moments at every evaluation.
+        // bits as forming them from the moments at every evaluation, on the
+        // knots' range and off it; `eval` reads them inside and clamps
+        // outside.
         let xs = [1.0, 14.0, 28.0, 70.0, 140.0, 210.0];
         let ys = [0.016, 0.0145, 0.0138, 0.0127, 0.0121, 0.0119];
-        let s = CubicSpline::new(&xs, &ys, BoundaryCondition::NotAKnot)
-            .unwrap()
-            .with_extrapolation(Extrapolation::Extend);
+        let s = CubicSpline::new(&xs, &ys, BoundaryCondition::NotAKnot).unwrap();
         let m = s.moments();
         for step in -20..=460 {
             let x = 0.5 * step as f64;
@@ -425,7 +293,14 @@ mod tests {
             assert_eq!(got.1.to_bits(), want.1.to_bits(), "S' at x={x}");
             assert_eq!(got.2.to_bits(), want.2.to_bits(), "S'' at x={x}");
             assert_eq!(got.3.to_bits(), want.3.to_bits(), "S''' at x={x}");
-            assert_eq!(s.eval(x).to_bits(), want.0.to_bits(), "eval at x={x}");
+            let value = if x < xs[0] {
+                ys[0]
+            } else if x > xs[5] {
+                ys[5]
+            } else {
+                want.0
+            };
+            assert_eq!(s.eval(x).to_bits(), value.to_bits(), "eval at x={x}");
         }
     }
 
@@ -439,22 +314,7 @@ mod tests {
         .unwrap();
         assert!(close(s.moments()[0], 0.0, 1e-14));
         assert!(close(*s.moments().last().unwrap(), 0.0, 1e-14));
-        assert!(close(s.second_deriv(0.0), 0.0, 1e-12));
-    }
-
-    #[test]
-    fn clamped_honours_end_slopes() {
-        let s = CubicSpline::new(
-            &[0.0, 1.0, 2.0, 3.0],
-            &[0.0, 2.0, 1.0, 3.0],
-            BoundaryCondition::Clamped {
-                start_slope: -1.0,
-                end_slope: 4.0,
-            },
-        )
-        .unwrap();
-        assert!(close(s.eval_all(0.0).1, -1.0, 1e-10));
-        assert!(close(s.eval_all(3.0).1, 4.0, 1e-10));
+        assert!(close(s.eval_all(0.0).2, 0.0, 1e-12));
     }
 
     #[test]
@@ -468,28 +328,6 @@ mod tests {
         for i in 0..=40 {
             let x = i as f64 * 0.1;
             assert!(close(s.eval(x), f(x), 1e-9), "x = {x}");
-        }
-    }
-
-    #[test]
-    fn clamped_reproduces_quadratic_with_matching_slopes() {
-        let f = |x: f64| 1.0 + 3.0 * x - x * x;
-        let fp = |x: f64| 3.0 - 2.0 * x;
-        let xs: Vec<f64> = (0..6).map(|i| i as f64 * 0.8).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| f(x)).collect();
-        let s = CubicSpline::new(
-            &xs,
-            &ys,
-            BoundaryCondition::Clamped {
-                start_slope: fp(xs[0]),
-                end_slope: fp(*xs.last().unwrap()),
-            },
-        )
-        .unwrap();
-        for i in 0..=40 {
-            let x = i as f64 * 0.1;
-            assert!(close(s.eval(x), f(x), 1e-9), "x = {x}");
-            assert!(close(s.deriv(x), fp(x), 1e-8), "deriv at x = {x}");
         }
     }
 
@@ -520,22 +358,6 @@ mod tests {
         assert_eq!(s.eval(-50.0), 10.0);
         assert_eq!(s.eval(4.5), 3.5);
         assert_eq!(s.eval(400.0), 3.5);
-        assert_eq!(s.deriv(0.0), 0.0);
-        assert_eq!(s.deriv(99.0), 0.0);
-    }
-
-    #[test]
-    fn linear_extrapolation_continues_boundary_slope() {
-        let s = CubicSpline::new(
-            &[0.0, 1.0, 2.0, 3.0],
-            &[0.0, 1.0, 2.0, 3.0],
-            BoundaryCondition::NotAKnot,
-        )
-        .unwrap()
-        .with_extrapolation(Extrapolation::Linear);
-        // Identity data => spline is the identity; linear extension too.
-        assert!(close(s.eval(-1.0), -1.0, 1e-9));
-        assert!(close(s.eval(4.0), 4.0, 1e-9));
     }
 
     #[test]
@@ -543,25 +365,6 @@ mod tests {
         let s = CubicSpline::new(&[0.0, 2.0], &[1.0, 5.0], BoundaryCondition::NotAKnot).unwrap();
         assert!(close(s.eval(1.0), 3.0, 1e-12));
         assert!(close(s.eval_all(1.0).1, 2.0, 1e-12));
-    }
-
-    #[test]
-    fn two_point_clamped_is_a_hermite_cubic() {
-        let s = CubicSpline::new(
-            &[0.0, 1.0],
-            &[0.0, 0.0],
-            BoundaryCondition::Clamped {
-                start_slope: 1.0,
-                end_slope: 1.0,
-            },
-        )
-        .unwrap();
-        // Hermite cubic with y=0 at both ends and slope 1 at both ends:
-        // p(t) = t(1-t)(2t-1)... check endpoint slopes instead of a form.
-        assert!(close(s.eval(0.0), 0.0, 1e-12));
-        assert!(close(s.eval(1.0), 0.0, 1e-12));
-        assert!(close(s.eval_all(0.0).1, 1.0, 1e-10));
-        assert!(close(s.eval_all(1.0).1, 1.0, 1e-10));
     }
 
     #[test]
@@ -596,19 +399,6 @@ mod tests {
         )
         .unwrap();
         assert!(s.roughness() > 0.1);
-    }
-
-    #[test]
-    fn rejects_nan_slope() {
-        assert!(CubicSpline::new(
-            &[0.0, 1.0],
-            &[0.0, 1.0],
-            BoundaryCondition::Clamped {
-                start_slope: f64::NAN,
-                end_slope: 0.0
-            }
-        )
-        .is_err());
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //! interpolation produces lower error at the cost of higher computational
 //! complexity").
 
-use super::{segment_index, Extrapolation, Interpolant};
+use super::{segment_index, Interpolant};
 use crate::{validate_knots, NumericsError};
 
-/// Piecewise-linear interpolant through `(xs, ys)`.
+/// Piecewise-linear interpolant through `(xs, ys)`, clamped to the
+/// boundary ordinates outside the knots.
 #[derive(Debug, Clone)]
 pub struct LinearInterp {
     xs: Vec<f64>,
     ys: Vec<f64>,
-    extrapolation: Extrapolation,
 }
 
 impl LinearInterp {
@@ -22,53 +22,22 @@ impl LinearInterp {
         Ok(Self {
             xs: xs.to_vec(),
             ys: ys.to_vec(),
-            extrapolation: Extrapolation::Clamp,
         })
-    }
-
-    /// Sets the extrapolation policy (builder style). For a piecewise-linear
-    /// interpolant [`Extrapolation::Extend`] and [`Extrapolation::Linear`]
-    /// coincide.
-    #[must_use]
-    pub fn with_extrapolation(mut self, e: Extrapolation) -> Self {
-        self.extrapolation = e;
-        self
-    }
-
-    /// The knot abscissae.
-    pub fn knots_x(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// The knot ordinates.
-    pub fn knots_y(&self) -> &[f64] {
-        &self.ys
     }
 }
 
 impl Interpolant for LinearInterp {
     fn eval(&self, x: f64) -> f64 {
         let (lo, hi) = self.domain();
-        if self.extrapolation == Extrapolation::Clamp {
-            if x <= lo {
-                return *self.ys.first().expect("non-empty by construction");
-            }
-            if x >= hi {
-                return *self.ys.last().expect("non-empty by construction");
-            }
+        if x <= lo {
+            return *self.ys.first().expect("non-empty by construction");
+        }
+        if x >= hi {
+            return *self.ys.last().expect("non-empty by construction");
         }
         let i = segment_index(&self.xs, x);
         let t = (x - self.xs[i]) / (self.xs[i + 1] - self.xs[i]);
         self.ys[i] + t * (self.ys[i + 1] - self.ys[i])
-    }
-
-    fn deriv(&self, x: f64) -> f64 {
-        let (lo, hi) = self.domain();
-        if self.extrapolation == Extrapolation::Clamp && (x < lo || x > hi) {
-            return 0.0;
-        }
-        let i = segment_index(&self.xs, x);
-        (self.ys[i + 1] - self.ys[i]) / (self.xs[i + 1] - self.xs[i])
     }
 
     fn domain(&self) -> (f64, f64) {
@@ -97,7 +66,6 @@ mod tests {
     fn midpoints_are_averages() {
         let li = LinearInterp::new(&[0.0, 2.0], &[10.0, 20.0]).unwrap();
         assert!((li.eval(1.0) - 15.0).abs() < 1e-12);
-        assert!((li.deriv(1.0) - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -105,32 +73,10 @@ mod tests {
         let li = LinearInterp::new(&[1.0, 2.0], &[5.0, 7.0]).unwrap();
         assert_eq!(li.eval(0.0), 5.0);
         assert_eq!(li.eval(9.0), 7.0);
-        assert_eq!(li.deriv(0.0), 0.0);
-        assert_eq!(li.deriv(9.0), 0.0);
-    }
-
-    #[test]
-    fn linear_extrapolation_continues_slope() {
-        let li = LinearInterp::new(&[1.0, 2.0], &[5.0, 7.0])
-            .unwrap()
-            .with_extrapolation(Extrapolation::Linear);
-        assert!((li.eval(0.0) - 3.0).abs() < 1e-12);
-        assert!((li.eval(3.0) - 9.0).abs() < 1e-12);
-        assert!((li.deriv(0.0) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn rejects_single_point() {
         assert!(LinearInterp::new(&[1.0], &[1.0]).is_err());
-    }
-
-    #[test]
-    fn eval_many_matches_eval() {
-        let li = LinearInterp::new(&[0.0, 1.0, 2.0], &[0.0, 1.0, 4.0]).unwrap();
-        let xs = [0.25, 0.75, 1.5];
-        let ys = li.eval_many(&xs);
-        for (x, y) in xs.iter().zip(ys.iter()) {
-            assert_eq!(li.eval(*x), *y);
-        }
     }
 }

@@ -4,10 +4,11 @@
 //! measured `(concurrency, demand)` points (its Algorithm 3 writes
 //! `SSⁿ_k ← h(a_k, b_k, n)`). Scilab's `interp()` — a cubic spline with value
 //! clamping outside the sampled range (paper eq. 14) — is reproduced by
-//! [`CubicSpline`] with [`Extrapolation::Clamp`]. The other interpolants
-//! exist for the ablation studies: linear ([`LinearInterp`]), monotone cubic
-//! ([`PchipInterp`], which cannot overshoot) and the smoothing spline of
-//! paper eq. 12 ([`SmoothingSpline`]).
+//! [`CubicSpline`]. The other interpolants exist for the ablation studies:
+//! linear ([`LinearInterp`]), monotone cubic ([`PchipInterp`], which cannot
+//! overshoot) and the smoothing spline of paper eq. 12 ([`SmoothingSpline`]).
+//! Every interpolant clamps outside its knots: `x < x₁ ⇒ y₁`, `x > xₙ ⇒ yₙ`,
+//! so a demand measured at the highest tested concurrency persists beyond it.
 
 mod cubic;
 mod linear;
@@ -19,41 +20,17 @@ pub use linear::LinearInterp;
 pub use pchip::PchipInterp;
 pub use smoothing::SmoothingSpline;
 
-/// Behaviour outside the sampled abscissa range `[x₁, xₙ]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Extrapolation {
-    /// Peg to the boundary ordinate: `x < x₁ ⇒ y₁`, `x > xₙ ⇒ yₙ`.
-    ///
-    /// This is paper eq. 14 and the MVASD default: a demand measured at the
-    /// highest tested concurrency is assumed to persist beyond it.
-    #[default]
-    Clamp,
-    /// Evaluate the boundary polynomial piece outside the range (natural
-    /// extension). Risky for demand curves — a falling spline can cross zero.
-    Extend,
-    /// Continue linearly with the boundary slope.
-    Linear,
-}
-
 /// A continuous function fitted through (or near) sampled points.
 ///
 /// All implementations are immutable after construction and `Send + Sync`, so
 /// they can be shared freely across experiment-sweep threads.
 pub trait Interpolant: Send + Sync {
-    /// Evaluates the interpolant at `x`.
+    /// Evaluates the interpolant at `x`, clamped to the boundary ordinate
+    /// outside the knot range (paper eq. 14).
     fn eval(&self, x: f64) -> f64;
-
-    /// First derivative at `x`. Outside the knot range, consistent with the
-    /// extrapolation mode (0 for `Clamp`, boundary slope for `Linear`).
-    fn deriv(&self, x: f64) -> f64;
 
     /// The sampled abscissa range `[x₁, xₙ]`.
     fn domain(&self) -> (f64, f64);
-
-    /// Evaluates at many points (convenience for table generation).
-    fn eval_many(&self, xs: &[f64]) -> Vec<f64> {
-        xs.iter().map(|&x| self.eval(x)).collect()
-    }
 }
 
 /// Locates the segment index `i` such that `x ∈ [xs[i], xs[i+1]]`, clamping
@@ -97,10 +74,5 @@ mod tests {
         assert_eq!(segment_index(&xs, 5.0), 0);
         assert_eq!(segment_index(&xs, 15.0), 0);
         assert_eq!(segment_index(&xs, 25.0), 0);
-    }
-
-    #[test]
-    fn extrapolation_default_is_clamp() {
-        assert_eq!(Extrapolation::default(), Extrapolation::Clamp);
     }
 }

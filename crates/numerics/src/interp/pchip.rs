@@ -7,17 +7,17 @@
 //! overshoots the data and preserves local monotonicity, at the cost of only
 //! C¹ (not C²) continuity.
 
-use super::{segment_index, Extrapolation, Interpolant};
+use super::{segment_index, Interpolant};
 use crate::{validate_knots, NumericsError};
 
-/// Monotonicity-preserving piecewise cubic Hermite interpolant.
+/// Monotonicity-preserving piecewise cubic Hermite interpolant, clamped to
+/// the boundary ordinates outside the knots.
 #[derive(Debug, Clone)]
 pub struct PchipInterp {
     xs: Vec<f64>,
     ys: Vec<f64>,
-    /// First derivatives at the knots.
+    /// First derivatives at the knots, chosen by the Fritsch–Carlson rules.
     d: Vec<f64>,
-    extrapolation: Extrapolation,
 }
 
 impl PchipInterp {
@@ -57,7 +57,6 @@ impl PchipInterp {
             xs: xs.to_vec(),
             ys: ys.to_vec(),
             d,
-            extrapolation: Extrapolation::Clamp,
         })
     }
 
@@ -74,25 +73,8 @@ impl PchipInterp {
         d
     }
 
-    /// Sets the extrapolation policy (builder style).
-    #[must_use]
-    pub fn with_extrapolation(mut self, e: Extrapolation) -> Self {
-        self.extrapolation = e;
-        self
-    }
-
-    /// The knot abscissae.
-    pub fn knots_x(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// Knot slopes chosen by the Fritsch–Carlson rules.
-    pub fn slopes(&self) -> &[f64] {
-        &self.d
-    }
-
-    /// Evaluates the Hermite piece containing `x`: `(value, derivative)`.
-    fn eval_piece(&self, x: f64) -> (f64, f64) {
+    /// Evaluates the Hermite piece containing `x`.
+    fn eval_piece(&self, x: f64) -> f64 {
         let i = segment_index(&self.xs, x);
         let h = self.xs[i + 1] - self.xs[i];
         let t = (x - self.xs[i]) / h;
@@ -105,13 +87,7 @@ impl PchipInterp {
         let h10 = t3 - 2.0 * t2 + t;
         let h01 = -2.0 * t3 + 3.0 * t2;
         let h11 = t3 - t2;
-        let v = h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1;
-        let dh00 = 6.0 * t2 - 6.0 * t;
-        let dh10 = 3.0 * t2 - 4.0 * t + 1.0;
-        let dh01 = -6.0 * t2 + 6.0 * t;
-        let dh11 = 3.0 * t2 - 2.0 * t;
-        let dv = (dh00 * y0 + dh01 * y1) / h + dh10 * d0 + dh11 * d1;
-        (v, dv)
+        h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
     }
 }
 
@@ -119,44 +95,12 @@ impl Interpolant for PchipInterp {
     fn eval(&self, x: f64) -> f64 {
         let (lo, hi) = self.domain();
         if x < lo {
-            return match self.extrapolation {
-                Extrapolation::Clamp => *self.ys.first().expect("non-empty"),
-                Extrapolation::Extend => self.eval_piece(x).0,
-                Extrapolation::Linear => {
-                    self.ys.first().expect("non-empty")
-                        + self.d.first().expect("non-empty") * (x - lo)
-                }
-            };
+            return *self.ys.first().expect("non-empty");
         }
         if x > hi {
-            return match self.extrapolation {
-                Extrapolation::Clamp => *self.ys.last().expect("non-empty"),
-                Extrapolation::Extend => self.eval_piece(x).0,
-                Extrapolation::Linear => {
-                    self.ys.last().expect("non-empty")
-                        + self.d.last().expect("non-empty") * (x - hi)
-                }
-            };
+            return *self.ys.last().expect("non-empty");
         }
-        self.eval_piece(x).0
-    }
-
-    fn deriv(&self, x: f64) -> f64 {
-        let (lo, hi) = self.domain();
-        if x < lo || x > hi {
-            return match self.extrapolation {
-                Extrapolation::Clamp => 0.0,
-                Extrapolation::Extend => self.eval_piece(x).1,
-                Extrapolation::Linear => {
-                    if x < lo {
-                        *self.d.first().expect("non-empty")
-                    } else {
-                        *self.d.last().expect("non-empty")
-                    }
-                }
-            };
-        }
-        self.eval_piece(x).1
+        self.eval_piece(x)
     }
 
     fn domain(&self) -> (f64, f64) {
@@ -215,25 +159,22 @@ mod tests {
     #[test]
     fn flat_data_has_zero_slopes() {
         let p = PchipInterp::new(&[0.0, 1.0, 2.0], &[4.0, 4.0, 4.0]).unwrap();
-        for s in p.slopes() {
-            assert_eq!(*s, 0.0);
-        }
+        assert_eq!(p.d, [0.0; 3]);
         assert_eq!(p.eval(0.5), 4.0);
-        assert_eq!(p.deriv(1.5), 0.0);
     }
 
     #[test]
     fn local_extremum_gets_zero_slope() {
         // Secants change sign at x=1 => knot slope forced to 0.
         let p = PchipInterp::new(&[0.0, 1.0, 2.0], &[0.0, 1.0, 0.0]).unwrap();
-        assert_eq!(p.slopes()[1], 0.0);
+        assert_eq!(p.d[1], 0.0);
     }
 
     #[test]
     fn two_points_is_linear() {
         let p = PchipInterp::new(&[0.0, 2.0], &[0.0, 4.0]).unwrap();
         assert!(close(p.eval(1.0), 2.0, 1e-12));
-        assert!(close(p.deriv(0.7), 2.0, 1e-12));
+        assert_eq!(p.d, [2.0, 2.0]);
     }
 
     #[test]
@@ -241,19 +182,5 @@ mod tests {
         let p = PchipInterp::new(&[1.0, 2.0, 3.0], &[9.0, 7.0, 6.0]).unwrap();
         assert_eq!(p.eval(0.0), 9.0);
         assert_eq!(p.eval(10.0), 6.0);
-        assert_eq!(p.deriv(10.0), 0.0);
-    }
-
-    #[test]
-    fn derivative_matches_finite_difference() {
-        let xs = [0.0, 1.0, 2.0, 3.5, 5.0];
-        let ys = [1.0, 0.5, 0.4, 0.3, 0.28];
-        let p = PchipInterp::new(&xs, &ys).unwrap();
-        for i in 1..50 {
-            let x = i as f64 * 0.1;
-            let eps = 1e-6;
-            let fd = (p.eval(x + eps) - p.eval(x - eps)) / (2.0 * eps);
-            assert!(close(p.deriv(x), fd, 1e-4), "x={x}");
-        }
     }
 }

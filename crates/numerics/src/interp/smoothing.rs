@@ -17,11 +17,12 @@
 //! `Δ Δᵀ` (pentadiagonal) are assembled band-wise and solved in `O(n)` with
 //! the banded LDLᵀ solver from [`crate::banded`].
 
-use super::{CubicSpline, Extrapolation, Interpolant};
+use super::{CubicSpline, Interpolant};
 use crate::banded::solve_spd_pentadiagonal;
 use crate::{validate_knots, NumericsError};
 
-/// Cubic smoothing spline (paper eq. 12).
+/// Cubic smoothing spline (paper eq. 12), clamped to the fitted boundary
+/// ordinates outside the knots.
 ///
 /// * `λ = 0` reproduces the natural interpolating spline;
 /// * `λ → ∞` tends to the least-squares regression line.
@@ -102,21 +103,9 @@ impl SmoothingSpline {
         })
     }
 
-    /// Sets the extrapolation policy (builder style).
-    #[must_use]
-    pub fn with_extrapolation(mut self, e: Extrapolation) -> Self {
-        self.spline = self.spline.with_extrapolation(e);
-        self
-    }
-
     /// Fitted ordinates `ŷᵢ` at the knots.
     pub fn fitted(&self) -> &[f64] {
         &self.fitted
-    }
-
-    /// The smoothing parameter this fit used.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
     }
 
     /// Residual sum of squares (the fidelity term of paper eq. 12).
@@ -134,20 +123,11 @@ impl SmoothingSpline {
     pub fn objective(&self) -> f64 {
         self.rss + self.lambda * self.roughness()
     }
-
-    /// Access to the underlying natural spline (for derivative queries).
-    pub fn as_spline(&self) -> &CubicSpline {
-        &self.spline
-    }
 }
 
 impl Interpolant for SmoothingSpline {
     fn eval(&self, x: f64) -> f64 {
         self.spline.eval(x)
-    }
-
-    fn deriv(&self, x: f64) -> f64 {
-        self.spline.deriv(x)
     }
 
     fn domain(&self) -> (f64, f64) {

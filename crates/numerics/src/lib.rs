@@ -19,8 +19,9 @@
 //!   multi-server MVA recursions against their knee-region round-off
 //!   amplification.
 //! * [`interp`] — the [`interp::Interpolant`] trait and implementations:
-//!   linear, natural/clamped/not-a-knot cubic splines with derivatives,
-//!   monotone cubic (PCHIP) and smoothing spline (paper eq. 12).
+//!   linear, natural and not-a-knot cubic splines, monotone cubic (PCHIP)
+//!   and smoothing spline (paper eq. 12), each clamped to its boundary
+//!   values outside the samples (paper eq. 14).
 //! * [`chebyshev`] — Chebyshev nodes on `(-1,1)` and `[a,b]` (paper
 //!   eq. 16–17), Chebyshev polynomials, and the interpolation error bound
 //!   (paper eq. 18–19).
@@ -42,16 +43,16 @@
 //! ## Quick example
 //!
 //! ```
-//! use mvasd_numerics::interp::{CubicSpline, BoundaryCondition, Extrapolation, Interpolant};
+//! use mvasd_numerics::interp::{CubicSpline, BoundaryCondition, Interpolant};
 //!
 //! // Measured service demands (seconds) at a few concurrency levels.
 //! let n = [1.0, 14.0, 28.0, 70.0, 140.0];
 //! let d = [0.0150, 0.0139, 0.0131, 0.0122, 0.0118];
-//! let spline = CubicSpline::new(&n, &d, BoundaryCondition::NotAKnot)
-//!     .unwrap()
-//!     .with_extrapolation(Extrapolation::Clamp);
+//! let spline = CubicSpline::new(&n, &d, BoundaryCondition::NotAKnot).unwrap();
 //! let d_at_100 = spline.eval(100.0);
 //! assert!(d_at_100 > 0.0118 && d_at_100 < 0.0131);
+//! // Beyond the last sample the demand stays put (paper eq. 14).
+//! assert_eq!(spline.eval(500.0), 0.0118);
 //! ```
 
 #![forbid(unsafe_code)]

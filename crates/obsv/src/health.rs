@@ -29,8 +29,8 @@ use crate::json::{self, number, Json};
 /// dispatch, no allocation, no locks. State reaches the recorder only on
 /// [`flush`](Self::flush) (and on drop). Mirrors
 /// [`CounterBatch`](crate::CounterBatch) semantics: increments accumulated
-/// while disabled are discarded, and clones start fresh so a snapshotted
-/// solver never double-flushes pending state.
+/// while disabled are discarded, and clones start fresh so a copied
+/// engine never double-flushes pending state.
 #[derive(Debug)]
 pub struct HealthProbe {
     domain: &'static str,
@@ -157,8 +157,9 @@ impl Drop for HealthProbe {
 }
 
 impl Clone for HealthProbe {
-    /// Clones start fresh: a snapshot of a solver mid-flight must not
-    /// double-flush the pending envelope when both copies later drop.
+    /// Clones start fresh: a copy of an engine mid-flight (a cached
+    /// hierarchy subsystem, say) must not double-flush the pending
+    /// envelope when both copies later drop.
     fn clone(&self) -> Self {
         Self::new(self.domain)
     }

@@ -365,8 +365,9 @@ impl Drop for CounterBatch {
 }
 
 impl Clone for CounterBatch {
-    /// Clones reset the buffer: a snapshot of a solver mid-batch must not
-    /// double-count the pending increments when both copies later flush.
+    /// Clones reset the buffer: a copy of an engine mid-batch (a cached
+    /// hierarchy subsystem, say) must not double-count the pending
+    /// increments when both copies later flush.
     fn clone(&self) -> Self {
         Self::new(self.name, self.every)
     }

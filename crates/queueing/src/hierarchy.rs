@@ -737,7 +737,7 @@ fn subsystem_key(sub: &Subsystem, opts: AggregationOptions) -> Vec<u64> {
 /// This is the low-level face (the hierarchical analogue of
 /// [`ConvWorkspace`]); most callers want [`HierarchicalSolver`] and its
 /// [`SolverIter`] instead.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HierarchicalWorkspace {
     engine: LevelEngine,
     think_time: f64,
@@ -804,7 +804,7 @@ struct LeafMeta {
 
 /// The hierarchical recursion as a resumable [`SolverIter`] over the flat
 /// leaf stations.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct HierIter {
     ws: HierarchicalWorkspace,
     names: Arc<[String]>,
@@ -879,10 +879,6 @@ impl SolverIter for HierIter {
             cycle_time: response + self.ws.think_time(),
             stations,
         })
-    }
-
-    fn boxed_clone(&self) -> Box<dyn SolverIter> {
-        Box::new(self.clone())
     }
 }
 

@@ -3,8 +3,6 @@
 //! Closed/open queueing-network analysis for multi-tiered web applications:
 //! the analytic machinery of Sections 3 and 5 of the paper.
 //!
-//! * [`laws`] — the operational laws of paper Section 3 (Utilization, Forced
-//!   Flow, Service Demand, Little's, Bottleneck).
 //! * [`network`] — the closed queueing-network model of paper Fig. 2:
 //!   multi-server queueing stations (multi-core CPUs, disks, NICs) plus a
 //!   think-time delay stage.
@@ -20,9 +18,9 @@
 //!   near multi-server saturation; see the `multiserver` module docs). The
 //!   shared stepping engine [`mva::PopulationRecursion`] powers MVASD, and
 //!   [`mva::multiclass_mva`] adds the exact multiclass extension. All of
-//!   them (and the MVASD variants and simulation estimator downstream) are
-//!   callable through the unified [`mva::ClosedSolver`] trait, which makes
-//!   solver backends one-line swaps in comparison pipelines.
+//!   them (and the MVASD variants downstream) are callable through the
+//!   unified [`mva::ClosedSolver`] trait, which makes solver backends
+//!   one-line swaps in comparison pipelines.
 //! * [`open`] — open Jackson-network analysis (M/M/c tiers) for
 //!   cross-validation and for the "open systems" discussion of Section 7.
 //! * [`hierarchy`] — Norton flow-equivalent-server aggregation: tiered
@@ -59,7 +57,6 @@
 
 pub mod bounds;
 pub mod hierarchy;
-pub mod laws;
 pub mod mva;
 pub mod network;
 pub mod open;

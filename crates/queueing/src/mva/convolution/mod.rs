@@ -68,7 +68,7 @@ pub type PointSolution = (f64, Vec<f64>, Vec<Vec<f64>>);
 
 /// [`SolverIter`] over the incremental convolution workspace — the
 /// streaming backend of `MultiserverMvaSolver`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ConvIter {
     ws: ConvWorkspace,
     names: Arc<[String]>,
@@ -107,10 +107,6 @@ impl SolverIter for ConvIter {
         obsv::counter("solver.steps", 1);
         self.ws.advance()?;
         Ok(point_at(&self.ws))
-    }
-
-    fn boxed_clone(&self) -> Box<dyn SolverIter> {
-        Box::new(self.clone())
     }
 }
 
@@ -335,16 +331,13 @@ mod tests {
             streamed.push(p);
         }
 
-        // Snapshot mid-sweep, resume, and land on the same floats.
+        // Pause mid-sweep, drain later, and land on the same floats.
         let mut it2 = ConvIter::new(ws.stations().to_vec(), 0.7).unwrap();
         for _ in 0..60 {
             it2.step().unwrap();
         }
-        let snap = it2.snapshot();
-        let tail_direct = it2.drain(120).unwrap();
-        let tail_resumed = snap.resume().drain(120).unwrap();
-        assert_eq!(tail_direct, tail_resumed);
-        assert_eq!(&streamed[60..], tail_direct.points.as_slice());
+        let tail = it2.drain(120).unwrap();
+        assert_eq!(&streamed[60..], tail.points.as_slice());
     }
 
     #[test]

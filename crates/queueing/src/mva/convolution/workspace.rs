@@ -43,7 +43,7 @@
 //! Light single-server stations carry O(1)-state queue accumulators
 //! instead. One [`advance`] appends exactly one cell to each live column;
 //! nothing already written is ever mutated, which is what makes the
-//! incremental, snapshot/resume, and rebuild paths **bit-for-bit
+//! incremental, clone/resume, and rebuild paths **bit-for-bit
 //! identical** — they all execute the same per-cell code in the same order.
 //!
 //! **Body and point evaluation.** The *body* is every column except `G`
@@ -226,8 +226,9 @@ const IS_STAGE: usize = 0;
 /// Incremental extended-exponent convolution engine. See the module docs
 /// for the layout and the per-kind update rules.
 ///
-/// Cloning snapshots the entire recursion state (a handful of `memcpy`s),
-/// which is what makes solver snapshots cheap.
+/// Cloning copies the entire recursion state (a handful of `memcpy`s);
+/// the hierarchy's `ProfileCache` hands out such copies of solved
+/// subsystems.
 #[derive(Debug, Clone)]
 pub struct ConvWorkspace {
     stations: Vec<LdStation>,

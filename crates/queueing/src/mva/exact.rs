@@ -26,7 +26,7 @@ use super::{MvaSolution, StationPoint};
 /// The exact single-server MVA recursion as a resumable iterator: the
 /// carried state is exactly the queue-length vector `Q_k(n)` of the
 /// Arrival Theorem.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ExactMvaIter {
     net: ClosedNetwork,
     names: std::sync::Arc<[String]>,
@@ -114,10 +114,6 @@ impl SolverIter for ExactMvaIter {
             cycle_time: r_total + z,
             stations: station_points,
         })
-    }
-
-    fn boxed_clone(&self) -> Box<dyn SolverIter> {
-        Box::new(self.clone())
     }
 }
 

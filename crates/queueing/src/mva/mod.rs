@@ -28,9 +28,7 @@ pub use multiserver::{
 };
 pub use schweitzer::{schweitzer_mva, SchweitzerIter, SchweitzerOptions};
 pub use solver::{ClosedSolver, ExactMvaSolver, MultiserverMvaSolver, SchweitzerSolver};
-pub use stepping::{
-    run_until, MvaPoint, RunOutcome, SolverIter, SolverState, StopCondition, StopReason,
-};
+pub use stepping::{run_until, MvaPoint, RunOutcome, SolverIter, StopCondition, StopReason};
 
 /// Per-station metrics at one population level.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -367,35 +367,15 @@ impl MulticlassPoint {
         self.class_station_queues[c * self.station_queues.len() + k]
     }
 
-    /// Whether `condition` is met *for one class* at this point. Response
-    /// and throughput conditions read the class' own metrics;
-    /// `TargetPopulation` counts the class' customers; bottleneck
-    /// saturation reads the shared station utilizations (a saturated
-    /// resource is saturated for every class).
-    pub fn class_meets(
-        &self,
-        condition: &StopCondition,
-        class: usize,
-        prev: Option<&MulticlassPoint>,
-    ) -> bool {
+    /// Whether `condition` is met *for one class* at this point: the SLA
+    /// reads the class' own response time, once the class has customers.
+    pub fn class_meets(&self, condition: &StopCondition, class: usize) -> bool {
         let Some(cp) = self.classes.get(class) else {
             return false;
         };
         match *condition {
-            StopCondition::TargetPopulation(n) => cp.population >= n,
-            StopCondition::BottleneckSaturation { utilization } => {
-                self.station_utilizations.iter().any(|u| *u >= utilization)
-            }
             StopCondition::SlaResponseTime { max_response } => {
                 cp.population > 0 && cp.response > max_response
-            }
-            StopCondition::ThroughputPlateau { epsilon } => {
-                match prev.and_then(|p| p.classes.get(class)) {
-                    Some(pp) if pp.throughput > 0.0 => {
-                        (cp.throughput - pp.throughput) / pp.throughput <= epsilon
-                    }
-                    _ => false,
-                }
             }
         }
     }
@@ -424,8 +404,6 @@ pub struct ClassRunOutcome {
     pub points: Vec<MulticlassPoint>,
     /// What stopped the sweep.
     pub reason: ClassStopReason,
-    /// Path steps actually executed.
-    pub steps: usize,
 }
 
 /// Steps a multiclass iterator until any per-class stop condition fires or
@@ -448,17 +426,16 @@ pub fn run_until_classes(
         let point = iter.step_classes()?;
         let met = conditions
             .iter()
-            .find(|(class, c)| point.class_meets(c, *class, points.last()))
+            .find(|(class, c)| point.class_meets(c, *class))
             .copied();
         points.push(point);
         if let Some((class, condition)) = met {
             break ClassStopReason::Met { class, condition };
         }
     };
-    let steps = points.len();
     if obsv::enabled() {
         obsv::counter("run_until.calls", 1);
-        obsv::counter("run_until.steps", steps as u64);
+        obsv::counter("run_until.steps", points.len() as u64);
         obsv::counter(
             "run_until.steps_saved",
             cap.saturating_sub(iter.steps_done()) as u64,
@@ -469,11 +446,7 @@ pub fn run_until_classes(
         };
         obsv::counter(metric, 1);
     }
-    Ok(ClassRunOutcome {
-        points,
-        reason,
-        steps,
-    })
+    Ok(ClassRunOutcome { points, reason })
 }
 
 /// Borrowed per-step outputs the workspace hands to the point assemblers. All
@@ -604,7 +577,7 @@ fn empty_solution(workload: &Workload) -> MulticlassSolution {
 /// aggregate [`MvaPoint`] (total throughput, throughput-weighted response),
 /// [`step_classes`](Self::step_classes) yields the per-class breakdown.
 /// Mixing them is fine — each call advances exactly one path step.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MulticlassIter {
     workload: Workload,
     ws: MulticlassWorkspace,
@@ -693,10 +666,6 @@ impl SolverIter for MulticlassIter {
     fn step(&mut self) -> Result<MvaPoint, QueueingError> {
         self.advance_one()?;
         Ok(aggregate_mva_point(&self.outputs(), self.step_idx))
-    }
-
-    fn boxed_clone(&self) -> Box<dyn SolverIter> {
-        Box::new(self.clone())
     }
 }
 
@@ -885,7 +854,7 @@ mod tests {
                 panic!("expected the disk-heavy class to trip the SLA")
             }
         }
-        assert!(out.steps < w.total_population());
+        assert!(out.points.len() < w.total_population());
         let last = out.points.last().expect("at least one step");
         assert!(last.classes[1].response > 0.04);
     }

@@ -185,7 +185,7 @@ const QUASI_STATIC_BUSY_CAP: f64 = 8.0;
 /// A carried step makes one pass over each multi-server station's
 /// marginals and allocates nothing once the marginals have grown to `C`
 /// entries.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PopulationRecursion {
     /// Server count per station (`usize::MAX` encodes a delay station).
     servers: Vec<usize>,

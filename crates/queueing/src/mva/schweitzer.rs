@@ -38,7 +38,7 @@ impl Default for SchweitzerOptions {
 /// The Schweitzer fixed point as a resumable iterator: the carried state
 /// is the queue-length vector that warm-starts each population's fixed
 /// point from the previous population's solution.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SchweitzerIter {
     net: ClosedNetwork,
     opts: SchweitzerOptions,
@@ -195,10 +195,6 @@ impl SolverIter for SchweitzerIter {
             cycle_time: r_total + z,
             stations: station_points,
         })
-    }
-
-    fn boxed_clone(&self) -> Box<dyn SolverIter> {
-        Box::new(self.clone())
     }
 }
 

@@ -1,13 +1,12 @@
 //! The unified closed-network solver interface.
 //!
 //! Every analytic MVA variant in this crate — and, downstream, the MVASD
-//! algorithms in `mvasd-core` and the discrete-event estimator in
-//! `mvasd-testbed` — solves the same problem: given a closed network and a
-//! maximum population `N`, produce throughput / cycle-time / queue-length
-//! curves for populations `1..=N`. [`ClosedSolver`] captures exactly that,
-//! so the paper's "MVA·i vs MVASD" comparisons (and any future backend)
-//! are one-line swaps in `core::pipeline`, `core::accuracy`, and the bench
-//! experiments.
+//! algorithms in `mvasd-core` — solves the same problem: given a closed
+//! network and a maximum population `N`, produce throughput / cycle-time /
+//! queue-length curves for populations `1..=N`. [`ClosedSolver`] captures
+//! exactly that, so the paper's "MVA·i vs MVASD" comparisons (and any
+//! future backend) are one-line swaps in `core::pipeline`,
+//! `core::accuracy`, and the bench experiments.
 //!
 //! Since the streaming refactor the primitive operation is
 //! [`ClosedSolver::start`]: mint a [`SolverIter`] that yields one
@@ -17,7 +16,7 @@
 //!
 //! The model is bound at construction (different solvers consume different
 //! model descriptions: a static [`ClosedNetwork`], a demand profile, a
-//! simulation network); only the target population is a solve-time input.
+//! hierarchy); only the target population is a solve-time input.
 
 use super::convolution::ConvIter;
 use super::exact::ExactMvaIter;
@@ -33,9 +32,8 @@ use crate::QueueingError;
 /// Implementations expose the population recursion as a resumable
 /// [`SolverIter`] via [`start`](Self::start); the batch
 /// [`solve`](Self::solve) is a provided drain of a fresh iterator.
-/// Approximate solvers (Schweitzer) and statistical estimators
-/// (discrete-event simulation) implement the same contract; callers that
-/// need exactness guarantees must choose an exact backend.
+/// Approximate solvers (Schweitzer) implement the same contract; callers
+/// that need exactness guarantees must choose an exact backend.
 pub trait ClosedSolver {
     /// Short stable identifier, e.g. `"exact-mva"` — used in reports and
     /// comparison tables.
@@ -326,11 +324,11 @@ mod tests {
         let a = by_ref.solve(5).unwrap();
         let b = boxed.solve(5).unwrap();
         assert_eq!(a, b);
-        // Snapshots resume mid-population through the trait object too.
+        // A paused iterator drains mid-population through the trait object
+        // too.
         let mut it = by_ref.start().unwrap();
         it.step().unwrap();
         it.step().unwrap();
-        let snap = it.snapshot();
-        assert_eq!(snap.resume().drain(5).unwrap().points, a.points[2..]);
+        assert_eq!(it.drain(5).unwrap().points, a.points[2..]);
     }
 }

@@ -1,5 +1,5 @@
 //! The streaming face of the solver stack: population stepping, pause /
-//! resume, snapshots, and stop conditions.
+//! resume, and the SLA stop rule.
 //!
 //! Every closed-network solver in this workspace is a population recursion
 //! at heart — the solution at population `n` is derived from `n − 1`
@@ -7,10 +7,7 @@
 //! population from carried state. [`SolverIter`] exposes that structure:
 //! one [`MvaPoint`] per call to [`SolverIter::step`], with the recursion
 //! state carried inside the iterator so a paused sweep can resume where it
-//! left off. [`SolverState`] is a cheap snapshot of that carried state
-//! (marginal probabilities included), so capacity searches can fork a sweep
-//! at an interesting population and explore from there without replaying
-//! the prefix.
+//! left off.
 //!
 //! [`StopCondition`] + [`run_until`] turn the iterator into an early-exit
 //! engine: an SLA query ("first population whose response time exceeds
@@ -20,7 +17,6 @@
 use super::{MvaSolution, PopulationPoint};
 use crate::QueueingError;
 use mvasd_obsv as obsv;
-use std::fmt;
 use std::sync::Arc;
 
 /// One population step's worth of output — alias for the batch API's
@@ -36,15 +32,12 @@ pub type MvaPoint = PopulationPoint;
 /// * [`step`](Self::step) advances exactly one population and yields that
 ///   point;
 /// * the iterator can be paused indefinitely and resumed — there is no
-///   hidden batch buffer;
-/// * [`snapshot`](Self::snapshot) captures the state cheaply (an `O(state)`
-///   clone, never a re-solve), and the snapshot can be resumed any number
-///   of times.
+///   hidden batch buffer.
 ///
 /// The contract every backend upholds (and the root `streaming` suite
 /// enforces): draining a fresh iterator to `n_max` reproduces the batch
-/// `solve(n_max)` output **bit-for-bit**, including across a
-/// snapshot/restore mid-sweep.
+/// `solve(n_max)` output **bit-for-bit**, and so does draining one paused
+/// mid-sweep, from its pause point on.
 pub trait SolverIter: Send {
     /// Station names, in network declaration order.
     fn station_names(&self) -> &[String];
@@ -64,16 +57,6 @@ pub trait SolverIter: Send {
     /// Advances the recursion one population and yields that point.
     fn step(&mut self) -> Result<MvaPoint, QueueingError>;
 
-    /// Clones the iterator, carried state and all, behind a fresh box.
-    fn boxed_clone(&self) -> Box<dyn SolverIter>;
-
-    /// Captures the current recursion state as a resumable [`SolverState`].
-    fn snapshot(&self) -> SolverState {
-        SolverState {
-            iter: self.boxed_clone(),
-        }
-    }
-
     /// Drains the iterator up to population `n_max` (inclusive) and packs
     /// the yielded points into an [`MvaSolution`]. On a fresh iterator this
     /// is exactly the batch solve; on a warm iterator it returns only the
@@ -90,109 +73,24 @@ pub trait SolverIter: Send {
     }
 }
 
-/// A captured, resumable solver state — the generalization of the
-/// queueing-layer `PopulationRecursion` to every backend.
-///
-/// A `SolverState` is a frozen [`SolverIter`]: it remembers the population
-/// it was captured at and can mint any number of live iterators that
-/// continue from that exact point ([`resume`](Self::resume)). Cloning a
-/// state clones the carried recursion state, not the points already
-/// yielded.
-pub struct SolverState {
-    iter: Box<dyn SolverIter>,
-}
-
-impl SolverState {
-    /// Captures the state of a live iterator (equivalent to
-    /// [`SolverIter::snapshot`]).
-    pub fn capture(iter: &dyn SolverIter) -> Self {
-        iter.snapshot()
-    }
-
-    /// The population the state was captured at.
-    pub fn population(&self) -> usize {
-        self.iter.population()
-    }
-
-    /// Station names, in network declaration order.
-    pub fn station_names(&self) -> &[String] {
-        self.iter.station_names()
-    }
-
-    /// Mints a live iterator that resumes from this state. The state
-    /// itself is unchanged and can be resumed again.
-    pub fn resume(&self) -> Box<dyn SolverIter> {
-        self.iter.boxed_clone()
-    }
-
-    /// Consumes the state, yielding the frozen iterator without a clone.
-    pub fn into_inner(self) -> Box<dyn SolverIter> {
-        self.iter
-    }
-}
-
-impl Clone for SolverState {
-    fn clone(&self) -> Self {
-        Self {
-            iter: self.iter.boxed_clone(),
-        }
-    }
-}
-
-impl fmt::Debug for SolverState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SolverState")
-            .field("population", &self.population())
-            .field("stations", &self.station_names().len())
-            .finish()
-    }
-}
-
-/// Early-exit criteria for a streaming sweep, checked after every yielded
-/// point.
+/// Early-exit criterion for a streaming sweep, checked after every yielded
+/// point: the SLA question of the paper's Fig. 17. The population cap of
+/// [`run_until`] bounds every sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StopCondition {
-    /// Stop once the yielded population reaches `n` (inclusive).
-    TargetPopulation(usize),
-    /// Stop once any station's utilization reaches the threshold (a
-    /// fraction of capacity, e.g. `0.95`) — the bottleneck has saturated
-    /// and the throughput curve is flat from here on.
-    BottleneckSaturation {
-        /// Per-server utilization threshold in `(0, 1]`.
-        utilization: f64,
-    },
     /// Stop at the first population whose system response time (excluding
     /// think time) exceeds the ceiling — the point where the SLA breaks.
     SlaResponseTime {
         /// Response-time ceiling in seconds.
         max_response: f64,
     },
-    /// Stop once the relative throughput gain of one population step drops
-    /// to `epsilon` or below: `(X_n − X_{n−1}) / X_{n−1} <= epsilon`.
-    /// Needs a previous point, so it never fires on the first step of a
-    /// run.
-    ThroughputPlateau {
-        /// Relative per-step gain threshold, e.g. `1e-4`.
-        epsilon: f64,
-    },
 }
 
 impl StopCondition {
-    /// Whether the condition is met at `point` (with `prev` the point
-    /// yielded immediately before it in this run, if any).
-    pub fn is_met(&self, point: &MvaPoint, prev: Option<&MvaPoint>) -> bool {
+    /// Whether the condition is met at `point`.
+    pub fn is_met(&self, point: &MvaPoint) -> bool {
         match *self {
-            StopCondition::TargetPopulation(n) => point.n >= n,
-            StopCondition::BottleneckSaturation { utilization } => {
-                point.stations.iter().any(|s| s.utilization >= utilization)
-            }
             StopCondition::SlaResponseTime { max_response } => point.response > max_response,
-            StopCondition::ThroughputPlateau { epsilon } => match prev {
-                Some(p) if p.throughput > 0.0 => {
-                    (point.throughput - p.throughput) / p.throughput <= epsilon
-                }
-                _ => false,
-            },
         }
     }
 }
@@ -212,12 +110,7 @@ impl StopReason {
     /// `stop.sla_response_time`).
     pub fn metric_name(&self) -> &'static str {
         match self {
-            StopReason::Met(StopCondition::TargetPopulation(_)) => "stop.target_population",
-            StopReason::Met(StopCondition::BottleneckSaturation { .. }) => {
-                "stop.bottleneck_saturation"
-            }
             StopReason::Met(StopCondition::SlaResponseTime { .. }) => "stop.sla_response_time",
-            StopReason::Met(StopCondition::ThroughputPlateau { .. }) => "stop.throughput_plateau",
             StopReason::PopulationCap => "stop.population_cap",
         }
     }
@@ -232,10 +125,6 @@ pub struct RunOutcome {
     pub solution: MvaSolution,
     /// What stopped the sweep.
     pub reason: StopReason,
-    /// Population steps actually executed — the early-exit currency: an
-    /// SLA query that stops at `n = 180` of a 1500 cap did 180 steps, not
-    /// 1500.
-    pub steps: usize,
 }
 
 /// Steps `iter` until a stop condition fires or the population reaches
@@ -257,19 +146,15 @@ pub fn run_until(
             break StopReason::PopulationCap;
         }
         let point = iter.step()?;
-        let met = conditions
-            .iter()
-            .find(|c| c.is_met(&point, points.last()))
-            .copied();
+        let met = conditions.iter().find(|c| c.is_met(&point)).copied();
         points.push(point);
         if let Some(c) = met {
             break StopReason::Met(c);
         }
     };
-    let steps = points.len();
     if obsv::enabled() {
         obsv::counter("run_until.calls", 1);
-        obsv::counter("run_until.steps", steps as u64);
+        obsv::counter("run_until.steps", points.len() as u64);
         // The early-exit currency: populations the cap allowed but the
         // stop condition made unnecessary.
         obsv::counter(
@@ -284,7 +169,6 @@ pub fn run_until(
             points,
         },
         reason,
-        steps,
     })
 }
 
@@ -295,7 +179,7 @@ mod tests {
 
     /// A synthetic recursion with a saturating throughput curve:
     /// X(n) = min(n, 10), R(n) = n/X − 1 (think time 1.0).
-    #[derive(Debug, Clone)]
+    #[derive(Debug)]
     struct FakeIter {
         names: Vec<String>,
         n: usize,
@@ -334,55 +218,22 @@ mod tests {
                 }],
             })
         }
-        fn boxed_clone(&self) -> Box<dyn SolverIter> {
-            Box::new(self.clone())
-        }
     }
 
     #[test]
     fn drain_from_fresh_and_warm() {
-        let mut it = FakeIter::new();
-        let full = it.boxed_clone().drain(5).unwrap();
+        let full = FakeIter::new().drain(5).unwrap();
         assert_eq!(full.points.len(), 5);
         assert_eq!(full.points[4].n, 5);
 
+        // Paused after two steps, the iterator drains to the batch tail.
+        let mut it = FakeIter::new();
         it.step().unwrap();
         it.step().unwrap();
         let rest = it.drain(5).unwrap();
-        assert_eq!(rest.points.len(), 3);
-        assert_eq!(rest.points[0].n, 3);
+        assert_eq!(rest.points, full.points[2..]);
         // Draining below the current population yields nothing.
         assert!(it.drain(2).unwrap().points.is_empty());
-    }
-
-    #[test]
-    fn snapshot_restores_exact_population() {
-        let mut it = FakeIter::new();
-        for _ in 0..4 {
-            it.step().unwrap();
-        }
-        let snap = it.snapshot();
-        assert_eq!(snap.population(), 4);
-        it.step().unwrap();
-        let mut resumed = snap.resume();
-        assert_eq!(resumed.population(), 4);
-        assert_eq!(resumed.step().unwrap().n, 5);
-        // The state can be resumed again — it was not consumed.
-        assert_eq!(snap.resume().step().unwrap().n, 5);
-        let cloned = snap.clone();
-        assert_eq!(cloned.population(), 4);
-    }
-
-    #[test]
-    fn run_until_target_population() {
-        let mut it = FakeIter::new();
-        let out = run_until(&mut it, &[StopCondition::TargetPopulation(7)], 100).unwrap();
-        assert_eq!(out.steps, 7);
-        assert_eq!(
-            out.reason,
-            StopReason::Met(StopCondition::TargetPopulation(7))
-        );
-        assert_eq!(out.solution.last().n, 7);
     }
 
     #[test]
@@ -395,30 +246,12 @@ mod tests {
             100,
         )
         .unwrap();
+        assert_eq!(
+            out.reason,
+            StopReason::Met(StopCondition::SlaResponseTime { max_response: 0.55 })
+        );
+        assert_eq!(out.solution.points.len(), 16);
         assert_eq!(out.solution.last().n, 16);
-        assert!(out.steps < 100);
-    }
-
-    #[test]
-    fn run_until_saturation_and_plateau() {
-        let mut it = FakeIter::new();
-        let out = run_until(
-            &mut it,
-            &[StopCondition::BottleneckSaturation { utilization: 1.0 }],
-            100,
-        )
-        .unwrap();
-        assert_eq!(out.solution.last().n, 10); // X hits 10 = capacity at n=10
-
-        let mut it = FakeIter::new();
-        let out = run_until(
-            &mut it,
-            &[StopCondition::ThroughputPlateau { epsilon: 1e-9 }],
-            100,
-        )
-        .unwrap();
-        // X is flat from n=10 on, so the first zero-gain step is n=11.
-        assert_eq!(out.solution.last().n, 11);
     }
 
     #[test]
@@ -426,35 +259,33 @@ mod tests {
         let mut it = FakeIter::new();
         let out = run_until(&mut it, &[], 6).unwrap();
         assert_eq!(out.reason, StopReason::PopulationCap);
-        assert_eq!(out.steps, 6);
+        assert_eq!(out.solution.points.len(), 6);
         // Warm continuation: only the remaining steps run.
         let out2 = run_until(&mut it, &[], 9).unwrap();
-        assert_eq!(out2.steps, 3);
+        assert_eq!(out2.solution.points.len(), 3);
         assert_eq!(out2.solution.points[0].n, 7);
         // Cap at/below the current population: nothing runs.
         let out3 = run_until(&mut it, &[], 9).unwrap();
-        assert_eq!(out3.steps, 0);
+        assert!(out3.solution.points.is_empty());
         assert_eq!(out3.reason, StopReason::PopulationCap);
     }
 
     #[test]
     fn conditions_are_checked_in_order() {
+        // R(n) = 0 up to n = 10, 0.1 at n = 11 and 0.6 at n = 16: the
+        // looser ceiling is listed first, but the tighter one fires first
+        // and is reported.
+        let loose = StopCondition::SlaResponseTime { max_response: 0.55 };
+        let tight = StopCondition::SlaResponseTime { max_response: 0.0 };
         let mut it = FakeIter::new();
-        let out = run_until(
-            &mut it,
-            &[
-                StopCondition::TargetPopulation(3),
-                StopCondition::TargetPopulation(1),
-            ],
-            100,
-        )
-        .unwrap();
-        // Both fire at n >= 3 is false for the first at n=1; the second
-        // fires immediately and is reported even though it is listed last.
-        assert_eq!(
-            out.reason,
-            StopReason::Met(StopCondition::TargetPopulation(1))
-        );
-        assert_eq!(out.steps, 1);
+        let out = run_until(&mut it, &[loose, tight], 100).unwrap();
+        assert_eq!(out.reason, StopReason::Met(tight));
+        assert_eq!(out.solution.last().n, 11);
+        // When both fire at the same point, the first listed wins.
+        let mut it = FakeIter::new();
+        let also_loose = StopCondition::SlaResponseTime { max_response: 0.5 };
+        let out = run_until(&mut it, &[loose, also_loose], 100).unwrap();
+        assert_eq!(out.reason, StopReason::Met(loose));
+        assert_eq!(out.solution.last().n, 16);
     }
 }

@@ -23,9 +23,6 @@
 //!   test per concurrency level, optionally parallel across levels) and
 //!   Service-Demand-Law extraction of the measured demand arrays that feed
 //!   MVASD.
-//! * [`solver`] — [`mvasd_queueing::mva::ClosedSolver`] adapter that sweeps
-//!   the discrete-event simulator over populations, so simulation ground
-//!   truth plugs into the same comparisons as the analytic solvers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +32,6 @@ pub mod campaign;
 pub mod demand;
 pub mod grinder;
 pub mod monitor;
-pub mod solver;
 
 /// Errors from testbed configuration and execution.
 #[derive(Debug, Clone, PartialEq)]

@@ -113,7 +113,7 @@ fn main() {
             "\nCapacity limit: R first exceeds 1 s at N = {} \
              (answered in {} population steps instead of 500).",
             outcome.solution.last().n,
-            outcome.steps
+            outcome.solution.points.len()
         ),
         StopReason::PopulationCap => {
             println!("\nR stays under 1 s through N = 500.")

@@ -57,7 +57,7 @@ fn main() -> ExitCode {
     .expect("streamed SLA query");
     println!(
         "SLA query answered in {} of 1500 population steps ({})",
-        outcome.steps,
+        outcome.solution.points.len(),
         outcome.reason.metric_name()
     );
 

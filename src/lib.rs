@@ -11,7 +11,7 @@
 //! * [`obsv`] — zero-dependency tracing + metrics (spans, counters,
 //!   histograms, Chrome-trace/JSONL sinks) wired through every solver path.
 //! * [`numerics`] — splines, Chebyshev nodes, statistics, Erlang formulas.
-//! * [`queueing`] — operational laws, bounds, exact/approximate MVA.
+//! * [`queueing`] — closed-network models, bounds, exact/approximate MVA.
 //! * [`simnet`] — discrete-event closed queueing-network simulator.
 //! * [`testbed`] — simulated load-testing lab (VINS & JPetStore models,
 //!   Grinder-style driver, monitors, demand extraction).

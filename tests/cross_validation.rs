@@ -177,8 +177,7 @@ fn every_closed_solver_agrees_with_exact_mva_through_the_trait() {
     // The unifying contract of the refactor: on a single-server product-form
     // network every solver in the workspace is reachable through
     // `ClosedSolver`, and the exact family reproduces exact MVA to 1e-9.
-    // Approximate solvers get their documented bands; the DES estimator is
-    // exercised separately (statistical) below.
+    // Approximate solvers get their documented bands.
     let net = ClosedNetwork::new(
         vec![
             Station::queueing("a", 1, 1.0, 0.01),
@@ -332,45 +331,6 @@ fn multiclass_walker_matches_the_lattice_oracle_on_a_population_grid() {
         }
     }
     assert_eq!(cases, 18, "the whole grid ran");
-}
-
-#[test]
-fn sim_solver_joins_the_trait_family_statistically() {
-    // The DES estimator behind the same `ClosedSolver` trait, held to a
-    // sampling band rather than the analytic 1e-9.
-    use mvasd_suite::testbed::solver::SimSolver;
-
-    let net = ClosedNetwork::new(vec![Station::queueing("s", 1, 1.0, 0.02)], 0.5).unwrap();
-    let n = 12usize;
-    let reference = ExactMvaSolver::new(net).solve(n).unwrap();
-
-    let sim_net = SimNetwork::new(
-        vec![SimStation::queueing("s", 1, 0.02)],
-        Distribution::Exponential { mean: 0.5 },
-    )
-    .unwrap();
-    let solver: Box<dyn ClosedSolver> = Box::new(SimSolver::new(
-        sim_net,
-        SimConfig {
-            horizon: 6000.0,
-            warmup: 600.0,
-            seed: 7,
-            ..SimConfig::default()
-        },
-    ));
-    assert_eq!(solver.name(), "simnet-des");
-    let sol = solver.solve(n).unwrap();
-    for i in 1..=n {
-        assert!(
-            rel(
-                sol.at(i).unwrap().throughput,
-                reference.at(i).unwrap().throughput
-            ) < 0.06,
-            "DES X at {i}: {} vs {}",
-            sol.at(i).unwrap().throughput,
-            reference.at(i).unwrap().throughput
-        );
-    }
 }
 
 /// One VINS tier: its name plus four (station, servers, demand) members.

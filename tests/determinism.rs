@@ -3,11 +3,9 @@
 //! anywhere, so identical seeds must give *bit-identical* results — across
 //! repeated runs and across parallelism levels.
 
-use mvasd_suite::queueing::mva::ClosedSolver;
 use mvasd_suite::simnet::{Distribution, SimConfig, SimNetwork, SimStation, Simulation};
 use mvasd_suite::testbed::apps::jpetstore;
 use mvasd_suite::testbed::campaign::{run_campaign, CampaignConfig};
-use mvasd_suite::testbed::solver::SimSolver;
 
 fn three_tier() -> SimNetwork {
     SimNetwork::new(
@@ -47,30 +45,6 @@ fn same_seed_gives_bit_identical_simulation_reports() {
     for (sa, sb) in a.stations.iter().zip(b.stations.iter()) {
         assert_eq!(sa.utilization.to_bits(), sb.utilization.to_bits());
         assert_eq!(sa.mean_queue.to_bits(), sb.mean_queue.to_bits());
-    }
-}
-
-#[test]
-fn sim_solver_is_bit_identical_across_runs() {
-    let cfg = SimConfig {
-        horizon: 400.0,
-        warmup: 50.0,
-        seed: 3,
-        ..SimConfig::default()
-    };
-    let solve = || SimSolver::new(three_tier(), cfg.clone()).solve(8).unwrap();
-    let (a, b) = (solve(), solve());
-    for i in 1..=8 {
-        assert_eq!(
-            a.at(i).unwrap().throughput.to_bits(),
-            b.at(i).unwrap().throughput.to_bits(),
-            "X at {i}"
-        );
-        assert_eq!(
-            a.at(i).unwrap().response.to_bits(),
-            b.at(i).unwrap().response.to_bits(),
-            "R at {i}"
-        );
     }
 }
 

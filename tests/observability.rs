@@ -327,27 +327,32 @@ fn stop_conditions_are_counted_by_name() {
     let mut iter = solver.start().expect("iterator");
     let outcome = run_until(
         iter.as_mut(),
-        &[StopCondition::BottleneckSaturation { utilization: 0.9 }],
+        &[StopCondition::SlaResponseTime { max_response: 2.0 }],
         600,
     )
     .expect("streamed query");
+    let steps = outcome.solution.points.len();
 
     let snap = collector.snapshot();
     assert_eq!(snap.counter("run_until.calls"), 1);
-    assert_eq!(snap.counter("run_until.steps"), outcome.steps as u64);
+    assert_eq!(snap.counter("run_until.steps"), steps as u64);
     assert_eq!(
         snap.counter(outcome.reason.metric_name()),
         1,
         "the fired condition is counted under its own name"
     );
-    assert_eq!(
-        snap.counter("run_until.steps_saved"),
-        (600 - outcome.steps) as u64
-    );
+    assert_eq!(snap.counter("run_until.steps_saved"), (600 - steps) as u64);
     assert_eq!(snap.spans_named("run_until"), 1);
-    // Early exit means the saturation condition fired before the cap.
-    assert_eq!(outcome.reason.metric_name(), "stop.bottleneck_saturation");
-    assert!(outcome.steps < 600);
+    // Early exit means the SLA condition fired before the cap.
+    assert_eq!(outcome.reason.metric_name(), "stop.sla_response_time");
+    assert!(steps < 600);
+
+    // Resuming to the cap with no condition counts under the cap's name.
+    let rest = run_until(iter.as_mut(), &[], 600).expect("resumed query");
+    assert_eq!(rest.reason.metric_name(), "stop.population_cap");
+    let snap = collector.snapshot();
+    assert_eq!(snap.counter("stop.population_cap"), 1);
+    assert_eq!(snap.counter("run_until.steps"), 600);
 }
 
 /// Tentpole acceptance: with no recorder installed, a health probe is a

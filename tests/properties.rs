@@ -10,9 +10,7 @@ use mvasd_suite::core::profile::{
 };
 use mvasd_suite::core::solver::{MvasdSingleServerSolver, MvasdSolver};
 use mvasd_suite::numerics::chebyshev::chebyshev_levels;
-use mvasd_suite::numerics::interp::{
-    BoundaryCondition, CubicSpline, Extrapolation, Interpolant, PchipInterp,
-};
+use mvasd_suite::numerics::interp::{BoundaryCondition, CubicSpline, Interpolant, PchipInterp};
 use mvasd_suite::numerics::propcheck::{check, Config, Gen};
 use mvasd_suite::queueing::bounds::{response_bounds, throughput_bounds};
 use mvasd_suite::queueing::hierarchy::{
@@ -279,6 +277,70 @@ fn one_class_workload_reproduces_exact_mva_bitwise() {
     );
 }
 
+#[test]
+fn single_server_algorithm_2_and_mvasd_match_algorithm_1() {
+    // With C = 1 everywhere the multi-server correction vanishes, so
+    // Algorithm 2 is Algorithm 1, and so is MVASD over a constant profile,
+    // whether it runs the multi-server or the single-server recursion.
+    check(
+        "single_server_algorithm_2_and_mvasd_match_algorithm_1",
+        &Config::default().cases(60),
+        |g| {
+            let count = g.usize_in(2, 5);
+            let demands: Vec<f64> = (0..count).map(|_| g.f64_in(0.001, 0.1)).collect();
+            let names: Vec<String> = (0..count).map(|k| format!("s{k}")).collect();
+            let z = g.f64_in(0.0, 2.0);
+            let n_max = g.usize_in(1, 600);
+            let stations = names
+                .iter()
+                .zip(&demands)
+                .map(|(name, &d)| Station::queueing(name, 1, 1.0, d))
+                .collect();
+            let net = ClosedNetwork::new(stations, z).expect("generated parameters are valid");
+            let samples = DemandSamples {
+                station_names: names,
+                server_counts: vec![1; count],
+                think_time: z,
+                levels: vec![1.0],
+                demands: demands.iter().map(|&d| vec![d]).collect(),
+            };
+            let profile = ServiceDemandProfile::from_samples(
+                &samples,
+                InterpolationKind::CubicNotAKnot,
+                DemandAxis::Concurrency,
+            )
+            .unwrap();
+            let reference = ExactMvaSolver::new(net.clone()).solve(n_max).unwrap();
+            let solvers: [Box<dyn ClosedSolver>; 3] = [
+                Box::new(MultiserverMvaSolver::new(net)),
+                Box::new(MvasdSolver::new(profile.clone())),
+                Box::new(MvasdSingleServerSolver::new(profile)),
+            ];
+            for solver in &solvers {
+                let sol = solver.solve(n_max).unwrap();
+                assert_eq!(sol.points.len(), n_max, "{}", solver.name());
+                for (a, b) in reference.points.iter().zip(&sol.points) {
+                    let check = |what: &str, got: f64, want: f64| {
+                        assert!(
+                            holds(1e-13, got, want),
+                            "{} n={} {what}: {got} vs {want}",
+                            solver.name(),
+                            a.n
+                        );
+                    };
+                    check("X", b.throughput, a.throughput);
+                    check("R", b.response, a.response);
+                    for (sa, sb) in a.stations.iter().zip(&b.stations) {
+                        check("Q_k", sb.queue, sa.queue);
+                        check("R_k", sb.residence, sa.residence);
+                        check("U_k", sb.utilization, sa.utilization);
+                    }
+                }
+            }
+        },
+    );
+}
+
 /// How a case lays out its stations: as written, with an idle
 /// (zero-demand) station inserted mid-network, or in reverse order.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -314,20 +376,23 @@ fn cpu_disk_delay(s: f64, layout: Layout) -> ClosedNetwork {
     ClosedNetwork::new(layout.apply(stations, idle_station()), s).unwrap()
 }
 
-/// A 16-core CPU and a 4 ms disk sampled at three levels, every demand
-/// and Z times `s`.
-fn cpu_disk_profile(cpu: [f64; 3], s: f64, layout: Layout) -> ServiceDemandProfile {
-    let stations = vec![
-        ("cpu", 16, cpu.map(|d| d * s).to_vec()),
-        ("disk", 1, vec![0.004 * s; 3]),
-    ];
-    let stations = layout.apply(stations, ("idle", 1, vec![0.0; 3]));
+/// Stations sampled at N = 1, 300 and 600 as `(name, servers, demands)`,
+/// every demand and Z = 1 times `s`.
+fn sampled_profile(
+    stations: Vec<(&str, usize, [f64; 3])>,
+    s: f64,
+    layout: Layout,
+) -> ServiceDemandProfile {
+    let stations = layout.apply(stations, ("idle", 1, [0.0; 3]));
     let samples = DemandSamples {
         station_names: stations.iter().map(|st| st.0.to_string()).collect(),
         server_counts: stations.iter().map(|st| st.1).collect(),
         think_time: s,
         levels: vec![1.0, 300.0, 600.0],
-        demands: stations.into_iter().map(|st| st.2).collect(),
+        demands: stations
+            .iter()
+            .map(|st| st.2.map(|d| d * s).to_vec())
+            .collect(),
     };
     ServiceDemandProfile::from_samples(
         &samples,
@@ -335,6 +400,24 @@ fn cpu_disk_profile(cpu: [f64; 3], s: f64, layout: Layout) -> ServiceDemandProfi
         DemandAxis::Concurrency,
     )
     .unwrap()
+}
+
+/// A 16-core CPU and a 4 ms disk.
+fn cpu_disk_profile(cpu: [f64; 3], s: f64, layout: Layout) -> ServiceDemandProfile {
+    sampled_profile(vec![("cpu", 16, cpu), ("disk", 1, [0.004; 3])], s, layout)
+}
+
+/// Four tiers with falling demands: a load balancer, a 4-core web CPU, a
+/// 16-core app CPU that saturates (so MVASD crosses the quasi-static
+/// switch) and an 8-core database CPU.
+fn four_tier_profile(s: f64, layout: Layout) -> ServiceDemandProfile {
+    let stations = vec![
+        ("lb", 1, [0.0030, 0.0028, 0.0027]),
+        ("web", 4, [0.030, 0.028, 0.027]),
+        ("app", 16, SATURATING_CPU),
+        ("db", 8, [0.050, 0.048, 0.047]),
+    ];
+    sampled_profile(stations, s, layout)
 }
 
 /// The CPU stays below the quasi-static switch to N = 600.
@@ -347,8 +430,8 @@ const SATURATING_CPU: [f64; 3] = [0.165, 0.160, 0.158];
 type Build = fn(f64, Layout) -> Box<dyn ClosedSolver>;
 
 /// The seven analytic solvers the metamorphic relations run through, each
-/// on its own model and depth.
-fn analytic_cases() -> [(usize, Build); 7] {
+/// on its own model and depth (MVASD on three).
+fn analytic_cases() -> [(usize, Build); 8] {
     [
         (600, |s, layout| {
             let stations = vec![
@@ -374,6 +457,9 @@ fn analytic_cases() -> [(usize, Build); 7] {
                 s,
                 layout,
             )))
+        }),
+        (600, |s, layout| {
+            Box::new(MvasdSolver::new(four_tier_profile(s, layout)))
         }),
         (600, |s, layout| {
             Box::new(MvasdSingleServerSolver::new(cpu_disk_profile(
@@ -447,11 +533,13 @@ fn scaling_demands_and_z_scales_r_and_x_through_every_analytic_solver() {
             }
         }
     }
-    // The two MVASD profiles land on either side of the switch.
+    // The MVASD profiles land on either side of the switch.
     let carried = MvasdSolver::new(cpu_disk_profile(CARRIED_CPU, 1.0, Layout::Plain));
     let saturating = MvasdSolver::new(cpu_disk_profile(SATURATING_CPU, 1.0, Layout::Plain));
+    let four_tier = MvasdSolver::new(four_tier_profile(1.0, Layout::Plain));
     assert!(carried.solve(600).unwrap().last().stations[0].utilization < 0.5);
     assert!(saturating.solve(600).unwrap().last().stations[0].utilization > 0.9);
+    assert!(four_tier.solve(600).unwrap().last().stations[2].utilization > 0.9);
 }
 
 #[test]
@@ -559,9 +647,7 @@ fn cubic_spline_interpolates_and_clamps() {
         }
         let xs: Vec<f64> = pts.iter().map(|p| p.0).collect();
         let ys: Vec<f64> = pts.iter().map(|p| p.1).collect();
-        let s = CubicSpline::new(&xs, &ys, BoundaryCondition::NotAKnot)
-            .unwrap()
-            .with_extrapolation(Extrapolation::Clamp);
+        let s = CubicSpline::new(&xs, &ys, BoundaryCondition::NotAKnot).unwrap();
         for (x, y) in xs.iter().zip(ys.iter()) {
             assert!((s.eval(*x) - y).abs() < 1e-6 * y.abs().max(1.0));
         }

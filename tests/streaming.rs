@@ -1,10 +1,9 @@
 //! Cross-backend streaming guarantees: every solver in the workspace —
 //! the three static MVA solvers (the exact one through both its
-//! constructors), the two MVASD variants, the hierarchical
-//! Norton-aggregation solver, and the discrete-event estimator — exposes
-//! a resumable population iterator
-//! whose stream is bit-for-bit the batch solution, survives
-//! snapshot/restore mid-sweep, and treats `n_max = 0` as an empty (but
+//! constructors), the two MVASD variants and the hierarchical
+//! Norton-aggregation solver — exposes a resumable population iterator
+//! whose stream is bit-for-bit the batch solution, also when it is paused
+//! mid-sweep and drained later, and treats `n_max = 0` as an empty (but
 //! validated) sweep. Also proves the early-exit and warm-restart savings
 //! the streaming core exists for.
 
@@ -21,9 +20,7 @@ use mvasd_suite::queueing::mva::{
     StopCondition, StopReason, Workload,
 };
 use mvasd_suite::queueing::network::{ClosedNetwork, Station, StationKind};
-use mvasd_suite::simnet::{Distribution, SimConfig, SimNetwork, SimStation};
 use mvasd_suite::testbed::apps::vins;
-use mvasd_suite::testbed::solver::SimSolver;
 
 fn network() -> ClosedNetwork {
     ClosedNetwork::new(
@@ -51,23 +48,6 @@ fn profile() -> ServiceDemandProfile {
         DemandAxis::Concurrency,
     )
     .unwrap()
-}
-
-fn sim_solver() -> SimSolver {
-    let net = SimNetwork::new(
-        vec![SimStation::queueing("s0", 1, 0.05)],
-        Distribution::Exponential { mean: 0.5 },
-    )
-    .unwrap();
-    SimSolver::new(
-        net,
-        SimConfig {
-            horizon: 400.0,
-            warmup: 40.0,
-            seed: 7,
-            ..SimConfig::default()
-        },
-    )
 }
 
 /// The streaming `network()` topology with its cpu+disk pair wrapped in a
@@ -101,45 +81,37 @@ fn ld_stations() -> Vec<LdStation> {
     ]
 }
 
-/// Every backend, each paired with a population depth that keeps the
-/// suite fast (the DES backend runs one simulation per step).
-fn all_backends() -> Vec<(Box<dyn ClosedSolver>, usize)> {
+/// Population depth every backend is streamed to.
+const DEPTH: usize = 60;
+
+/// Every backend.
+fn all_backends() -> Vec<Box<dyn ClosedSolver>> {
     let net = network();
     vec![
-        (
-            Box::new(ExactMvaSolver::new(net.clone())) as Box<dyn ClosedSolver>,
-            60,
-        ),
-        (Box::new(MultiserverMvaSolver::new(net.clone())), 60),
-        (
-            Box::new(MultiserverMvaSolver::from_stations(ld_stations(), 1.0)),
-            60,
-        ),
-        (Box::new(SchweitzerSolver::new(net)), 60),
-        (Box::new(MvasdSolver::new(profile())), 60),
-        (Box::new(MvasdSingleServerSolver::new(profile())), 60),
-        (
-            Box::new(HierarchicalSolver::new(hierarchical_network())),
-            60,
-        ),
-        (Box::new(sim_solver()), 6),
+        Box::new(ExactMvaSolver::new(net.clone())),
+        Box::new(MultiserverMvaSolver::new(net.clone())),
+        Box::new(MultiserverMvaSolver::from_stations(ld_stations(), 1.0)),
+        Box::new(SchweitzerSolver::new(net)),
+        Box::new(MvasdSolver::new(profile())),
+        Box::new(MvasdSingleServerSolver::new(profile())),
+        Box::new(HierarchicalSolver::new(hierarchical_network())),
     ]
 }
 
 #[test]
 fn streaming_equals_batch_for_every_backend() {
-    for (solver, depth) in all_backends() {
-        let batch = solver.solve(depth).unwrap();
-        assert_eq!(batch.points.len(), depth, "{}", solver.name());
+    for solver in all_backends() {
+        let batch = solver.solve(DEPTH).unwrap();
+        assert_eq!(batch.points.len(), DEPTH, "{}", solver.name());
 
         // Draining the iterator reproduces the batch output bit-for-bit.
-        let streamed = solver.start().unwrap().drain(depth).unwrap();
+        let streamed = solver.start().unwrap().drain(DEPTH).unwrap();
         assert_eq!(batch, streamed, "{}", solver.name());
 
         // Step-by-step: populations ascend one at a time.
         let mut iter = solver.start().unwrap();
         assert_eq!(iter.population(), 0, "{}", solver.name());
-        for n in 1..=depth.min(5) {
+        for n in 1..=5 {
             let p = iter.step().unwrap();
             assert_eq!(p.n, n, "{}", solver.name());
             assert_eq!(iter.population(), n, "{}", solver.name());
@@ -149,33 +121,29 @@ fn streaming_equals_batch_for_every_backend() {
 }
 
 #[test]
-fn snapshot_restore_mid_sweep_is_bit_identical() {
-    for (solver, depth) in all_backends() {
-        let batch = solver.solve(depth).unwrap();
-        let cut = depth / 2;
+fn paused_mid_sweep_drain_is_bit_identical() {
+    for solver in all_backends() {
+        let batch = solver.solve(DEPTH).unwrap();
+        let cut = DEPTH / 2;
 
         let mut iter = solver.start().unwrap();
         for _ in 0..cut {
             iter.step().unwrap();
         }
-        let snapshot = iter.snapshot();
-        assert_eq!(snapshot.population(), cut, "{}", solver.name());
+        assert_eq!(iter.population(), cut, "{}", solver.name());
 
-        // The original iterator and the restored one both produce the
-        // exact batch tail — and restoring twice works (snapshots are
-        // reusable, not consumed).
-        let direct = iter.drain(depth).unwrap();
-        assert_eq!(direct.points, batch.points[cut..], "{}", solver.name());
-        for _ in 0..2 {
-            let resumed = snapshot.resume().drain(depth).unwrap();
-            assert_eq!(resumed.points, batch.points[cut..], "{}", solver.name());
-        }
+        // The half-stepped iterator drains to the exact batch tail, also
+        // when the drain itself pauses once more on the way.
+        let next = iter.drain(cut + 7).unwrap();
+        assert_eq!(next.points, batch.points[cut..cut + 7], "{}", solver.name());
+        let rest = iter.drain(DEPTH).unwrap();
+        assert_eq!(rest.points, batch.points[cut + 7..], "{}", solver.name());
     }
 }
 
 #[test]
 fn zero_population_yields_empty_solutions_everywhere() {
-    for (solver, _) in all_backends() {
+    for solver in all_backends() {
         let sol = solver.solve(0).unwrap();
         assert!(sol.points.is_empty(), "{}", solver.name());
         assert!(!sol.station_names.is_empty(), "{}", solver.name());
@@ -187,8 +155,8 @@ fn zero_population_yields_empty_solutions_everywhere() {
 }
 
 /// A two-class workload over the `network()` stations, deep enough (64
-/// customers) that batch/stream divergence or snapshot drift would have
-/// many steps to show up.
+/// customers) that batch/stream divergence or drift across a pause would
+/// have many steps to show up.
 fn two_class_workload() -> Workload {
     Workload::new(
         vec!["cpu".into(), "disk".into(), "lan".into()],
@@ -218,8 +186,8 @@ fn two_class_workload() -> Workload {
 #[test]
 fn multiclass_streaming_equals_batch() {
     // The exact multiclass walker honors the same streaming contract as the
-    // single-class family: drain ≡ batch bit-for-bit, snapshots resume
-    // bit-identically mid-path, and population 0 is an empty sweep.
+    // single-class family: drain ≡ batch bit-for-bit, a walk paused
+    // mid-path drains bit-identically, and population 0 is an empty sweep.
     let w = two_class_workload();
     let depth = w.total_population();
     assert!(depth >= 60);
@@ -230,14 +198,14 @@ fn multiclass_streaming_equals_batch() {
     let streamed = solver.start().unwrap().drain(depth).unwrap();
     assert_eq!(batch, streamed);
 
-    // Snapshot mid-path: the resumed tail is bit-exact.
+    // Paused mid-path: the drained tail is bit-exact.
     let cut = depth / 2;
     let mut iter = solver.start().unwrap();
     for _ in 0..cut {
         iter.step().unwrap();
     }
-    let resumed = iter.snapshot().resume().drain(depth).unwrap();
-    assert_eq!(resumed.points, batch.points[cut..]);
+    let tail = iter.drain(depth).unwrap();
+    assert_eq!(tail.points, batch.points[cut..]);
 
     // Empty sweep.
     let empty = solver.solve(0).unwrap();
@@ -264,23 +232,24 @@ fn sla_early_exit_does_fewer_steps_than_the_full_sweep() {
 
     // The query stopped strictly early, on the first violating population.
     assert!(matches!(outcome.reason, StopReason::Met(_)));
+    let steps = outcome.solution.points.len();
     assert!(
-        outcome.steps < cap,
-        "expected early exit, took {} of {cap} steps",
-        outcome.steps
+        steps < cap,
+        "expected early exit, took {steps} of {cap} steps"
     );
     let stop_n = outcome.solution.last().n;
     assert!(outcome.solution.last().response > 1.0);
     assert!(full.at(stop_n - 1).unwrap().response <= 1.0);
     // And the truncated stream is a bit-exact prefix of the full solve.
-    assert_eq!(outcome.solution.points, full.points[..outcome.steps]);
+    assert_eq!(outcome.solution.points, full.points[..steps]);
 
     // EXPERIMENTS' streaming table: on VINS with its N = 1500 demands, R
     // first exceeds 2 s at N = 307, so the query takes 307 of 1500 steps.
     let vins = MultiserverMvaSolver::new(vins::model().closed_network_at(1500.0).unwrap());
     let mut iter = vins.start().unwrap();
     let sla = [StopCondition::SlaResponseTime { max_response: 2.0 }];
-    assert_eq!(run_until(iter.as_mut(), &sla, 1500).unwrap().steps, 307);
+    let outcome = run_until(iter.as_mut(), &sla, 1500).unwrap();
+    assert_eq!(outcome.solution.points.len(), 307);
 }
 
 #[test]
@@ -294,13 +263,13 @@ fn scenario_sweep_avoids_redundant_work() {
     };
     let mut sweep = ScenarioSweep::new(samples).default_cap(200);
 
-    // Three questions about the SAME model: a full sweep, an SLA query,
-    // and a saturation query. One iterator serves all three.
+    // Three questions about the SAME model: a full sweep and two SLA
+    // queries. One iterator serves all three.
     let report = sweep
         .run(&[
             Scenario::new("full"),
             Scenario::new("sla").until(StopCondition::SlaResponseTime { max_response: 1.0 }),
-            Scenario::new("sat").until(StopCondition::BottleneckSaturation { utilization: 0.9 }),
+            Scenario::new("tight").until(StopCondition::SlaResponseTime { max_response: 0.5 }),
         ])
         .unwrap();
     assert!(
@@ -372,7 +341,8 @@ fn conv_workspace_stream_is_bit_identical_to_batch() {
     // The incremental convolution workspace IS the batch path now, but this
     // proves it from the outside: driving a ConvWorkspace one population at
     // a time reproduces the batch load-dependent solve bit-for-bit, a
-    // cloned (snapshotted) workspace resumes bit-identically, and reading
+    // cloned workspace resumes bit-identically (the hierarchy's
+    // `ProfileCache` hands out clones of its solved engines), and reading
     // previously computed populations back (decreasing `solve_at`) returns
     // the same bits without disturbing the carried columns.
     let stations = [
@@ -385,14 +355,14 @@ fn conv_workspace_stream_is_bit_identical_to_batch() {
 
     let mut ws = ConvWorkspace::new(&stations, 1.0, &[4, 0, 0]).unwrap();
     ws.reserve(depth);
-    let mut snapshot: Option<ConvWorkspace> = None;
+    let mut copy: Option<ConvWorkspace> = None;
     let mut streamed_x = Vec::with_capacity(depth);
     for n in 1..=depth {
         ws.advance().unwrap();
         assert_eq!(ws.population(), n);
         streamed_x.push(ws.throughput());
         if n == depth / 2 {
-            snapshot = Some(ws.clone());
+            copy = Some(ws.clone());
         }
     }
     for (n, (x, p)) in streamed_x.iter().zip(batch.points.iter()).enumerate() {
@@ -404,8 +374,8 @@ fn conv_workspace_stream_is_bit_identical_to_batch() {
         );
     }
 
-    // Snapshot/resume: the clone continues exactly where the original was.
-    let mut resumed = snapshot.expect("snapshot taken mid-sweep");
+    // The clone continues exactly where the original was.
+    let mut resumed = copy.expect("cloned mid-sweep");
     for n in (depth / 2 + 1)..=depth {
         resumed.advance().unwrap();
         assert_eq!(
@@ -485,15 +455,15 @@ fn property_streaming_equals_batch_on_random_networks() {
                 let streamed = solver.start().unwrap().drain(n_max).unwrap();
                 assert_eq!(batch, streamed, "{} n_max={n_max}", solver.name());
 
-                // Snapshot at a random midpoint; the resumed tail must be
+                // Pause at a random midpoint; the drained tail must be
                 // bit-identical even though the cut is arbitrary.
                 let mut iter = solver.start().unwrap();
                 for _ in 0..cut {
                     iter.step().unwrap();
                 }
-                let resumed = iter.snapshot().resume().drain(n_max).unwrap();
+                let tail = iter.drain(n_max).unwrap();
                 assert_eq!(
-                    resumed.points,
+                    tail.points,
                     batch.points[cut..],
                     "{} cut={cut}",
                     solver.name()
