@@ -241,32 +241,32 @@ impl SolverIter for MvasdSingleServerIter {
         obsv::counter("solver.steps", 1);
         let n = self.n + 1;
         let stations = self.profile.stations();
-        let k_count = stations.len();
         let z = self.profile.think_time();
 
         let abscissa = lookup_abscissa(&self.profile, n, self.x_prev);
-        let mut residence = vec![0.0f64; k_count];
-        for (k, s) in stations.iter().enumerate() {
-            let d_norm = s.demand_at(abscissa) / s.servers as f64;
-            residence[k] = d_norm * (1.0 + self.q[k]);
-        }
-        let r_total: f64 = residence.iter().sum();
+        // Each spline is read once. The residences go straight into the
+        // output, whose utilization slot holds the demand until X is known.
+        let mut station_points: Vec<StationPoint> = stations
+            .iter()
+            .zip(&self.q)
+            .map(|(s, &q)| {
+                let d = s.demand_at(abscissa);
+                StationPoint {
+                    queue: q,
+                    residence: d / s.servers as f64 * (1.0 + q),
+                    utilization: d,
+                }
+            })
+            .collect();
+        let r_total: f64 = station_points.iter().map(|p| p.residence).sum();
         let x = n as f64 / (r_total + z);
         finite_step(x, r_total)?;
         self.x_prev = x;
-        for (qk, rk) in self.q.iter_mut().zip(&residence) {
-            *qk = x * rk;
+        for ((p, qk), s) in station_points.iter_mut().zip(&mut self.q).zip(stations) {
+            *qk = x * p.residence;
+            p.queue = *qk;
+            p.utilization = x * p.utilization / s.servers as f64;
         }
-
-        let station_points = stations
-            .iter()
-            .enumerate()
-            .map(|(k, s)| StationPoint {
-                queue: self.q[k],
-                residence: residence[k],
-                utilization: x * s.demand_at(abscissa) / s.servers as f64,
-            })
-            .collect();
 
         self.n = n;
         Ok(MvaPoint {

@@ -52,7 +52,8 @@
 //! pays O(1) per light output. [`solve_at`] at a population `n` that `G`
 //! does not hold extends the body to `n` and *point-evaluates*: `G(n)`,
 //! `G(n − 1)` and each light queue at `n` are single O(n) cells over
-//! `P = prefix[total−1]`, the prefix before the last stage. A light
+//! `P = prefix[total−1]`, the prefix before the last stage, taken in one
+//! fused pass over the last factor column ([`kernel::point_sums`]). A light
 //! station carries `h^P(m) = D·(P(m−1) + h^P(m−1))` in the body, and its
 //! queue is `(f_last ⊛ h^P)(n) / G(n)`: the `h(n)` below regrouped, since
 //! `G = P ⊛ f_last`. The last stage, light or heavy, reads its queue off
@@ -95,6 +96,11 @@
 //! saturation index, and delay stations that track marginals. A point
 //! evaluation adds two O(n) cells and one O(n) sum per light station.
 //!
+//! The body extends over a population range in one call: each factor
+//! column is one multiply chain that normalizes only the cells it stores
+//! ([`kernel::scale_chain`]), and the chain columns follow population by
+//! population. [`advance`] is the range of one.
+//!
 //! Changing the demand vector ([`solve_at`]) re-runs the body from
 //! population 0 inside the same buffers — zero allocation and no libm call
 //! — and point-evaluates, which is what the quasi-static MVASD phase does
@@ -110,7 +116,7 @@
 //! [`solve_at`]: ConvWorkspace::solve_at
 
 use super::super::loaddep::{validate_stations, LdStation, RateFunction};
-use super::kernel::{self, dot_rev, pow2, Ext};
+use super::kernel::{self, dot_rev, pow2, scale_chain, Ext, PointSum};
 use crate::QueueingError;
 use mvasd_obsv as obsv;
 
@@ -187,6 +193,11 @@ impl<T: Copy> Grid<T> {
     #[inline]
     fn row(&self, r: usize) -> &[T] {
         &self.buf[r * self.cap..(r + 1) * self.cap]
+    }
+
+    #[inline]
+    fn row_mut(&mut self, r: usize) -> &mut [T] {
+        &mut self.buf[r * self.cap..(r + 1) * self.cap]
     }
 
     #[inline]
@@ -297,6 +308,10 @@ pub struct ConvWorkspace {
     /// `lq_p[row][n]`: the same station's `h^P(n)`, carried on
     /// `P = prefix[total − 1]`, so that `h = f_last ⊛ h^P`.
     lq_p: Grid<Ext>,
+    /// Per `lq` row, the light queue numerator `(f_last ⊛ h^P)(n)` of the
+    /// last point evaluation; live for the light single-server-like
+    /// stations before the last stage, which carry `h^P`.
+    point: Vec<PointSum>,
 
     // Per-population outputs, overwritten in place by `compute_outputs`.
     out_x: f64,
@@ -414,6 +429,7 @@ impl ConvWorkspace {
             tangent_tail: Grid::new(t_rows),
             lq: Grid::new(lq_rows),
             lq_p: Grid::new(lq_rows),
+            point: vec![PointSum::IDLE; lq_rows],
             out_x: 0.0,
             out_queues: vec![0.0; k_count],
             out_marginals: vec![0.0; off],
@@ -552,6 +568,12 @@ impl ConvWorkspace {
             0
         };
         self.stages[IS_STAGE] = stage_0;
+        for (k, &r) in self.lq_row.iter().enumerate() {
+            if r != NO_ROW {
+                let i = self.stage_of[k];
+                self.point[r].live = i + 1 != total && self.stages[i].kind == StageKind::Geo;
+            }
+        }
         let complements = (total - self.first_heavy).saturating_sub(1);
         let suffixes = complements.saturating_sub(1);
         self.cells_per_step = (total - 1 + complements + suffixes) as u64;
@@ -652,37 +674,64 @@ impl ConvWorkspace {
         }
     }
 
-    /// Extends every body column (module docs) by the cell for population
-    /// `self.n + 1`. Cells are append-only, so values never depend on how
-    /// far the workspace is later extended — the root of the bit-for-bit
-    /// guarantee.
+    /// Extends every body column (module docs) from population `self.n + 1`
+    /// to `upto`: the grids grow once, each factor column fills the whole
+    /// range as one [`scale_chain`], and then the chain columns (prefix,
+    /// suffix, tangent, complement and `h^P`) fill population by
+    /// population. A factor cell reads only its own column; a chain cell
+    /// reads factor cells, the columns before it at the same population and
+    /// its own column below it. So every cell is the same per-cell formula
+    /// over the same inputs in either order. The chain columns go by
+    /// population because each is a recurrence whose latency only the other
+    /// columns' cells at the same population can hide. Cells are
+    /// append-only, so values never depend on how far the workspace is
+    /// later extended — the root of the bit-for-bit guarantee. An `upto`
+    /// the body already reaches extends nothing; [`advance`] extends by
+    /// one.
+    ///
+    /// [`advance`]: Self::advance
     // lint: no-alloc
-    fn extend_body(&mut self) {
-        let m = self.n + 1;
-        self.ensure_capacity(m + 1);
+    fn extend_body(&mut self, upto: usize) {
+        let from = self.n + 1;
+        if upto < from {
+            return;
+        }
+        self.ensure_capacity(upto + 1);
         let last = self.stages.len() - 1;
-        // The kept stages already hold their factor and prefix cells at m.
-        let reused = if m <= self.kept_upto { self.kept } else { 0 };
-
-        for (i, st) in self.stages.iter().enumerate().skip(reused) {
-            let prev = self.factors.at(i, m - 1);
-            let v = match st.kind {
-                StageKind::Zero => Ext::ZERO,
-                StageKind::Geo => prev.scale(st.d),
-                StageKind::Exp => prev.scale(st.d / m as f64),
-                // The rate clamps at the saturation index, where the
-                // quotient is the stored ratio, bit for bit.
-                StageKind::Table if m >= st.width => prev.scale(st.ratio),
-                StageKind::Table => prev.scale(st.d / self.rate.at(st.row, m)),
-            };
-            self.factors.set(i, m, v);
+        // The kept stages already hold their factor and prefix cells up to
+        // `kept_upto`.
+        let (kept, fresh) = (self.kept, from.max(self.kept_upto + 1));
+        for i in 0..=last {
+            self.fill_factors(i, if i < kept { fresh } else { from }, upto);
+        }
+        // Up to `kept_upto`, a chain that keeps every stage but the last and
+        // has no heavy stage before it writes no chain cell.
+        let idle = kept >= last && self.first_heavy >= last;
+        for m in if idle { fresh } else { from }..=upto {
+            self.extend_chains(m, if m <= self.kept_upto { kept } else { 0 });
         }
 
+        let count = (upto + 1 - from) as u64;
+        self.n = upto;
+        self.extend_ctr.add(count);
+        if obsv::enabled() {
+            let kept_cells =
+                (kept.min(last) * (self.kept_upto.min(upto) + 1).saturating_sub(from)) as u64;
+            self.cells_ctr.add(self.cells_per_step * count - kept_cells);
+            self.reused_ctr.add(kept_cells);
+        }
+    }
+
+    /// Appends the chain cells at population `m` to the prefix, suffix,
+    /// tangent, complement and `h^P` columns, over factor cells already
+    /// written; the first `reused` stages' prefix cells are kept.
+    // lint: no-alloc
+    fn extend_chains(&mut self, m: usize, reused: usize) {
+        let last = self.stages.len() - 1;
         for i in reused..last {
             let v = self.prefix_cell(i, m);
             self.prefix.set(i + 1, m, v);
         }
-
         for i in (self.first_heavy + 1..last).rev() {
             let v = chain_cell(
                 &self.stages[i],
@@ -707,30 +756,46 @@ impl ConvWorkspace {
                 self.g_minus.set(r, m, v);
             }
         }
-
         // `h^P` reads only `P` and its station's demand, so it is kept
         // wherever `P` is.
         if reused < last {
             for (k, &r) in self.lq_row.iter().enumerate() {
-                let i = self.stage_of[k];
-                if r == NO_ROW || i == last || self.stages[i].kind != StageKind::Geo {
+                if r == NO_ROW || !self.point[r].live {
                     continue;
                 }
                 let v = self
                     .lq_p
                     .at(r, m - 1)
                     .add(self.prefix.at(last, m - 1))
-                    .scale(self.stages[i].d);
+                    .scale(self.stages[self.stage_of[k]].d);
                 self.lq_p.set(r, m, v);
             }
         }
+    }
 
-        self.n = m;
-        self.extend_ctr.add(1);
-        if obsv::enabled() {
-            let kept = reused.min(last) as u64;
-            self.cells_ctr.add(self.cells_per_step - kept);
-            self.reused_ctr.add(kept);
+    /// Stage `i`'s factor cells for populations `from..=upto`, each the
+    /// cell before it times the stage's multiplier, as one
+    /// [`scale_chain`] per multiplier rule.
+    // lint: no-alloc
+    fn fill_factors(&mut self, i: usize, from: usize, upto: usize) {
+        if from > upto {
+            return;
+        }
+        let st = self.stages[i];
+        let col = self.factors.row_mut(i);
+        let len = upto + 1 - from;
+        match st.kind {
+            StageKind::Zero => col[from..=upto].fill(Ext::ZERO),
+            StageKind::Geo => scale_chain(col, from, std::iter::repeat(st.d).take(len)),
+            StageKind::Exp => scale_chain(col, from, (from..=upto).map(|m| st.d / m as f64)),
+            StageKind::Table => {
+                // The rate clamps at the saturation index, where the
+                // quotient is the stored ratio, bit for bit.
+                let tail = st.width.clamp(from, upto + 1);
+                let head = &self.rate.row(st.row)[from..tail];
+                scale_chain(col, from, head.iter().map(|&a| st.d / a));
+                scale_chain(col, tail, std::iter::repeat(st.ratio).take(upto + 1 - tail));
+            }
         }
     }
 
@@ -783,23 +848,28 @@ impl ConvWorkspace {
     }
 
     /// Evaluates population `n ≤ self.n` from the body alone: `G(n)` and
-    /// `G(n − 1)` are two O(n) cells over `P = prefix[total − 1]`, and the
-    /// outputs read them (module docs).
+    /// `G(n − 1)` are two O(n) cells over `P = prefix[total − 1]`, taken
+    /// with the light queue numerators in one fused pass over the last
+    /// factor column ([`kernel::point_sums`]), and the outputs read them
+    /// (module docs).
     // lint: no-alloc
     fn point_evaluate(&mut self, n: usize) -> Result<(), QueueingError> {
         let last = self.stages.len() - 1;
         let (g, g_prev) = if last == IS_STAGE {
             // A chain of one stage: `P` is the identity, whose cells past
             // 0 are never written, and `G` is the stage's factor column.
+            // No light station is left outside stage 0.
             (
                 self.factors.at(IS_STAGE, n),
                 self.factors.at(IS_STAGE, n - 1),
             )
         } else {
-            let (f, p) = (self.factors.row(last), self.prefix.row(last));
-            (
-                dot_rev(&f[..=n], &p[..=n], Ext::ZERO),
-                dot_rev(&f[..n], &p[..n], Ext::ZERO),
+            kernel::point_sums(
+                &self.factors.row(last)[..=n],
+                &self.prefix.row(last)[..=n],
+                &self.lq_p.buf,
+                self.lq_p.cap,
+                &mut self.point,
             )
         };
         if g.is_zero() {
@@ -866,9 +936,9 @@ impl ConvWorkspace {
     /// Fills the output slots (`throughput`/`queues`/`marginals_of`) for
     /// population `n ≤ self.n` from `G(n)` and `G(n − 1)`. In point mode
     /// the last stage reads its queue off `P` and the light stations read
-    /// theirs off the accumulators over `P`; otherwise both read the
-    /// accumulators over `G`, which must hold `n`. Read-only over the
-    /// columns; allocates nothing.
+    /// the numerators the point evaluation took over `P`; otherwise both
+    /// read the accumulators over `G`, which must hold `n`. Read-only over
+    /// the columns; allocates nothing.
     // lint: no-alloc
     fn compute_outputs(&mut self, n: usize, g: Ext, g_prev: Ext, point: bool) {
         debug_assert!(n >= 1 && n <= self.n);
@@ -915,12 +985,7 @@ impl ConvWorkspace {
                 match self.stages[i].kind {
                     StageKind::Zero => 0.0,
                     // `h = f_last ⊛ h^P`, since `G = P ⊛ f_last`.
-                    StageKind::Geo if point => dot_rev(
-                        &self.factors.row(total - 1)[..=n],
-                        &self.lq_p.row(r)[..=n],
-                        Ext::ZERO,
-                    )
-                    .ratio(g),
+                    StageKind::Geo if point => self.point[r].sum.ratio(g),
                     StageKind::Geo => self.lq.at(r, n).ratio(g),
                     StageKind::Exp | StageKind::Table => {
                         unreachable!("delay stages are merged or heavy; table stages are heavy")
@@ -944,7 +1009,7 @@ impl ConvWorkspace {
         while self.g_upto < self.n {
             self.extend_g()?;
         }
-        self.extend_body();
+        self.extend_body(self.n + 1);
         let g = self.extend_g()?;
         self.watch(g);
         let g_prev = self.prefix.at(self.stages.len(), self.n - 1);
@@ -1010,9 +1075,7 @@ impl ConvWorkspace {
             self.compute_outputs(n, g, g_prev, false);
             return Ok(());
         }
-        while self.n < n {
-            self.extend_body();
-        }
+        self.extend_body(n);
         self.point_evaluate(n)
     }
 }
@@ -1726,6 +1789,117 @@ mod tests {
         for n in [40usize, 150] {
             ws.solve_at(n, &demands).unwrap();
             assert_matches_scratch(&ws, &stations, 1.0, n, &limits, "h90");
+        }
+    }
+
+    /// The reference factor column of stage `i` to population `n`: one
+    /// `Ext::scale` per cell, each kind's multiplier as a cell-by-cell
+    /// extension computes it.
+    fn factor_column_per_cell(ws: &ConvWorkspace, i: usize, n: usize) -> Vec<Ext> {
+        let st = ws.stages[i];
+        let mut col = vec![Ext::ONE];
+        for m in 1..=n {
+            let prev = col[m - 1];
+            col.push(match st.kind {
+                StageKind::Zero => Ext::ZERO,
+                StageKind::Geo => prev.scale(st.d),
+                StageKind::Exp => prev.scale(st.d / m as f64),
+                StageKind::Table if m >= st.width => prev.scale(st.ratio),
+                StageKind::Table => prev.scale(st.d / ws.rate.at(st.row, m)),
+            });
+        }
+        col
+    }
+
+    /// Every factor column a range extension fills equals the per-cell
+    /// reference bit for bit, for every stage kind. Small ratios and
+    /// demands carry the chain across its renormalization window dozens of
+    /// times by N = 1600; demands of 5e-324, 1e-310, 1e308 and f64::MAX
+    /// put multipliers outside the window, or make them zero, and a custom
+    /// rate table gives a subnormal multiplier after growing ones; NaN demands
+    /// poison whole columns. The body extends in three ranges, and a
+    /// demand-changing rebuild that keeps the leading stages refills the
+    /// rest.
+    #[test]
+    fn range_filled_factor_columns_match_one_scale_per_cell() {
+        let cases: Vec<(&str, Vec<LdStation>, f64, Vec<usize>)> = vec![
+            (
+                "small ratios",
+                vec![
+                    st("cpu", 0.016, RateFunction::MultiServer(16)),
+                    st("disk", 1e-3, RateFunction::SingleServer),
+                    st("lan", 1e-3, RateFunction::Delay),
+                    st("fes", 2e-3, RateFunction::Custom(vec![1.0, 1.7, 2.2])),
+                    st("ghost", 0.0, RateFunction::SingleServer),
+                ],
+                1e-3,
+                vec![0, 0, 2, 0, 0],
+            ),
+            (
+                "outside the window",
+                vec![
+                    st("sub", 1e-310, RateFunction::SingleServer),
+                    st("min", 5e-324, RateFunction::MultiServer(4)),
+                    st("huge", 1e308, RateFunction::SingleServer),
+                    st("max", f64::MAX, RateFunction::Delay),
+                    st("near-max", 1.5e308, RateFunction::MultiServer(3)),
+                    // A carry grown by 2^30 meets a subnormal multiplier.
+                    st(
+                        "wild",
+                        1e-5,
+                        RateFunction::Custom(vec![1e-8, 1e-8, 1e-8, 1e305, 1.0]),
+                    ),
+                ],
+                1e300,
+                vec![0, 0, 0, 1, 0, 0],
+            ),
+            (
+                "NaN poison",
+                vec![
+                    st("cpu", f64::NAN, RateFunction::MultiServer(8)),
+                    st("disk", f64::NAN, RateFunction::SingleServer),
+                    st("lan", 0.02, RateFunction::Delay),
+                ],
+                0.5,
+                vec![0, 0, 1],
+            ),
+        ];
+        let mut kinds_seen = Vec::new();
+        for (label, stations, z, limits) in &cases {
+            let mut ws = ws_of(stations, *z, limits);
+            for upto in [5, 700, 1600] {
+                ws.extend_body(upto);
+            }
+            let mut demands: Vec<f64> = stations.iter().map(|s| s.demand).collect();
+            let k = demands.iter().rposition(|&d| d > 0.0).unwrap_or(0);
+            demands[k] *= 0.5;
+            let mut rebuilt = ws.clone();
+            // Only the body matters here; the outputs may be non-finite.
+            rebuilt.solve_at(900, &demands).ok();
+            assert_eq!(rebuilt.population(), 900, "{label}: rebuilt to 900");
+            for (w, n) in [(&ws, 1600), (&rebuilt, 900)] {
+                for i in 0..w.stages.len() {
+                    kinds_seen.push(w.stages[i].kind);
+                    let want = factor_column_per_cell(w, i, n);
+                    for (m, v) in want.iter().enumerate() {
+                        let got = w.factors.at(i, m);
+                        assert_eq!(
+                            (got.m.to_bits(), got.e),
+                            (v.m.to_bits(), v.e),
+                            "{label}: stage {i} ({:?}) cell {m}",
+                            w.stages[i].kind
+                        );
+                    }
+                }
+            }
+        }
+        for kind in [
+            StageKind::Zero,
+            StageKind::Geo,
+            StageKind::Exp,
+            StageKind::Table,
+        ] {
+            assert!(kinds_seen.contains(&kind), "{kind:?} covered");
         }
     }
 

@@ -72,39 +72,40 @@ impl SolverIter for ExactMvaIter {
         obsv::counter("solver.steps", 1);
         let n = self.n + 1;
         let stations = self.net.stations();
-        let k_count = stations.len();
         let z = self.net.think_time();
 
-        // Residence time per interaction at each station.
-        let mut residence = vec![0.0f64; k_count];
-        for (k, s) in stations.iter().enumerate() {
-            let d = s.demand();
-            // Algorithm 1 ignores declared core counts and rate tables by
-            // design: every non-delay station is a single-server queue.
-            residence[k] = match &s.kind {
-                StationKind::Delay => d,
-                StationKind::Queueing { .. } | StationKind::LoadDependent { .. } => {
-                    d * (1.0 + self.q[k])
-                }
-            };
-        }
-        let r_total: f64 = residence.iter().sum();
-        let x = n as f64 / (r_total + z);
-        for (qk, rk) in self.q.iter_mut().zip(&residence) {
-            *qk = x * rk;
-        }
-
-        let station_points = stations
+        // Residence time per interaction at each station, written straight
+        // into the output; the utilization slot holds the demand until X
+        // is known.
+        let mut station_points: Vec<StationPoint> = stations
             .iter()
-            .enumerate()
-            .map(|(k, s)| StationPoint {
-                queue: self.q[k],
-                residence: residence[k],
-                // All kinds share the single-server traffic-intensity form
-                // here (see the residence computation above).
-                utilization: x * s.demand(),
+            .zip(&self.q)
+            .map(|(s, &q)| {
+                let d = s.demand();
+                StationPoint {
+                    queue: q,
+                    // Algorithm 1 ignores declared core counts and rate
+                    // tables by design: every non-delay station is a
+                    // single-server queue.
+                    residence: match &s.kind {
+                        StationKind::Delay => d,
+                        StationKind::Queueing { .. } | StationKind::LoadDependent { .. } => {
+                            d * (1.0 + q)
+                        }
+                    },
+                    utilization: d,
+                }
             })
             .collect();
+        let r_total: f64 = station_points.iter().map(|p| p.residence).sum();
+        let x = n as f64 / (r_total + z);
+        for (p, qk) in station_points.iter_mut().zip(&mut self.q) {
+            *qk = x * p.residence;
+            p.queue = *qk;
+            // All kinds share the single-server traffic-intensity form here
+            // (see the residence above).
+            p.utilization *= x;
+        }
 
         self.n = n;
         Ok(MvaPoint {

@@ -468,6 +468,51 @@ fn kept_prefix_cells_are_counted_as_reused() {
     assert!(reused > cells, "{reused} reused, {cells} written");
 }
 
+/// The quasi-static workspace's work totals over two MVASD solves, pinned
+/// at the values recorded before body extension ran a population range
+/// per call: that refactor changes how the columns are filled, not which
+/// cells are written. The saturating model to N = 300 keeps its think and
+/// disk stages across rebuilds; JPetStore to N = 300 rebuilds every stage
+/// but the think stage and carries a heavy group of three 16-core CPUs.
+#[test]
+fn quasi_static_work_counters_are_pinned() {
+    let _guard = lock();
+    let saturating = DemandSamples {
+        station_names: vec!["db-cpu16".into(), "disk".into()],
+        server_counts: vec![16, 1],
+        think_time: 1.0,
+        levels: vec![1.0, 750.0, 1500.0],
+        demands: vec![vec![0.165, 0.160, 0.158], vec![0.004, 0.004, 0.004]],
+    };
+    let jpetstore = samples_of(&jpetstore::model(), &jpetstore::STANDARD_LEVELS);
+    // extend, cells, reused, rebuild.
+    for (label, samples, pinned) in [
+        ("saturating", saturating, [43_554u64, 1_088, 86_508, 243]),
+        ("jpetstore", jpetstore, [19_830, 278_382, 19_530, 140]),
+    ] {
+        let profile = mvasd_suite::core::profile::ServiceDemandProfile::from_samples(
+            &samples,
+            InterpolationKind::CubicNotAKnot,
+            DemandAxis::Concurrency,
+        )
+        .expect("valid samples");
+        let collector = Arc::new(obsv::Collector::new());
+        {
+            let _scope = obsv::scoped(collector.clone());
+            MvasdSolver::new(profile).solve(300).expect("MVASD solves");
+        }
+        let snap = collector.snapshot();
+        let got = [
+            "conv.workspace.extend",
+            "convolution.cells",
+            "conv.workspace.reused",
+            "conv.workspace.rebuild",
+        ]
+        .map(|name| snap.counter(name));
+        assert_eq!(got, pinned, "{label}: extend, cells, reused, rebuild");
+    }
+}
+
 /// JPetStore, like VINS, has 57 queueing servers, so at its top campaign
 /// level every pending completion fits in the simulator's near-future
 /// array and none spills to the heap.
